@@ -14,6 +14,9 @@ packet strictly positive-frequency in its chart's time.
 All Klein-Gordon pairings are adaptive quadratures over a constant-time
 surface of the base chart, with a change of variable that makes wedge
 (logarithmically piled-up) phases linear in the integration parameter.
+alpha and beta of one matrix entry share one adaptive grid: the column
+packet and its conjugate are paired with the row packet in one vector-
+valued quadrature, which evaluates each packet once per node.
 This module is a verification companion: the stress pipeline never calls
 into it.
 """
@@ -86,17 +89,17 @@ _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 def _adaptive_gk(f, a: float, b: float, tol: float,
                  max_panels: int = 4096):
-    """Globally adaptive G7/K15 with batched integrand evaluation.
+    """Globally adaptive G7/K15 of a vector-valued integrand, with batched
+    evaluation.
 
-    Returns (integral, error_estimate, n_evaluations).  Panels are split
-    in deterministic waves, worst errors first.
+    ``f`` maps an array of n nodes to an (ncomp, n) array.  Returns
+    (integrals, error_estimates, n_evaluations), the first two of shape
+    (ncomp,).  Panels are split in deterministic waves: for every
+    component whose error exceeds ``tol``, the worst half of the panels
+    over its budget, so a one-component integrand refines exactly as a
+    scalar one would.
     """
     edges = np.linspace(a, b, 17)
-    starts, ends = edges[:-1], edges[1:]
-    integrals = np.zeros(0, dtype=complex)
-    errors = np.zeros(0, dtype=float)
-    lo_all = np.zeros(0)
-    hi_all = np.zeros(0)
     n_evals = 0
 
     def refine(lo, hi):
@@ -104,25 +107,24 @@ def _adaptive_gk(f, a: float, b: float, tol: float,
         mid = 0.5 * (lo + hi)[:, None]
         half = 0.5 * (hi - lo)[:, None]
         xs = mid + half * _K15_NODES[None, :]
-        vals = f(xs.ravel()).reshape(xs.shape)
+        vals = f(xs.ravel()).reshape((-1,) + xs.shape)
         n_evals += xs.size
-        k15 = (vals * _K15_WEIGHTS[None, :]).sum(axis=1) * half[:, 0]
-        g7 = (vals[:, _G7_IDX] * _G7_WEIGHTS[None, :]).sum(axis=1) * half[:, 0]
+        k15 = (vals * _K15_WEIGHTS).sum(axis=-1) * half[:, 0]
+        g7 = (vals[:, :, _G7_IDX] * _G7_WEIGHTS).sum(axis=-1) * half[:, 0]
         return k15, np.abs(k15 - g7)
 
-    k15, err = refine(starts, ends)
-    integrals, errors = k15, err
-    lo_all, hi_all = starts, ends
+    lo_all, hi_all = edges[:-1], edges[1:]
+    integrals, errors = refine(lo_all, hi_all)
     for _ in range(60):
-        total_err = float(errors.sum())
-        if total_err <= tol or len(errors) >= max_panels:
+        n_panels = errors.shape[1]
+        open_comps = np.flatnonzero(errors.sum(axis=1) > tol)
+        if len(open_comps) == 0 or n_panels >= max_panels:
             break
-        budget = tol / max(1, len(errors))
-        split = errors > 0.25 * budget
-        worst = np.argsort(errors)[::-1][:max(1, len(errors) // 2)]
-        mask = np.zeros(len(errors), bool)
-        mask[worst] = True
-        mask &= split
+        budget = tol / n_panels
+        mask = np.zeros(n_panels, bool)
+        for err in errors[open_comps]:
+            worst = np.argsort(err)[::-1][:max(1, n_panels // 2)]
+            mask[worst[err[worst] > 0.25 * budget]] = True
         if not mask.any():
             break
         keep = ~mask
@@ -133,12 +135,11 @@ def _adaptive_gk(f, a: float, b: float, tol: float,
         k15_new, err_new = refine(new_lo, new_hi)
         lo_all = np.concatenate([lo_all[keep], new_lo])
         hi_all = np.concatenate([hi_all[keep], new_hi])
-        integrals = np.concatenate([integrals[keep], k15_new])
-        errors = np.concatenate([errors[keep], err_new])
+        integrals = np.concatenate([integrals[:, keep], k15_new], axis=1)
+        errors = np.concatenate([errors[:, keep], err_new], axis=1)
     # fixed summation order for reproducibility
     order = np.argsort(lo_all, kind="stable")
-    return (complex(integrals[order].sum()), float(errors.sum()),
-            n_evals)
+    return integrals[:, order].sum(axis=1), errors.sum(axis=1), n_evals
 
 
 # ---------- mode bases and packets ----------
@@ -220,7 +221,8 @@ class _PacketCore:
         gauss = np.exp(-((lam - lam_c) ** 2) / (4.0 * sigma ** 2))
         amp = (sigma * math.sqrt(2.0 * math.pi)) ** -0.5
         self.omegas = np.exp(lam)
-        self.coeffs = weights * gauss * amp * norm
+        coeffs = weights * gauss * amp * norm
+        self.rhs = np.stack([coeffs, coeffs * self.omegas], axis=1)
         self.m = panels * 64
 
     def support_radius(self) -> float:
@@ -232,15 +234,24 @@ class _PacketCore:
         return _SUPPORT_PAD * max(linear, logtail)
 
     def wave(self, coord):
-        """Sum over the frequency nodes of e^{-i w c} and its c-derivative."""
+        """Sum over the frequency nodes of e^{-i w c} and its c-derivative.
+
+        The coefficients are real, so the sums are taken in real
+        arithmetic: with C = cos(w c) and S = sin(w c) against the columns
+        [coeffs, coeffs w], the value is C0 - i S0 and the derivative
+        -S1 - i C1."""
         coord = np.asarray(coord, dtype=float)
         vals = np.zeros(coord.shape, dtype=complex)
         dvals = np.zeros(coord.shape, dtype=complex)
         live = np.abs(coord) <= self.radius
         if live.any():
-            phases = np.exp(-1j * np.outer(coord[live], self.omegas))
-            vals[live] = phases @ self.coeffs
-            dvals[live] = phases @ (self.coeffs * (-1j * self.omegas))
+            ph = np.multiply.outer(coord[live], self.omegas)
+            cos = np.cos(ph) @ self.rhs
+            sin = np.sin(ph, out=ph) @ self.rhs
+            vals.real[live] = cos[:, 0]
+            vals.imag[live] = -sin[:, 0]
+            dvals.real[live] = -sin[:, 1]
+            dvals.imag[live] = -cos[:, 1]
         return vals, dvals
 
 
@@ -428,11 +439,26 @@ class _Conjugate:
 
 @dataclass(frozen=True)
 class QuadReport:
+    """Result of a pairing.  For a tuple of left modes, ``value``,
+    ``error`` and ``truncation`` are tuples with one entry per mode, and
+    ``truncation_warning`` flags any of them."""
+
     value: complex
     error: float
     truncation: float
     truncation_warning: bool
     n_evaluations: int
+
+
+def _pairing_result(single, full_output, values, errors, truncs, tol, n):
+    if single:
+        report = QuadReport(complex(values[0]), float(errors[0]),
+                            float(truncs[0]), bool(truncs[0] > tol), n)
+    else:
+        report = QuadReport(tuple(complex(v) for v in values),
+                            tuple(errors.tolist()), tuple(truncs.tolist()),
+                            bool((truncs > tol).any()), n)
+    return report if full_output else report.value
 
 
 def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
@@ -442,20 +468,42 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
 
     The window defaults to the intersection of the packet supports; the
     substitution to whichever mode prefers a non-linear one.
+
+    ``mode1`` may also be a tuple of modes with one support, such as a
+    packet and its conjugate: each is paired with ``mode2`` on one shared
+    adaptive grid, with every underlying packet evaluated once per node,
+    and the result holds one value per mode (see ``QuadReport``).
     """
-    s1, s2 = mode1.support(t), mode2.support(t)
+    single = not isinstance(mode1, tuple)
+    modes1 = (mode1,) if single else mode1
+    s1, s2 = modes1[0].support(t), mode2.support(t)
+    if any(m.support(t) != s1 for m in modes1[1:]):
+        raise ValueError("modes paired on one grid must share one support")
+    empty = np.zeros(len(modes1))
     if window is None:
         window = (max(s1[0], s2[0]), min(s1[1], s2[1]))
     if not window[0] < window[1]:
-        result = QuadReport(0.0 + 0.0j, 0.0, 0.0, False, 0)
-        return result if full_output else result.value
+        return _pairing_result(single, full_output, empty, empty, empty,
+                               tol, 0)
     if substitution is None:
-        substitution = mode2.substitution(t) or mode1.substitution(t)
+        substitution = mode2.substitution(t) or modes1[0].substitution(t)
+
+    # a conjugate partner reuses its base mode's values at each node
+    left = [(m._mode, True) if isinstance(m, _Conjugate) else (m, False)
+            for m in modes1]
 
     def integrand_x(xs):
-        v1, d1 = mode1.evaluate(t, xs)
         v2, d2 = mode2.evaluate(t, xs)
-        return 1j * (np.conj(v1) * d2 - np.conj(d1) * v2)
+        evaluated = {}
+        out = np.empty((len(left), len(xs)), dtype=complex)
+        for k, (base, conj) in enumerate(left):
+            if id(base) not in evaluated:
+                evaluated[id(base)] = base.evaluate(t, xs)
+            v1, d1 = evaluated[id(base)]
+            if not conj:
+                v1, d1 = np.conj(v1), np.conj(d1)
+            out[k] = 1j * (v1 * d2 - d1 * v2)
+        return out
 
     if substitution is None:
         a, b = window
@@ -487,18 +535,18 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
         a = max(s_win[0], img[0])
         b = min(s_win[1], img[1])
         if not a < b:
-            result = QuadReport(0.0 + 0.0j, 0.0, 0.0, False, 0)
-            return result if full_output else result.value
+            return _pairing_result(single, full_output, empty, empty, empty,
+                                   tol, 0)
         flip = 1.0 if increasing else -1.0
 
         def integrand(ss):
             return flip * integrand_x(x_of_s(ss)) * dx_of_s(ss)
 
-    value, err, n = _adaptive_gk(integrand, a, b, tol)
+    values, errors, n = _adaptive_gk(integrand, a, b, tol)
     edge = np.abs(integrand(np.array([a, b])))
-    trunc = float((edge[0] + edge[1]) * max(1.0, 0.05 * (b - a)))
-    report = QuadReport(value, err, trunc, trunc > tol, n)
-    return report if full_output else report.value
+    truncs = (edge[:, 0] + edge[:, 1]) * max(1.0, 0.05 * (b - a))
+    return _pairing_result(single, full_output, values, errors, truncs,
+                           tol, n)
 
 
 # ---------- coefficient matrices ----------
@@ -537,8 +585,11 @@ class BogolubovPair:
 
 def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
                          t: float = 0.0, tol: float = 1e-8) -> BogolubovPair:
-    """alpha[i, k] = (f_k, g_i),  beta[i, k] = -(f_k*, g_i)."""
-    packets_a = basis_a.packets()
+    """alpha[i, k] = (f_k, g_i),  beta[i, k] = -(f_k*, g_i).
+
+    Both come from one pairing per entry: f_k and f_k* share one adaptive
+    grid, on which each packet is evaluated once per node."""
+    packets_a = [(f, _Conjugate(f)) for f in basis_a.packets()]
     packets_b = basis_b.packets()
     nb, na = len(packets_b), len(packets_a)
     alpha = np.zeros((nb, na), dtype=complex)
@@ -546,14 +597,12 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     qerr = np.zeros((nb, na))
     trunc = np.zeros((nb, na))
     for i, g in enumerate(packets_b):
-        for k, f in enumerate(packets_a):
-            ra = kg_inner_product(f, g, t=t, tol=tol, full_output=True)
-            rb = kg_inner_product(_Conjugate(f), g, t=t, tol=tol,
-                                  full_output=True)
-            alpha[i, k] = ra.value
-            beta[i, k] = -rb.value
-            qerr[i, k] = ra.error + rb.error
-            trunc[i, k] = ra.truncation + rb.truncation
+        for k, f_pair in enumerate(packets_a):
+            r = kg_inner_product(f_pair, g, t=t, tol=tol, full_output=True)
+            alpha[i, k] = r.value[0]
+            beta[i, k] = -r.value[1]
+            qerr[i, k] = sum(r.error)
+            trunc[i, k] = sum(r.truncation)
     return BogolubovPair(alpha, beta, qerr, trunc, basis_a, basis_b)
 
 

@@ -341,11 +341,22 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
         def vfn(a, _o=outer.vfn, _i=inner.vfn):
             return _o(_i(a))
 
+    vdfn = None
+    if outer.vdfn is not None and inner.vfn is not None \
+            and inner.vdfn is not None:
+        def vdfn(a, _o=outer.vdfn, _i=inner.vfn, _di=inner.vdfn):
+            return _o(_i(a)) * _di(a)
+
+    inverse_vfn = None
+    if outer.inverse_vfn is not None and inner.inverse_vfn is not None:
+        def inverse_vfn(z, _o=outer.inverse_vfn, _i=inner.inverse_vfn):
+            return _i(_o(z))
+
     return ChartMap(
         fn, dfn, domain=domain, inverse_fn=inverse_fn,
         monotone_sign=outer.monotone_sign * inner.monotone_sign,
         label=label or f"{outer.label}*{inner.label}",
-        vfn=vfn,
+        vfn=vfn, vdfn=vdfn, inverse_vfn=inverse_vfn,
     )
 
 

@@ -207,7 +207,9 @@ def _evaluate_rows(cfg: RunConfig, scenario, chart):
                                  o.flux, 0))
                 else:
                     rows.append((c1, c2, s.t_uu, s.t_vv, s.t_uv, 0))
-            except (SingularRayError, StateRegionError, CoverageError):
+            except (SingularRayError, StateRegionError, CoverageError,
+                    OverflowError):
+                # an overflowing chart map has no finite value to write
                 rows.append((c1, c2, None, None, None, 1))
     return rows
 

@@ -92,7 +92,7 @@ def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
         dfn=jexp,
         inverse_fn=lambda y: jlog(y + shift),
         monotone_sign=1,
-        label=f"hatted-u[a={a:g}]",
+        label=f"hatted-u[a={a!r}]",
         range_hint=Interval(-shift, math.inf),
         vfn=lambda arr: _np.exp(arr) - shift,
         vdfn=_np.exp,
@@ -103,13 +103,13 @@ def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
         dfn=jexp,
         inverse_fn=jlog,
         monotone_sign=1,
-        label=f"hatted-v[a={a:g}]",
+        label=f"hatted-v[a={a!r}]",
         range_hint=Interval(0.0, math.inf),
         vfn=_np.exp,
         vdfn=_np.exp,
         inverse_vfn=_np.log,
     )
-    return ConformalChart(f"hatted:mirror_in_rindler_vacuum:a={a:g}",
+    return ConformalChart(f"hatted:mirror_in_rindler_vacuum:a={a!r}",
                           u_map, v_map, global_class="half_line")
 
 
@@ -123,13 +123,13 @@ def hatted_chart_for_accelerated_mirror(a: float) -> ConformalChart:
         domain=Interval(0.0, math.inf),
         inverse_fn=lambda y: -c / y,
         monotone_sign=1,
-        label=f"hatted-hyperbola-u[a={a:g}]",
+        label=f"hatted-hyperbola-u[a={a!r}]",
         range_hint=Interval(-math.inf, 0.0),
         vfn=lambda arr: -c / arr,
         vdfn=lambda arr: c / (arr * arr),
         inverse_vfn=lambda arr: -c / arr,
     )
-    return ConformalChart(f"hatted:accelerated_mirror_minkowski:a={a:g}",
+    return ConformalChart(f"hatted:accelerated_mirror_minkowski:a={a!r}",
                           u_map, identity_map("v"),
                           global_class="half_line")
 

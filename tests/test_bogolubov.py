@@ -7,6 +7,8 @@ import pytest
 
 from mirrorstress.bogolubov import (
     ModeBasis,
+    QuadReport,
+    _Conjugate,
     compute_coefficients,
     critical_packet_width,
     default_frequencies,
@@ -14,11 +16,14 @@ from mirrorstress.bogolubov import (
     kg_inner_product,
     row_normalization,
 )
-from mirrorstress.charts import get_chart
+from mirrorstress.charts import compose_charts, get_chart, identity_map
 from mirrorstress.scenarios import hatted_chart_for_stationary_mirror
 
 MINK = get_chart("minkowski")
 RIND = get_chart("rindler")
+# the wedge chart relabeled through composition with identity maps
+RIND_COMPOSED = compose_charts(RIND, identity_map("u"), identity_map("v"),
+                               "rindler-composed")
 
 
 # ---------- basis validation ----------
@@ -44,6 +49,7 @@ def test_frequencies_must_increase():
 
 @pytest.mark.parametrize("chart,sigma", [
     (MINK, 0.06), (MINK, 0.25), (RIND, 0.06), (RIND, 0.3),
+    (RIND_COMPOSED, 0.06),
 ])
 def test_packet_normalization(chart, sigma):
     basis = ModeBasis(chart, frequencies=np.array([0.5, 1.0, 2.0]),
@@ -85,6 +91,31 @@ def test_truncation_metadata():
                            full_output=True)
     assert rep.error < 1e-8
     assert not rep.truncation_warning
+
+
+def test_shared_grid_pairing_matches_separate_pairings():
+    # reference: alpha and beta from two separate single-mode pairings
+    freqs_a = np.geomspace(0.25, 4.0, 5)
+    basis_a = ModeBasis(MINK, frequencies=freqs_a,
+                        packet_width=critical_packet_width(freqs_a))
+    basis_b = ModeBasis(RIND, frequencies=np.array([0.7, 1.4]),
+                        packet_width=0.04)
+    pair = compute_coefficients(basis_a, basis_b, tol=1e-9)
+    for i, g in enumerate(basis_b.packets()):
+        for k, f in enumerate(basis_a.packets()):
+            ra = kg_inner_product(f, g, tol=1e-9, full_output=True)
+            rb = kg_inner_product(_Conjugate(f), g, tol=1e-9,
+                                  full_output=True)
+            for rep in (ra, rb):
+                assert isinstance(rep, QuadReport)
+                assert isinstance(rep.value, complex)
+                assert isinstance(rep.error, float)
+                assert isinstance(rep.truncation, float)
+                assert isinstance(rep.truncation_warning, bool)
+                assert isinstance(rep.n_evaluations, int)
+            assert abs(pair.alpha[i, k] - ra.value) < 1e-10
+            assert abs(pair.beta[i, k] + rb.value) < 1e-10
+    assert np.abs(pair.beta).max() > 1e-3  # beta is not trivially zero
 
 
 # ---------- Dirichlet packets ----------

@@ -71,6 +71,25 @@ def test_run_singular_marker(tmp_path):
         assert r[2] == "" and r[3] == "" and r[4] == ""
 
 
+def test_run_overflowing_chart_map_marks_singular(tmp_path):
+    # u = -exp(-u*) overflows a double at u* = -800; an uncaught error
+    # would propagate out of main and fail the test
+    out = tmp_path / "overflow.csv"
+    code = run_cli("run", "--scenario", "rindler_vacuum",
+                   "--chart", "rindler",
+                   "--c1-min", "-800", "--c1-max", "1", "--n1", "3",
+                   "--c2-min", "0", "--c2-max", "1", "--n2", "2",
+                   "--output", str(out))
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) == 6
+    for r in rows:
+        if float(r[0]) == -800.0:
+            assert r[2:] == ["", "", "", "1"]
+        else:
+            assert r[5] == "0"
+
+
 def test_run_orthonormal_frame(tmp_path):
     out = tmp_path / "frame.csv"
     code = run_cli("run", "--scenario", "rindler_vacuum",

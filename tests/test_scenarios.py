@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mirrorstress.charts import Point, get_chart
+from mirrorstress.charts import Point, convert_point, get_chart
 from mirrorstress.scenarios import (
     SCENARIO_NAMES,
     OracleUnavailableError,
@@ -58,6 +58,19 @@ def test_all_names_build():
         sc = build_scenario(name)
         assert sc.name == name
         assert sc.state is not None
+
+
+@pytest.mark.parametrize("name", ["mirror_in_rindler_vacuum",
+                                  "accelerated_mirror_minkowski"])
+def test_hatted_charts_of_close_parameters_stay_distinct(name):
+    first = build_scenario(name, {"a": 1.0})
+    p = Point(0.3, 1.1, first.state.chart.name)
+    before = convert_point(p, MINK)
+    second = build_scenario(name, {"a": 1.0000004})
+    assert second.state.chart.name != first.state.chart.name
+    after = convert_point(p, MINK)
+    assert abs(after.c1 - before.c1) < 1e-10
+    assert abs(after.c2 - before.c2) < 1e-10
 
 
 def test_unknown_name():

@@ -54,11 +54,14 @@ from .vacuum_stress import (
     F_composition,
     F_functional,
     OrthonormalStress,
+    StressGrid,
     StressSample,
     VacuumSpec,
     anomaly_check,
     check_conservation,
     expectation_stress,
+    expectation_stress_grid,
+    orthonormal_grid,
     schwarzian_derivative,
     theta_components,
     to_orthonormal_frame,
@@ -93,8 +96,9 @@ __all__ = [
     "reflection_map", "stationary_mirror", "to_chart",
     "trajectory_from_name", "uniformly_accelerated_mirror",
     "INV_24PI", "INV_48PI", "ConservationReport", "F_composition",
-    "F_functional", "OrthonormalStress", "StressSample", "VacuumSpec",
-    "anomaly_check", "check_conservation", "expectation_stress",
+    "F_functional", "OrthonormalStress", "StressGrid", "StressSample",
+    "VacuumSpec", "anomaly_check", "check_conservation",
+    "expectation_stress", "expectation_stress_grid", "orthonormal_grid",
     "schwarzian_derivative", "theta_components", "to_orthonormal_frame",
     "transform_stress",
     "BogolubovPair", "ModeBasis", "compute_coefficients", "expected_number",

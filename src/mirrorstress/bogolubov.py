@@ -263,9 +263,9 @@ class _TravelingPacket:
         self.chart = chart
         self.sector = sector
         self.map = chart.u_map if sector == "u" else chart.v_map
-        if self.map.vfn is None or self.map.inverse_vfn is None:
-            raise ValueError(
-                f"chart '{chart.name}' lacks vectorized maps for mode work")
+        if self.map.inverse_fn is None:
+            raise ValueError(f"chart '{chart.name}' has no closed-form "
+                             f"inverse map for mode work")
         self.core = _PacketCore(math.log(omega_c), sigma,
                                 norm=1.0 / math.sqrt(4.0 * math.pi))
 
@@ -281,47 +281,45 @@ class _TravelingPacket:
         vals = np.zeros(xs.shape, dtype=complex)
         dts = np.zeros(xs.shape, dtype=complex)
         if inside.any():
-            c = self.map.inverse_vfn(w[inside])
+            c = self.map.inverse_fn(w[inside])
             v, dv = self.core.wave(c)
             vals[inside] = v
             # d/dt = (dc/dw) f'(c); dw/dt = 1 on constant-t surfaces
-            dts[inside] = dv / self.map.vdfn(c)
+            dts[inside] = dv / self.map.dfn(c)
         return vals, dts
 
     def support(self, t: float):
         r = self.core.support_radius()
-        lo = float(self.map.vfn(np.array([-r]))[0])
-        hi = float(self.map.vfn(np.array([r]))[0])
+        lo = float(self.map.fn(np.array([-r]))[0])
+        hi = float(self.map.fn(np.array([r]))[0])
         if self.sector == "u":
             return (t - hi, t - lo)
         return (lo - t, hi - t)
 
     def substitution(self, t: float):
-        if self.map.inverse_vfn is None:
-            return None
-        is_identity = abs(float(self.map.vfn(np.array([0.37]))[0]) - 0.37) < 1e-15
+        is_identity = abs(float(self.map.fn(np.array([0.37]))[0]) - 0.37) < 1e-15
         if is_identity:
             return None
         r = self.core.radius
 
         if self.sector == "u":
             def x_of_s(s):
-                return t - self.map.vfn(s)
+                return t - self.map.fn(s)
 
             def dx_of_s(s):
-                return -self.map.vdfn(s)
+                return -self.map.dfn(s)
 
             def s_of_x(x):
-                return float(self.map.inverse_vfn(np.array([t - x]))[0])
+                return float(self.map.inverse_fn(np.array([t - x]))[0])
         else:
             def x_of_s(s):
-                return self.map.vfn(s) - t
+                return self.map.fn(s) - t
 
             def dx_of_s(s):
-                return self.map.vdfn(s)
+                return self.map.dfn(s)
 
             def s_of_x(x):
-                return float(self.map.inverse_vfn(np.array([t + x]))[0])
+                return float(self.map.inverse_fn(np.array([t + x]))[0])
         return (x_of_s, dx_of_s, s_of_x, (-r, r))
 
 
@@ -330,10 +328,9 @@ class _StandingPacket:
 
     def __init__(self, chart: ConformalChart, omega_c: float, sigma: float):
         self.chart = chart
-        for m in (chart.u_map, chart.v_map):
-            if m.vfn is None or m.inverse_vfn is None:
-                raise ValueError(
-                    f"chart '{chart.name}' lacks vectorized maps")
+        if chart.u_map.inverse_fn is None or chart.v_map.inverse_fn is None:
+            raise ValueError(f"chart '{chart.name}' has no closed-form "
+                             f"inverse maps for mode work")
         self.core = _PacketCore(math.log(omega_c), sigma,
                                 norm=1.0 / math.sqrt(math.pi))
 
@@ -346,8 +343,8 @@ class _StandingPacket:
         vals = np.zeros(xs.shape, dtype=complex)
         dts = np.zeros(xs.shape, dtype=complex)
         if inside.any():
-            cu = self.chart.u_map.inverse_vfn(u[inside])
-            cv = self.chart.v_map.inverse_vfn(v[inside])
+            cu = self.chart.u_map.inverse_fn(u[inside])
+            cv = self.chart.v_map.inverse_fn(v[inside])
             right = cv > cu  # the state lives on the mirror's right, x* > 0
             cu, cv = cu[right], cv[right]
             live = np.zeros(xs.shape, bool)
@@ -356,8 +353,8 @@ class _StandingPacket:
             fv, dfv = self.core.wave(cv)
             # mode = (e^{-i w u*} - e^{-i w v*}) / 2i per frequency node
             vals[live] = (fu - fv) / 2j
-            dts[live] = (dfu / self.chart.u_map.vdfn(cu)
-                         - dfv / self.chart.v_map.vdfn(cv)) / 2j
+            dts[live] = (dfu / self.chart.u_map.dfn(cu)
+                         - dfv / self.chart.v_map.dfn(cv)) / 2j
         return vals, dts
 
     def _mirror_position(self, t: float) -> float:
@@ -370,8 +367,8 @@ class _StandingPacket:
         width = hi - lo
 
         def xhat(x):
-            cu = float(self.chart.u_map.inverse_vfn(np.array([t - x]))[0])
-            cv = float(self.chart.v_map.inverse_vfn(np.array([t + x]))[0])
+            cu = float(self.chart.u_map.inverse_fn(np.array([t - x]))[0])
+            cv = float(self.chart.v_map.inverse_fn(np.array([t + x]))[0])
             return cv - cu
 
         a, b = lo + 1e-12 * width, hi - 1e-12 * width
@@ -385,10 +382,10 @@ class _StandingPacket:
 
     def support(self, t: float):
         r = self.core.support_radius()
-        u_lo = float(self.chart.u_map.vfn(np.array([-r]))[0])
-        u_hi = float(self.chart.u_map.vfn(np.array([r]))[0])
-        v_lo = float(self.chart.v_map.vfn(np.array([-r]))[0])
-        v_hi = float(self.chart.v_map.vfn(np.array([r]))[0])
+        u_lo = float(self.chart.u_map.fn(np.array([-r]))[0])
+        u_hi = float(self.chart.u_map.fn(np.array([r]))[0])
+        v_lo = float(self.chart.v_map.fn(np.array([-r]))[0])
+        v_hi = float(self.chart.v_map.fn(np.array([r]))[0])
         lo = min(t - u_hi, v_lo - t)
         hi = max(t - u_lo, v_hi - t)
         ur, vr = self.chart.u_map.range, self.chart.v_map.range
@@ -406,13 +403,13 @@ class _StandingPacket:
         r = self.core.radius
 
         def x_of_s(s):
-            return t - m.vfn(s)
+            return t - m.fn(s)
 
         def dx_of_s(s):
-            return -m.vdfn(s)
+            return -m.dfn(s)
 
         def s_of_x(x):
-            return float(m.inverse_vfn(np.array([t - x]))[0])
+            return float(m.inverse_fn(np.array([t - x]))[0])
 
         s_hi = s_of_x(self._mirror_position(t))
         return (x_of_s, dx_of_s, s_of_x, (-r, s_hi))

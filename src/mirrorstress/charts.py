@@ -13,8 +13,11 @@ Charts are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .jets import Jet1, Jet3, compose, constant, jexp, jlog, lead_value, seed
 
@@ -110,29 +113,25 @@ def _probe_limit(fn, interval: Interval, end: float, from_inside: float):
 class ChartMap:
     """A strictly monotone, thrice-differentiable scalar map.
 
-    ``fn`` and ``dfn`` evaluate the map and its first derivative on floats
-    or (possibly nested) jets; keeping the derivative as a first-class
-    evaluator is what makes order-3 jets of composites and inverses exact.
-    ``vfn``/``vdfn``/``inverse_vfn`` are optional numpy-vectorized versions
-    used by the mode-function machinery.
+    ``fn`` and ``dfn`` evaluate the map and its first derivative on floats,
+    numpy arrays or (possibly nested) jets; keeping the derivative as a
+    first-class evaluator is what makes order-3 jets of composites and
+    inverses exact.  Built from the jet elementary functions, the same
+    callables serve grid evaluation and the mode-function machinery.
     """
 
     __slots__ = ("fn", "dfn", "domain", "monotone_sign", "inverse_fn",
-                 "label", "_range", "vfn", "vdfn", "inverse_vfn")
+                 "label", "_range")
 
     def __init__(self, fn, dfn=None, domain: Interval = FULL_LINE,
                  inverse_fn=None, monotone_sign: int = 0,
-                 label: str = "map", range_hint: Optional[Interval] = None,
-                 vfn=None, vdfn=None, inverse_vfn=None):
+                 label: str = "map", range_hint: Optional[Interval] = None):
         self.fn = fn
         self.dfn = dfn if dfn is not None else self._auto_dfn
         self.domain = domain
         self.inverse_fn = inverse_fn
         self.label = label
         self._range = range_hint
-        self.vfn = vfn
-        self.vdfn = vdfn
-        self.inverse_vfn = inverse_vfn
         if monotone_sign == 0:
             x0 = self._interior_point()
             monotone_sign = 1 if lead_value(self.dfn(x0)) > 0.0 else -1
@@ -154,8 +153,10 @@ class ChartMap:
         return 0.0
 
     def __call__(self, x):
+        """fn with a domain check; array arguments are not checked (grid
+        evaluation masks points outside the domain itself)."""
         v = lead_value(x)
-        if not self.domain.contains(v):
+        if v.__class__ is not np.ndarray and not self.domain.contains(v):
             raise CoverageError(
                 f"{self.label}: argument {v} outside domain {self.domain}")
         return self.fn(x)
@@ -298,7 +299,6 @@ class ChartMap:
             inv_fn, inv_dfn, domain=self.range,
             inverse_fn=self.fn, monotone_sign=self.monotone_sign,
             label=f"{self.label}^-1", range_hint=self.domain,
-            vfn=self.inverse_vfn, inverse_vfn=self.vfn,
         )
 
 
@@ -310,9 +310,6 @@ def identity_map(label: str = "id") -> ChartMap:
         monotone_sign=1,
         label=label,
         range_hint=FULL_LINE,
-        vfn=lambda a: a,
-        vdfn=lambda a: a * 0.0 + 1.0,
-        inverse_vfn=lambda a: a,
     )
 
 
@@ -336,27 +333,10 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
         def inverse_fn(z, _o=outer.inverse_fn, _i=inner.inverse_fn):
             return _i(_o(z))
 
-    vfn = None
-    if outer.vfn is not None and inner.vfn is not None:
-        def vfn(a, _o=outer.vfn, _i=inner.vfn):
-            return _o(_i(a))
-
-    vdfn = None
-    if outer.vdfn is not None and inner.vfn is not None \
-            and inner.vdfn is not None:
-        def vdfn(a, _o=outer.vdfn, _i=inner.vfn, _di=inner.vdfn):
-            return _o(_i(a)) * _di(a)
-
-    inverse_vfn = None
-    if outer.inverse_vfn is not None and inner.inverse_vfn is not None:
-        def inverse_vfn(z, _o=outer.inverse_vfn, _i=inner.inverse_vfn):
-            return _i(_o(z))
-
     return ChartMap(
         fn, dfn, domain=domain, inverse_fn=inverse_fn,
         monotone_sign=outer.monotone_sign * inner.monotone_sign,
         label=label or f"{outer.label}*{inner.label}",
-        vfn=vfn, vdfn=vdfn, inverse_vfn=inverse_vfn,
     )
 
 
@@ -415,7 +395,7 @@ class ConformalChart:
     """
 
     __slots__ = ("name", "u_map", "v_map", "base_factor", "base_domain",
-                 "global_class")
+                 "global_class", "__weakref__")
 
     def __init__(self, name: str, u_map: ChartMap, v_map: ChartMap,
                  base_factor=None, base_domain=None,
@@ -442,22 +422,27 @@ class ConformalChart:
     # -- conformal factor and curvature --
 
     def factor(self, cu, cv):
-        """Conformal factor at chart coords; floats or jets in each slot."""
+        """Conformal factor at chart coords; floats, arrays or jets in each
+        slot.  The domain and positivity checks apply to scalar points;
+        grid evaluation masks array points itself."""
         bu = self.u_map(cu)
         bv = self.v_map(cv)
         c = self.u_map.dfn(cu) * self.v_map.dfn(cv)
         if self.base_factor is not None:
-            if self.base_domain is not None and not self.base_domain(
-                    lead_value(bu), lead_value(bv)):
+            lu, lv = lead_value(bu), lead_value(bv)
+            if self.base_domain is not None \
+                    and lu.__class__ is not np.ndarray \
+                    and lv.__class__ is not np.ndarray \
+                    and not self.base_domain(lu, lv):
                 raise CoverageError(
-                    f"chart '{self.name}': base point "
-                    f"({lead_value(bu)}, {lead_value(bv)}) outside the "
-                    f"factor's domain")
+                    f"chart '{self.name}': base point ({lu}, {lv}) outside "
+                    f"the factor's domain")
             c = c * self.base_factor(bu, bv)
-        if lead_value(c) <= 0.0:
+        lead = lead_value(c)
+        if lead.__class__ is not np.ndarray and lead <= 0.0:
             raise CoverageError(
                 f"chart '{self.name}': conformal factor "
-                f"{lead_value(c)} not positive at "
+                f"{lead} not positive at "
                 f"({lead_value(cu)}, {lead_value(cv)})")
         return c
 
@@ -537,8 +522,6 @@ def rindler_chart() -> ConformalChart:
     range over the whole plane but cover only the wedge z > |t|, whose
     boundary null rays u = 0 and v = 0 are the horizons.
     """
-    import numpy as _np
-
     u_map = ChartMap(
         fn=lambda x: -jexp(-x),
         dfn=lambda x: jexp(-x),
@@ -546,9 +529,6 @@ def rindler_chart() -> ConformalChart:
         monotone_sign=1,
         label="rindler-u",
         range_hint=Interval(-math.inf, 0.0),
-        vfn=lambda a: -_np.exp(-a),
-        vdfn=lambda a: _np.exp(-a),
-        inverse_vfn=lambda a: -_np.log(-a),
     )
     v_map = ChartMap(
         fn=jexp,
@@ -557,9 +537,6 @@ def rindler_chart() -> ConformalChart:
         monotone_sign=1,
         label="rindler-v",
         range_hint=Interval(0.0, math.inf),
-        vfn=_np.exp,
-        vdfn=_np.exp,
-        inverse_vfn=_np.log,
     )
     return ConformalChart("rindler", u_map, v_map)
 
@@ -577,10 +554,14 @@ def synthetic_curved_chart() -> ConformalChart:
 
 # ---------- registry ----------
 
-_REGISTRY: dict = {}
+# Names resolve while something holds the chart: the built-ins below, or
+# the scenario a mirror-adapted chart was built for.  Holding entries
+# weakly keeps one chart per scenario ever built from accumulating.
+_REGISTRY = weakref.WeakValueDictionary()
 
 
 def register_chart(chart: ConformalChart) -> ConformalChart:
+    """Make ``chart`` resolvable by name for as long as it is in use."""
     _REGISTRY[chart.name] = chart
     return chart
 
@@ -600,9 +581,8 @@ def registered_charts():
     return sorted(_REGISTRY)
 
 
-register_chart(minkowski_chart())
-register_chart(rindler_chart())
-register_chart(synthetic_curved_chart())
+_BUILTINS = tuple(register_chart(c) for c in (
+    minkowski_chart(), rindler_chart(), synthetic_curved_chart()))
 
 
 def convert_point(p: Point, to: ConformalChart) -> Point:

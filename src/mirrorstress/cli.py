@@ -2,8 +2,8 @@
 
 Subcommands: run (evaluate a scenario on a coordinate grid and write
 CSV/JSON), check (run the invariant suites and report residuals),
-list-scenarios.  Exit codes: 0 success, 1 configuration error, 2 coverage
-error, 3 I/O error, 4 failed invariant.
+list-scenarios.  Exit codes: 0 success, 1 configuration or usage error,
+2 coverage error, 3 I/O error, 4 failed invariant.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -37,12 +38,12 @@ from .vacuum_stress import (
     INV_48PI,
     F_composition,
     MarginError,
-    SingularRayError,
-    StateRegionError,
     VacuumSpec,
     anomaly_check,
     check_conservation,
     expectation_stress,
+    expectation_stress_grid,
+    orthonormal_grid,
     schwarzian_derivative,
     theta_components,
     to_orthonormal_frame,
@@ -62,6 +63,28 @@ _CONFIG_KEYS = {
 
 class ConfigError(ValueError):
     pass
+
+
+class _UsageError(Exception):
+    """A command line argparse rejects; main reports it and exits 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit 1 instead of 2 (2 means a
+    coverage error here), and which takes a negative float in any repr
+    form, such as -6.1e-05 or -inf, as a value rather than an option."""
+
+    _NEGATIVE_NUMBER = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-inf$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent forms (Python < 3.14)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: "
+                          f"{message}")
 
 
 @dataclass
@@ -193,24 +216,23 @@ def _evaluate_rows(cfg: RunConfig, scenario, chart):
         raise CoverageError(
             f"c2 grid [{cfg.c2_min}, {cfg.c2_max}] outside coverage "
             f"({lo2}, {hi2}) after margin clipping")
+    c1 = cfg.c1_min + (cfg.c1_max - cfg.c1_min) * np.arange(cfg.n1) \
+        / (cfg.n1 - 1)
+    c2 = cfg.c2_min + (cfg.c2_max - cfg.c2_min) * np.arange(cfg.n2) \
+        / (cfg.n2 - 1)
+    grid = expectation_stress_grid(scenario.state, chart, c1, c2)
+    status, values = grid.status, (grid.t_uu, grid.t_vv, grid.t_uv)
+    if cfg.frame == "orthonormal":
+        status, o = orthonormal_grid(grid)
+        values = (o.energy_density, o.pressure, o.flux)
+    singular = (status != 0).ravel().tolist()
+    x, y, z = (v.ravel().tolist() for v in values)
+    c1s, c2s = c1.tolist(), c2.tolist()
     rows = []
-    for i in range(cfg.n1):
-        c1 = cfg.c1_min + (cfg.c1_max - cfg.c1_min) * i / (cfg.n1 - 1)
-        for j in range(cfg.n2):
-            c2 = cfg.c2_min + (cfg.c2_max - cfg.c2_min) * j / (cfg.n2 - 1)
-            p = Point(c1, c2, chart.name)
-            try:
-                s = expectation_stress(scenario.state, chart, p)
-                if cfg.frame == "orthonormal":
-                    o = to_orthonormal_frame(s)
-                    rows.append((c1, c2, o.energy_density, o.pressure,
-                                 o.flux, 0))
-                else:
-                    rows.append((c1, c2, s.t_uu, s.t_vv, s.t_uv, 0))
-            except (SingularRayError, StateRegionError, CoverageError,
-                    OverflowError):
-                # an overflowing chart map has no finite value to write
-                rows.append((c1, c2, None, None, None, 1))
+    for k, bad in enumerate(singular):
+        c = (c1s[k // cfg.n2], c2s[k % cfg.n2])
+        rows.append((*c, None, None, None, 1) if bad
+                    else (*c, x[k], y[k], z[k], 0))
     return rows
 
 
@@ -220,8 +242,10 @@ def _columns(cfg: RunConfig):
     return ("c1", "c2", "T_uu", "T_vv", "T_uv", "singular")
 
 
-def _render_csv(cfg: RunConfig, scenario, chart, rows) -> str:
-    out = io.StringIO()
+# The writers stream into the output file, so that a run holds its rows
+# but never the whole rendered document.
+
+def _write_csv(out, cfg: RunConfig, scenario, chart, rows):
     out.write(f"# scenario={cfg.scenario} state={scenario.state.label} "
               f"chart={chart.name} a={cfg.a:g} frame={cfg.frame}\n")
     out.write(",".join(_columns(cfg)) + "\n")
@@ -231,10 +255,9 @@ def _render_csv(cfg: RunConfig, scenario, chart, rows) -> str:
             cells.append("" if v is None else _FMT.format(v))
         cells.append(str(singular))
         out.write(",".join(cells) + "\n")
-    return out.getvalue()
 
 
-def _render_json(cfg: RunConfig, scenario, chart, rows) -> str:
+def _write_json(out, cfg: RunConfig, scenario, chart, rows):
     payload = {
         "scenario": cfg.scenario,
         "state": scenario.state.label,
@@ -242,9 +265,10 @@ def _render_json(cfg: RunConfig, scenario, chart, rows) -> str:
         "a": cfg.a,
         "frame": cfg.frame,
         "columns": list(_columns(cfg)),
-        "rows": [list(r) for r in rows],
+        "rows": rows,
     }
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    json.dump(payload, out, indent=1, sort_keys=True)
+    out.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -260,11 +284,10 @@ def cmd_run(args) -> int:
     except (CoverageError, MarginError) as exc:
         print(f"coverage error: {exc}", file=sys.stderr)
         return 2
-    text = (_render_csv if cfg.format == "csv" else _render_json)(
-        cfg, scenario, chart, rows)
+    write = _write_csv if cfg.format == "csv" else _write_json
     try:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh, cfg, scenario, chart, rows)
     except OSError as exc:
         print(f"i/o error: cannot write {cfg.output}: {exc}",
               file=sys.stderr)
@@ -439,9 +462,12 @@ def _invariant_suite(fault: float = 0.0, bog_export: dict = None):
     cfg = RunConfig("rindler_vacuum", 1.0, "rindler", -1.0, 1.0, 3,
                     -1.0, 1.0, 3, "null", "-", "csv")
     sc0 = build_scenario("rindler_vacuum")
-    text1 = _render_csv(cfg, sc0, rind, _evaluate_rows(cfg, sc0, rind))
-    text2 = _render_csv(cfg, sc0, rind, _evaluate_rows(cfg, sc0, rind))
-    yield "deterministic_output", 0.0 if text1 == text2 else 1.0, 0.5
+    texts = []
+    for _ in range(2):
+        out = io.StringIO()
+        _write_csv(out, cfg, sc0, rind, _evaluate_rows(cfg, sc0, rind))
+        texts.append(out.getvalue())
+    yield "deterministic_output", 0.0 if texts[0] == texts[1] else 1.0, 0.5
 
 
 def cmd_check(args) -> int:
@@ -498,7 +524,7 @@ def cmd_list(args) -> int:
 # ---------- entry points ----------
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirrorstress",
         description="Stress-energy of a massless 2D scalar field in "
                     "conformally flat charts with reflecting mirrors.")
@@ -537,7 +563,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    try:
+        args = _make_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     return args.func(args)
 
 

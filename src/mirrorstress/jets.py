@@ -10,11 +10,20 @@ difference.
 Coefficients of a jet may themselves be jets.  Nesting a jet in one null
 direction inside a jet in the other is how mixed partial derivatives such
 as d2(ln C)/du dv are taken; no two-dimensional jet type is needed.
+
+The innermost coefficients (the leaves) are floats or numpy arrays.  With
+array leaves one jet carries a whole grid of points through the same
+arithmetic (Taylor-mode arithmetic over arrays), and the elementary
+functions dispatch to ``numpy`` instead of ``math``.  Domain guards raise
+only for scalar leaves; an array leaf outside a function's domain yields
+the IEEE value (nan or inf), and callers mask such points.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "Jet3",
@@ -37,6 +46,7 @@ __all__ = [
 ]
 
 _SCALARS = (int, float)
+_ndarray = np.ndarray
 
 
 class JetDomainError(ValueError):
@@ -49,7 +59,8 @@ class JetDomainError(ValueError):
 
 
 def lead_value(x):
-    """Innermost float of a possibly nested jet (the evaluation point)."""
+    """Innermost coefficient of a possibly nested jet (the evaluation
+    point): a float, or an array of points."""
     while isinstance(x, (Jet3, Jet1)):
         x = x.value
     return x
@@ -64,6 +75,9 @@ class Jet1:
     """
 
     __slots__ = ("value", "d1")
+    # ``ndarray op jet`` defers to the jet, which rejects a bare array
+    # (a TypeError) instead of numpy building an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, value, d1=0.0):
         self.value = value
@@ -107,8 +121,9 @@ class Jet1:
     __rmul__ = __mul__
 
     def _reciprocal(self):
-        if lead_value(self.value) == 0.0:
-            raise JetDomainError("div", lead_value(self.value))
+        v = lead_value(self.value)
+        if v.__class__ is not _ndarray and v == 0.0:
+            raise JetDomainError("div", v)
         r = 1.0 / self.value
         return Jet1(r, -(self.d1 * (r * r)))
 
@@ -150,6 +165,7 @@ class Jet3:
     """
 
     __slots__ = ("value", "d1", "d2", "d3")
+    __array_ufunc__ = None  # see Jet1
 
     def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
         self.value = value
@@ -209,8 +225,9 @@ class Jet3:
     __rmul__ = __mul__
 
     def _reciprocal(self):
-        if lead_value(self.value) == 0.0:
-            raise JetDomainError("div", lead_value(self.value))
+        v = lead_value(self.value)
+        if v.__class__ is not _ndarray and v == 0.0:
+            raise JetDomainError("div", v)
         r = 1.0 / self.value  # recurses through __rtruediv__ when nested
         r2 = r * r
         return compose((r, -r2, 2.0 * (r2 * r), -6.0 * (r2 * r2)), self)
@@ -272,74 +289,102 @@ def compose(outer_tower, inner: Jet3) -> Jet3:
 
 
 # ---------- elementary functions ----------
-# Each accepts a float or a (possibly nested) Jet3.  Towers are computed
-# recursively on the jet's value, so nesting costs nothing extra in code.
+# Each accepts a float, an array or a (possibly nested) jet.  Towers are
+# computed recursively on the jet's value, so nesting costs nothing extra
+# in code.  A float is tested first: point evaluation through numeric
+# inversion calls these leaves hundreds of times per point.
 
 def jexp(x):
+    if x.__class__ is float:
+        return math.exp(x)
     if isinstance(x, Jet3):
         e = jexp(x.value)
         return compose((e, e, e, e), x)
     if isinstance(x, Jet1):
         e = jexp(x.value)
         return Jet1(e, e * x.d1)
+    if x.__class__ is _ndarray:
+        return np.exp(x)
     return math.exp(x)
 
 
 def jlog(x):
+    if x.__class__ is float and x > 0.0:
+        return math.log(x)
     if isinstance(x, Jet3):
-        if lead_value(x.value) <= 0.0:
-            raise JetDomainError("log", lead_value(x.value))
+        v = lead_value(x.value)
+        if v.__class__ is not _ndarray and v <= 0.0:
+            raise JetDomainError("log", v)
         r = 1.0 / x.value
         return compose((jlog(x.value), r, -(r * r), 2.0 * (r * r * r)), x)
     if isinstance(x, Jet1):
-        if lead_value(x.value) <= 0.0:
-            raise JetDomainError("log", lead_value(x.value))
+        v = lead_value(x.value)
+        if v.__class__ is not _ndarray and v <= 0.0:
+            raise JetDomainError("log", v)
         return Jet1(jlog(x.value), x.d1 / x.value)
+    if x.__class__ is _ndarray:
+        return np.log(x)
     if x <= 0.0:
         raise JetDomainError("log", x)
     return math.log(x)
 
 
 def jsqrt(x):
+    if x.__class__ is float and x > 0.0:
+        return math.sqrt(x)
     if isinstance(x, Jet3):
-        if lead_value(x.value) <= 0.0:
-            raise JetDomainError("sqrt", lead_value(x.value))
+        v = lead_value(x.value)
+        if v.__class__ is not _ndarray and v <= 0.0:
+            raise JetDomainError("sqrt", v)
         s = jsqrt(x.value)
         inv = 1.0 / s
         inv3 = inv * inv * inv
         return compose((s, 0.5 * inv, -0.25 * inv3,
                         0.375 * (inv3 * (inv * inv))), x)
     if isinstance(x, Jet1):
-        if lead_value(x.value) <= 0.0:
-            raise JetDomainError("sqrt", lead_value(x.value))
+        v = lead_value(x.value)
+        if v.__class__ is not _ndarray and v <= 0.0:
+            raise JetDomainError("sqrt", v)
         s = jsqrt(x.value)
         return Jet1(s, 0.5 * (x.d1 / s))
+    if x.__class__ is _ndarray:
+        return np.sqrt(x)
     if x <= 0.0:
         raise JetDomainError("sqrt", x)
     return math.sqrt(x)
 
 
 def jsinh(x):
+    if x.__class__ is float:
+        return math.sinh(x)
     if isinstance(x, Jet3):
         s = jsinh(x.value)
         c = jcosh(x.value)
         return compose((s, c, s, c), x)
     if isinstance(x, Jet1):
         return Jet1(jsinh(x.value), jcosh(x.value) * x.d1)
+    if x.__class__ is _ndarray:
+        return np.sinh(x)
     return math.sinh(x)
 
 
 def jcosh(x):
+    if x.__class__ is float:
+        return math.cosh(x)
     if isinstance(x, Jet3):
         s = jsinh(x.value)
         c = jcosh(x.value)
         return compose((c, s, c, s), x)
     if isinstance(x, Jet1):
         return Jet1(jcosh(x.value), jsinh(x.value) * x.d1)
+    if x.__class__ is _ndarray:
+        return np.cosh(x)
     return math.cosh(x)
 
 
 def jtanh(x):
+    if x.__class__ is float:
+        return math.tanh(x)
     if isinstance(x, Jet3):
         t = jtanh(x.value)
         sech2 = 1.0 - t * t
@@ -348,13 +393,17 @@ def jtanh(x):
     if isinstance(x, Jet1):
         t = jtanh(x.value)
         return Jet1(t, (1.0 - t * t) * x.d1)
+    if x.__class__ is _ndarray:
+        return np.tanh(x)
     return math.tanh(x)
 
 
 def jatanh(x):
+    if x.__class__ is float and abs(x) < 1.0:
+        return math.atanh(x)
     if isinstance(x, Jet3):
         v = lead_value(x.value)
-        if abs(v) >= 1.0:
+        if v.__class__ is not _ndarray and abs(v) >= 1.0:
             raise JetDomainError("atanh", v)
         d = 1.0 - x.value * x.value
         r = 1.0 / d
@@ -363,18 +412,23 @@ def jatanh(x):
                         (2.0 + 6.0 * (x.value * x.value)) * (r2 * r)), x)
     if isinstance(x, Jet1):
         v = lead_value(x.value)
-        if abs(v) >= 1.0:
+        if v.__class__ is not _ndarray and abs(v) >= 1.0:
             raise JetDomainError("atanh", v)
         return Jet1(jatanh(x.value), x.d1 / (1.0 - x.value * x.value))
+    if x.__class__ is _ndarray:
+        return np.arctanh(x)
     if abs(x) >= 1.0:
         raise JetDomainError("atanh", x)
     return math.atanh(x)
 
 
 def jpow(x, p: float):
+    if x.__class__ is float and x > 0.0:
+        return math.pow(x, p)
     if isinstance(x, Jet3):
-        if lead_value(x.value) <= 0.0:
-            raise JetDomainError("pow", lead_value(x.value))
+        lead = lead_value(x.value)
+        if lead.__class__ is not _ndarray and lead <= 0.0:
+            raise JetDomainError("pow", lead)
         v = jpow(x.value, p)
         r = 1.0 / x.value
         t1 = p * (v * r)
@@ -382,10 +436,13 @@ def jpow(x, p: float):
         t3 = (p - 2.0) * (t2 * r)
         return compose((v, t1, t2, t3), x)
     if isinstance(x, Jet1):
-        if lead_value(x.value) <= 0.0:
-            raise JetDomainError("pow", lead_value(x.value))
+        lead = lead_value(x.value)
+        if lead.__class__ is not _ndarray and lead <= 0.0:
+            raise JetDomainError("pow", lead)
         v = jpow(x.value, p)
         return Jet1(v, p * (v * (x.d1 / x.value)))
+    if x.__class__ is _ndarray:
+        return np.power(x, p)
     if x <= 0.0:
         raise JetDomainError("pow", x)
     return math.pow(x, p)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as _np
-
 from .charts import (
     ChartMap,
     ConformalChart,
@@ -94,9 +92,6 @@ def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
         monotone_sign=1,
         label=f"hatted-u[a={a!r}]",
         range_hint=Interval(-shift, math.inf),
-        vfn=lambda arr: _np.exp(arr) - shift,
-        vdfn=_np.exp,
-        inverse_vfn=lambda arr: _np.log(arr + shift),
     )
     v_map = ChartMap(
         fn=jexp,
@@ -105,9 +100,6 @@ def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
         monotone_sign=1,
         label=f"hatted-v[a={a!r}]",
         range_hint=Interval(0.0, math.inf),
-        vfn=_np.exp,
-        vdfn=_np.exp,
-        inverse_vfn=_np.log,
     )
     return ConformalChart(f"hatted:mirror_in_rindler_vacuum:a={a!r}",
                           u_map, v_map, global_class="half_line")
@@ -125,9 +117,6 @@ def hatted_chart_for_accelerated_mirror(a: float) -> ConformalChart:
         monotone_sign=1,
         label=f"hatted-hyperbola-u[a={a!r}]",
         range_hint=Interval(-math.inf, 0.0),
-        vfn=lambda arr: -c / arr,
-        vdfn=lambda arr: c / (arr * arr),
-        inverse_vfn=lambda arr: -c / arr,
     )
     return ConformalChart(f"hatted:accelerated_mirror_minkowski:a={a!r}",
                           u_map, identity_map("v"),
@@ -210,7 +199,7 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
             label="accelerated_mirror_minkowski",
             ambient_chart=None,
             reflected_u_range=Interval(-math.inf, 0.0),
-            region_predicate=lambda u, v: u < 0.0 and u * v < -c,
+            region_predicate=lambda u, v: (u < 0.0) & (u * v < -c),
         )
         zero = lambda c1, c2: (0.0, 0.0, 0.0)
         forms = {"minkowski": zero}

@@ -17,6 +17,11 @@ chart vacuum and then stirred by a perfectly reflecting mirror: right-
 movers that have bounced off the mirror are governed by the mirror-adapted
 chart, right-movers that never meet it keep the ambient value, and the
 boundary ray between the sectors is excluded.
+
+A point where a state has no stress value gets a status code (region,
+sector ray, coverage, float range).  The point entry points raise the
+matching documented error; :func:`expectation_stress_grid` evaluates a
+whole grid in one pass of array-valued jets and returns the codes.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .charts import (
     ChartMap,
@@ -36,7 +43,7 @@ from .charts import (
     convert_point,
     get_chart,
 )
-from .jets import Jet1, Jet3, lead_value, seed
+from .jets import Jet1, Jet3, JetDomainError, lead_value, seed
 
 __all__ = [
     "INV_24PI",
@@ -47,7 +54,9 @@ __all__ = [
     "MarginError",
     "VacuumSpec",
     "StressSample",
+    "StressGrid",
     "OrthonormalStress",
+    "STATUS_NAMES",
     "ConservationReport",
     "F_functional",
     "F_of_jet",
@@ -56,7 +65,9 @@ __all__ = [
     "theta_components",
     "transform_stress",
     "expectation_stress",
+    "expectation_stress_grid",
     "to_orthonormal_frame",
+    "orthonormal_grid",
     "check_conservation",
     "anomaly_check",
     "stress_component_functions",
@@ -68,6 +79,10 @@ INV_24PI = 1.0 / (24.0 * _PI)
 INV_48PI = 1.0 / (48.0 * _PI)
 
 _QUANTIZABLE = ("full_plane", "half_line")
+
+# per-point status codes, in the order the point checks apply
+OK, REGION, SECTOR_RAY, COVERAGE, FLOAT_RANGE = range(5)
+STATUS_NAMES = ("ok", "region", "sector_ray", "coverage", "float_range")
 
 
 class StateError(ValueError):
@@ -129,6 +144,25 @@ class StressSample:
     point: Point
 
 
+@dataclass(frozen=True, eq=False)
+class StressGrid:
+    """Null stress components on the grid ``c1`` x ``c2`` of a chart.
+
+    Components and ``status`` have shape (len(c1), len(c2)), row-major in
+    c1; ``status`` holds one code of :data:`STATUS_NAMES` per point, and
+    the components are NaN wherever it is not ok.
+    """
+
+    t_uu: np.ndarray
+    t_vv: np.ndarray
+    t_uv: np.ndarray
+    status: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    chart: ConformalChart
+    state: str
+
+
 @dataclass(frozen=True)
 class OrthonormalStress:
     energy_density: float
@@ -149,7 +183,8 @@ class ConservationReport:
 
 def F_of_jet(j: Jet3):
     """F of the function whose jet this is: f''/f - (3/2)(f'/f)^2."""
-    if lead_value(j.value) == 0.0:
+    lead = lead_value(j.value)
+    if lead.__class__ is not np.ndarray and lead == 0.0:
         raise SingularRayError("F functional: zero denominator")
     r1 = j.d1 / j.value
     return j.d2 / j.value - 1.5 * (r1 * r1)
@@ -271,13 +306,16 @@ def _sector_cross(gov: ConformalChart, observe: ConformalChart):
     return cross
 
 
+def _gov_components(gov: ConformalChart, observe: ConformalChart):
+    """(t11, t22, t12) of the ``gov``-chart vacuum in observe coordinates."""
+    return (_sector_component(gov, observe, "u"),
+            _sector_component(gov, observe, "v"),
+            _sector_cross(gov, observe))
+
+
 def _build_components(state: VacuumSpec, observe: ConformalChart):
     if state.boundary == "full_line":
-        gov = state.chart
-        return (_sector_component(gov, observe, "u"),
-                _sector_component(gov, observe, "v"),
-                _sector_cross(gov, observe),
-                observe.factor)
+        return (*_gov_components(state.chart, observe), observe.factor)
 
     # Dirichlet state: right-movers split into reflected / not-yet-reflected
     mirror = state.chart
@@ -298,11 +336,8 @@ def _build_components(state: VacuumSpec, observe: ConformalChart):
     # left-movers keep their labels (identity relabeling), so the mirror
     # and ambient charts assign the same T_22; dispatching every component
     # on the u-sector keeps all evaluations inside chart coverage
-    per_gov = {}
-    for gov in filter(None, (mirror, ambient)):
-        per_gov[gov.name] = (_sector_component(gov, observe, "u"),
-                             _sector_component(gov, observe, "v"),
-                             _sector_cross(gov, observe))
+    per_gov = {gov.name: _gov_components(gov, observe)
+               for gov in filter(None, (mirror, ambient))}
 
     def t11(c1, c2):
         return per_gov[pick_sector(c1).name][0](c1, c2)
@@ -314,6 +349,94 @@ def _build_components(state: VacuumSpec, observe: ConformalChart):
         return per_gov[pick_sector(c1).name][2](c1, c2)
 
     return t11, t22, t12, observe.factor
+
+
+# ---------- per-point status ----------
+
+def _inside(interval: Interval, x):
+    """Open-interval membership of a float, or of each entry of an array."""
+    return (interval.lo < x) & (x < interval.hi)
+
+
+def _finite(x):
+    return abs(x) < math.inf  # False for inf and NaN alike
+
+
+def _transitions_ok(gov: ConformalChart, observe: ConformalChart,
+                    c1, c2, u, v):
+    """Points inside the domains of the maps from observe to ``gov``
+    coordinates and of ``gov``'s factor."""
+    ok = (_inside(_transition_map(gov, observe, "u").domain, c1)
+          & _inside(_transition_map(gov, observe, "v").domain, c2))
+    if gov.base_domain is not None:
+        ok = ok & gov.base_domain(u, v)
+    return ok
+
+
+def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
+    """Yield (status, ok) in the order the point checks apply.
+
+    ``ok`` is a bool for float coordinates, or a bool array broadcasting
+    over the grid for array ones, and is False where a point fails with
+    ``status``.  A scalar caller stops at the first failure, so each
+    check may assume the earlier ones passed.
+    """
+    yield COVERAGE, (_inside(observe.u_map.domain, c1)
+                     & _inside(observe.v_map.domain, c2))
+    u, v = observe.u_map.fn(c1), observe.v_map.fn(c2)
+    yield FLOAT_RANGE, _finite(u) & _finite(v)
+    if state.boundary == "full_line":
+        yield COVERAGE, (_inside(state.chart.u_map.range, u)
+                         & _inside(state.chart.v_map.range, v))
+        yield COVERAGE, _transitions_ok(state.chart, observe, c1, c2, u, v)
+        return
+    if state.region_predicate is not None:
+        yield REGION, state.region_predicate(u, v)
+    yield COVERAGE, _inside(state.chart.v_map.range, v)
+    refl, ambient = state.reflected_u_range, state.ambient_chart
+    in_mirror = refl is not None and _inside(refl, u)
+    if refl is not None:
+        # the sectors are half-open: the ray between them is excluded
+        yield SECTOR_RAY, (u != refl.lo) & (u != refl.hi)
+    in_ambient = ambient is not None and _inside(ambient.u_map.range, u)
+    yield COVERAGE, in_mirror | in_ambient
+    yield COVERAGE, np.where(
+        in_mirror, _transitions_ok(state.chart, observe, c1, c2, u, v),
+        ambient is not None
+        and _transitions_ok(ambient, observe, c1, c2, u, v))
+
+
+def _point_status(state: VacuumSpec, observe: ConformalChart,
+                  c1: float, c2: float) -> int:
+    """Status of the first check a float point fails, FLOAT_RANGE where a
+    check overflows, else OK."""
+    try:
+        for status, ok in _point_checks(state, observe, c1, c2):
+            if not ok:
+                return status
+    except (ArithmeticError, JetDomainError):
+        return FLOAT_RANGE
+    return OK
+
+
+def _point_error(status: int, state: str, observe: ConformalChart,
+                 q: Point) -> Exception:
+    """The documented error for a point of ``state`` that is not ok."""
+    where = f"point ({q.c1}, {q.c2}) of chart '{observe.name}'"
+    if status == REGION:
+        return StateRegionError(
+            f"{where} lies on the wrong side of the mirror for state "
+            f"'{state}'")
+    if status == SECTOR_RAY:
+        return SingularRayError(
+            f"{where} lies on the sector boundary ray, which is excluded "
+            f"(half-open sectors)")
+    if status == COVERAGE:
+        return CoverageError(
+            f"{where} lies outside the coverage of state '{state}'")
+    return CoverageError(
+        f"{where}: the stress of state '{state}' is outside the "
+        f"double-precision range there")
 
 
 # ---------- public operations ----------
@@ -351,38 +474,109 @@ def expectation_stress(state: VacuumSpec, observe_chart, p: Point
     chart, with mirror-sector stitching where applicable."""
     observe = get_chart(observe_chart)
     q = p if p.chart == observe.name else convert_point(p, observe)
-    u, v = observe.to_base(q.c1, q.c2)
-    if state.boundary == "dirichlet_half_line":
-        if state.region_predicate is not None \
-                and not state.region_predicate(u, v):
-            raise StateRegionError(
-                f"point (u={u}, v={v}) lies on the wrong side of the mirror "
-                f"for state '{state.label}'")
-        if not state.chart.v_map.range.contains(v):
-            raise CoverageError(
-                f"base v={v} outside state coverage {state.chart.v_map.range}")
-    else:
-        if not state.chart.contains_base(u, v):
-            raise CoverageError(
-                f"point (u={u}, v={v}) outside coverage of state chart "
-                f"'{state.chart.name}'")
-    t11f, t22f, t12f, _ = _build_components(state, observe)
-    t11 = lead_value(t11f(q.c1, q.c2))
-    t22 = lead_value(t22f(q.c1, q.c2))
-    t12 = lead_value(t12f(q.c1, q.c2))
+    status = _point_status(state, observe, q.c1, q.c2)
+    if status == OK:
+        t11f, t22f, t12f, _ = _build_components(state, observe)
+        try:
+            t11 = lead_value(t11f(q.c1, q.c2))
+            t22 = lead_value(t22f(q.c1, q.c2))
+            t12 = lead_value(t12f(q.c1, q.c2))
+        except (ArithmeticError, JetDomainError):
+            status = FLOAT_RANGE
+        else:
+            if not (_finite(t11) and _finite(t22) and _finite(t12)):
+                status = FLOAT_RANGE
+    if status != OK:
+        raise _point_error(status, state.label, observe, q)
     return StressSample(t11, t22, t12, observe.name, state.label, q)
+
+
+def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
+                            ) -> StressGrid:
+    """:func:`expectation_stress` on every point of the grid c1 x c2.
+
+    ``c1`` and ``c2`` are 1-d arrays of observe-chart coordinates.  The
+    grid goes through the jets as one column of c1 values against one
+    row of c2 values, so work on a single coordinate is done once per
+    grid line, once per mirror sector (a sector is a set of c1 rows).
+    Points that :func:`expectation_stress` rejects get their status code
+    instead of an error.  The transition maps between observe and state
+    charts must have closed-form inverses.
+    """
+    observe = get_chart(observe_chart)
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    col, row = c1[:, None], c2[None, :]
+    with np.errstate(all="ignore"):
+        # the governing chart of a point depends on its c1 alone
+        if state.boundary == "full_line":
+            sectors = [(state.chart, np.ones(len(c1), bool))]
+        else:
+            refl = state.reflected_u_range
+            in_mirror = np.zeros(len(c1), bool) if refl is None \
+                else _inside(refl, observe.u_map.fn(c1))
+            sectors = [(gov, rows) for gov, rows in (
+                (state.chart, in_mirror), (state.ambient_chart, ~in_mirror))
+                if gov is not None]
+        for gov, _ in sectors:
+            if gov.name != observe.name and (
+                    gov.u_map.inverse_fn is None
+                    or gov.v_map.inverse_fn is None):
+                raise StateError(
+                    f"grid evaluation needs closed-form inverse maps; "
+                    f"chart '{gov.name}' inverts numerically")
+        status = np.zeros((len(c1), len(c2)), dtype=np.int8)
+        for code, ok in _point_checks(state, observe, col, row):
+            status[(status == OK) & np.logical_not(ok)] = code
+        values = np.full((3, len(c1), len(c2)), np.nan)
+        for gov, rows in sectors:
+            if rows.any():
+                for k, f in enumerate(_gov_components(gov, observe)):
+                    values[k, rows] = f(col[rows], row)
+        status[(status == OK) & ~_finite(values).all(axis=0)] = FLOAT_RANGE
+        values[:, status != OK] = np.nan
+    return StressGrid(values[0], values[1], values[2], status, c1, c2,
+                      observe, state.label)
+
+
+def _orthonormal(t_uu, t_vv, t_uv, c):
+    """(energy density, pressure, flux) from null components and C."""
+    return ((t_uu + 2.0 * t_uv + t_vv) / c,
+            -(t_uu - 2.0 * t_uv + t_vv) / c,
+            (t_vv - t_uu) / c)
 
 
 def to_orthonormal_frame(s: StressSample) -> OrthonormalStress:
     """Mixed components in the frame aligned with the sample's chart:
-    energy density T^t_t, pressure T^x_x, flux T^t_x."""
+    energy density T^t_t, pressure T^x_x, flux T^t_x.  Raises
+    CoverageError where they leave the double-precision range."""
     chart = get_chart(s.chart)
     c = chart.conformal_factor(s.point.c1, s.point.c2)
-    return OrthonormalStress(
-        energy_density=(s.t_uu + 2.0 * s.t_uv + s.t_vv) / c,
-        pressure=-(s.t_uu - 2.0 * s.t_uv + s.t_vv) / c,
-        flux=(s.t_vv - s.t_uu) / c,
-    )
+    o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
+    if not (_finite(o[0]) and _finite(o[1]) and _finite(o[2])):
+        raise _point_error(FLOAT_RANGE, s.state, chart, s.point)
+    return OrthonormalStress(*o)
+
+
+def orthonormal_grid(g: StressGrid):
+    """:func:`to_orthonormal_frame` on a stress grid: (status, an
+    OrthonormalStress of arrays).  Points where the frame components do
+    not exist get a status code and NaN components."""
+    chart = g.chart
+    col, row = g.c1[:, None], g.c2[None, :]
+    with np.errstate(all="ignore"):
+        c = lead_value(chart.factor(col, row))
+        o = np.array(np.broadcast_arrays(
+            *_orthonormal(g.t_uu, g.t_vv, g.t_uv, c)))
+        status = g.status.copy()
+        if chart.base_domain is not None:
+            in_domain = chart.base_domain(chart.u_map.fn(col),
+                                          chart.v_map.fn(row))
+            status[(status == OK) & np.logical_not(in_domain)] = COVERAGE
+        ok = (c > 0.0) & _finite(o).all(axis=0)
+        status[(status == OK) & ~ok] = FLOAT_RANGE
+        o[:, status != OK] = np.nan
+    return status, OrthonormalStress(o[0], o[1], o[2])
 
 
 def anomaly_check(state: VacuumSpec, p: Point) -> float:

@@ -4,8 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorstress.cli import main
+from mirrorstress.scenarios import SCENARIO_NAMES
 from mirrorstress.vacuum_stress import INV_48PI
 
 
@@ -88,6 +91,47 @@ def test_run_overflowing_chart_map_marks_singular(tmp_path):
             assert r[2:] == ["", "", "", "1"]
         else:
             assert r[5] == "0"
+
+
+@pytest.mark.parametrize("args", [
+    # exp(533.8)^2 overflows in the Jacobian: these rows were written as NaN
+    ("--scenario", "minkowski_vacuum_rindler_observer", "--chart", "rindler",
+     "--c1-min", "-533.8", "--c1-max", "-444.6", "--n1", "3",
+     "--c2-min", "582.4", "--c2-max", "1337.8", "--n2", "3"),
+    # x*x underflows in the hatted map's derivative: ZeroDivisionError
+    ("--scenario", "accelerated_mirror_minkowski",
+     "--a", "27.17659422642401", "--chart", "rindler",
+     "--c1-min", "-383.72951261747767", "--c1-max", "-383.7071954937219",
+     "--n1", "3", "--c2-min", "1.6887598778581445",
+     "--c2-max", "1.6888341545734982", "--n2", "3"),
+])
+def test_run_float_range_points_are_singular(tmp_path, args):
+    out = tmp_path / "range.csv"
+    assert run_cli("run", *args, "--output", str(out)) == 0
+    rows = read_rows(out)
+    assert len(rows) == 9
+    for r in rows:
+        assert r[2:] == ["", "", "", "1"]
+
+
+def test_run_negative_exponent_floats_parse(tmp_path):
+    out = tmp_path / "small.csv"
+    code = run_cli("run", "--scenario", "rindler_vacuum", "--chart", "rindler",
+                   "--c1-min", "-0.00024", "--c1-max", "-6.1e-05",
+                   "--n1", "2", "--c2-min", "-1e-05", "--c2-max", "1.5e-05",
+                   "--n2", "2", "--output", str(out))
+    assert code == 0
+    first = read_rows(out)[0]
+    assert (float(first[0]), float(first[1])) == (-0.00024, -1e-05)
+
+
+def test_usage_error_exits_one(tmp_path, capsys):
+    code = run_cli("run", "--scenario", "rindler_vacuum", "--c1-min",
+                   "--output", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert run_cli("run", "--no-such-flag") == 1
+    assert run_cli() == 1
 
 
 def test_run_orthonormal_frame(tmp_path):
@@ -201,6 +245,48 @@ def test_deterministic_output(tmp_path):
     assert run_cli(*args, "--output", str(out1)) == 0
     assert run_cli(*args, "--output", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _emitted_rows(path, fmt):
+    if fmt == "json":
+        with open(path) as fh:
+            return json.load(fh)["rows"]
+    return [[None if c == "" else float(c) for c in r[:5]] + [int(r[5])]
+            for r in read_rows(path)]
+
+
+_WINDOW = st.lists(st.floats(-800.0, 800.0), min_size=2, max_size=2)
+
+
+@given(scenario=st.sampled_from(SCENARIO_NAMES),
+       chart=st.sampled_from(["minkowski", "rindler", "hatted"]),
+       a=st.floats(1e-3, 1e3), c1=_WINDOW, c2=_WINDOW,
+       n1=st.integers(1, 4), n2=st.integers(1, 4),
+       frame=st.sampled_from(["null", "orthonormal"]),
+       fmt=st.sampled_from(["csv", "json"]))
+@settings(max_examples=200, deadline=None)
+def test_run_property_documented_outcome(tmp_path_factory, scenario, chart,
+                                         a, c1, c2, n1, n2, frame, fmt):
+    # every invocation ends with a documented exit code, without a
+    # traceback, and writes only finite values or singular rows
+    out = tmp_path_factory.getbasetemp() / f"property.{fmt}"
+    (lo1, hi1), (lo2, hi2) = sorted(c1), sorted(c2)
+    code = run_cli("run", "--scenario", scenario, "--a", repr(a),
+                   "--chart", chart, "--c1-min", repr(lo1),
+                   "--c1-max", repr(hi1), "--n1", str(n1),
+                   "--c2-min", repr(lo2), "--c2-max", repr(hi2),
+                   "--n2", str(n2), "--frame", frame, "--format", fmt,
+                   "--output", str(out))
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        return
+    rows = _emitted_rows(out, fmt)
+    assert len(rows) == n1 * n2
+    for r in rows:
+        if r[5] == 1:
+            assert r[2:5] == [None, None, None]
+        else:
+            assert r[5] == 0 and all(math.isfinite(x) for x in r[2:5])
 
 
 def test_list_scenarios(capsys):

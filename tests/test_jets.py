@@ -8,11 +8,13 @@ extrapolated central differences.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorstress.jets import (
+    Jet1,
     Jet3,
     JetDomainError,
     arith,
@@ -197,6 +199,51 @@ def test_elementary_against_finite_differences(jf, f, points, dist):
         assert close(j.d1, fd1(f, x), 1e-8)
         assert close(j.d2, fd2(f, x), 1e-7)
         assert close(j.d3, fd3(f, x, h=h3), 1e-7)
+
+
+def _leaf_coeffs(j):
+    """The leaf coefficients of a Jet3, or of a Jet1 nested in a Jet1."""
+    if isinstance(j, Jet3):
+        return j.as_tuple()
+    return (j.value.value, j.value.d1, j.d1.value, j.d1.d1)
+
+
+@pytest.mark.parametrize("jf,f,points,dist", ELEMENTARY_CASES,
+                         ids=lambda c: getattr(c, "__name__", ""))
+def test_elementary_array_leaves_match_scalar_jets(jf, f, points, dist):
+    # Array leaves go through numpy and float leaves through math, which
+    # agree to 2 ulp; the jet arithmetic on top is the same for both, so
+    # the array jet equals, bit for bit, the jets of its points taken one
+    # at a time through the same numpy leaves.  (Comparing against float
+    # jets directly would mix in the tower's conditioning: tanh's 1 - t^2
+    # turns a 1-ulp leaf difference into 8 ulp of sech^2 at t = 2.5.)
+    xs = np.array(points)
+    leaves = jf(xs)
+    for k, x in enumerate(points):
+        assert abs(leaves[k] - jf(x)) <= 2.0 * np.spacing(abs(jf(x)))
+    for lift in (seed, lambda x: Jet1(Jet1(x, 1.0), 0.5)):
+        grid = [np.broadcast_to(c, xs.shape)
+                for c in _leaf_coeffs(jf(lift(xs)))]
+        for k, x in enumerate(points):
+            one = _leaf_coeffs(jf(lift(np.array([x]))))
+            assert [g[k] for g in grid] == [float(c[0]) for c in one]
+
+
+def test_bare_array_and_jet_do_not_mix():
+    # numpy would otherwise build an object array of jets
+    for jet in (seed(0.5), Jet1(0.5, 1.0)):
+        with pytest.raises(TypeError):
+            np.ones(3) + jet
+        with pytest.raises(TypeError):
+            jet * np.ones(3)
+
+
+def test_domain_guards_skip_array_leaves():
+    xs = np.array([-1.0, 0.0, 4.0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        j = jlog(seed(xs))
+    assert np.isnan(j.value[0]) and j.value[1] == -math.inf
+    assert j.value[2] == math.log(4.0)
 
 
 def test_sinh_cosh_random_points_vs_finite_differences():

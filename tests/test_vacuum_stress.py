@@ -7,6 +7,7 @@ import pytest
 
 from mirrorstress.charts import (
     ChartMap,
+    CoverageError,
     Interval,
     Point,
     compose_charts,
@@ -261,6 +262,21 @@ def test_mirror_state_wrong_side_rejected():
     # v - u < 2/a puts the point left of the mirror
     with pytest.raises(StateRegionError):
         expectation_stress(sc.state, MINK, Point(-0.5, 1.0, "minkowski"))
+
+
+def test_float_range_points_raise_coverage_error():
+    # the Rindler Jacobian exp(533.8)^2 overflows (it made NaN rows); the
+    # hatted hyperbola's c / x^2 underflows at x = 1e-169 (it raised
+    # ZeroDivisionError); neither has a double-precision stress value
+    sc = build_scenario("minkowski_vacuum_rindler_observer")
+    with pytest.raises(CoverageError, match="double-precision"):
+        expectation_stress(sc.state, RIND, Point(-533.8, 582.4, "rindler"))
+    sc = build_scenario("accelerated_mirror_minkowski",
+                        {"a": 27.17659422642401})
+    with pytest.raises(CoverageError, match="double-precision"):
+        expectation_stress(sc.state, RIND,
+                           Point(-383.72951261747767, 1.6887598778581445,
+                                 "rindler"))
 
 
 def test_horizon_cancellation_at_u_zero():

@@ -1,0 +1,57 @@
+"""Per-layer timings of the Bogolubov packet kernel, on pytest-benchmark.
+
+    PYTHONPATH=src python -m pytest bench/bench_packets.py \
+        [--benchmark-json FILE]
+
+Each case runs twice: with the Chebyshev tables (``table``) and with the
+exact node sums patched in as the kernel (``exact``), so one run gives
+before and after on one machine.  The file is named bench_* so the test
+suite does not collect it.
+"""
+
+import numpy as np
+import pytest
+
+from mirrorstress.bogolubov import (
+    ModeBasis,
+    _UnitPacket,
+    compute_coefficients,
+    critical_packet_width,
+)
+from mirrorstress.charts import get_chart
+
+KERNELS = ["table", "exact"]
+
+
+@pytest.fixture(params=KERNELS)
+def kernel(request, monkeypatch):
+    if request.param == "exact":
+        monkeypatch.setattr(_UnitPacket, "table", _UnitPacket.exact)
+    return request.param
+
+
+def thermal_bases():
+    """The 3 x 19 thermal shape of the test session."""
+    freqs_a = np.geomspace(0.25, 4.0, 19)
+    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
+                        packet_width=critical_packet_width(freqs_a))
+    basis_b = ModeBasis(get_chart("rindler"),
+                        frequencies=np.array([0.7, 1.0, 1.4]),
+                        packet_width=0.04)
+    return basis_a, basis_b
+
+
+def test_wave(benchmark, kernel):
+    """One wedge-packet evaluation at 150 points, about the mean number of
+    live points per call in a pairing; tables filled before timing."""
+    core = thermal_bases()[1].packet(1).core
+    rng = np.random.default_rng(0)
+    coord = rng.uniform(-core.radius, core.radius, 150)
+    core.wave(coord)
+    benchmark(core.wave, coord)
+
+
+def test_compute_coefficients_thermal(benchmark, kernel):
+    basis_a, basis_b = thermal_bases()
+    benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
+                       kwargs={"tol": 1e-9}, rounds=3, warmup_rounds=1)

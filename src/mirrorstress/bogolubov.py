@@ -17,6 +17,13 @@ surface of the base chart, with a change of variable that makes wedge
 alpha and beta of one matrix entry share one adaptive grid: the column
 packet and its conjugate are paired with the row packet in one vector-
 valued quadrature, which evaluates each packet once per node.
+
+A packet is a Gauss-Legendre sum over log-frequency nodes.  Every packet
+of width sigma is a dilation U(w_c c) of one unit packet, so all of them
+are evaluated from one table of U and U' per width: piecewise Chebyshev
+series filled lazily from the exact node sum, which agree with it to
+rounding level (a few 1e-15 of the peak).
+
 This module is a verification companion: the stress pipeline never calls
 into it.
 """
@@ -194,64 +201,136 @@ def _leggauss(m: int):
     return np.polynomial.legendre.leggauss(m)
 
 
-class _PacketCore:
-    """Frequency-space discretization shared by packet kinds.
+# Chebyshev interpolation of degree 16 at first-kind points; a panel spans
+# 4 / (highest unit frequency), so every phase term turns by at most 4 rad
+# across it and the interpolant matches the sum to rounding level
+_CHEB_N = 17
+_CHEB_POINTS = np.cos(np.pi * (np.arange(_CHEB_N) + 0.5) / _CHEB_N)
+_CHEB_FROM_VALUES = (2.0 / _CHEB_N) * np.cos(
+    np.pi * np.outer(np.arange(_CHEB_N), np.arange(_CHEB_N) + 0.5) / _CHEB_N)
+_CHEB_FROM_VALUES[0] *= 0.5
+# phase-matrix elements per filling chunk: bounds the transient memory of
+# a fill whatever the packet's node count
+_FILL_ELEMENTS = 1 << 16
 
-    The packet is evaluated as a Gauss-Legendre sum over log-frequency
-    and hard-cut beyond its support radius, where the true envelope is
-    below the support threshold; the cut keeps under-resolved quadrature
-    tails from aliasing into spurious amplitude."""
 
-    def __init__(self, lam_c: float, sigma: float, norm: float):
-        self.lam_c = lam_c
-        self.sigma = sigma
-        self.omega_c = math.exp(lam_c)
+class _UnitPacket:
+    """The packet of width sigma at unit centre frequency, tabulated.
+
+    A packet centred at w_c is the dilation U(w_c c) of this one: its
+    frequency nodes are w_c exp(offset_n), its coefficients and node count
+    depend on sigma only, and its support radius is R / w_c.  U and U' are
+    held as piecewise Chebyshev series on [-R, R], each panel filled on
+    first use from the exact node sum (``exact``), in fixed blocks of
+    panels, so a value never depends on the order panels were filled in.
+    """
+
+    def __init__(self, sigma: float):
         span = 7.0 * math.sqrt(2.0) * sigma
-        self.radius = self.support_radius()
-        phase = math.exp(lam_c + span) * self.radius
-        m = int(min(12032, 72 + 0.55 * phase))
+        root = math.sqrt(math.log(1.0 / _SUPPORT_EPS))
+        # outside this radius the envelope is below the support threshold
+        self.radius = _SUPPORT_PAD * max(root / sigma,
+                                         math.exp(2.0 * sigma * root))
+        m = int(min(12032, 72 + 0.55 * math.exp(span) * self.radius))
         # composite 64-point panels: one cached rule, any total node count
         panels = max(2, (m + 63) // 64)
         base_nodes, base_weights = _leggauss(64)
         edges = np.linspace(-span, span, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
         half = 0.5 * (edges[1] - edges[0])
-        lam = lam_c + (mid + half * base_nodes[None, :]).ravel()
+        offsets = (mid + half * base_nodes[None, :]).ravel()
         weights = np.tile(base_weights * half, panels)
-        gauss = np.exp(-((lam - lam_c) ** 2) / (4.0 * sigma ** 2))
+        gauss = np.exp(-(offsets ** 2) / (4.0 * sigma ** 2))
         amp = (sigma * math.sqrt(2.0 * math.pi)) ** -0.5
-        self.omegas = np.exp(lam)
-        coeffs = weights * gauss * amp * norm
+        self.omegas = np.exp(offsets)
+        coeffs = weights * gauss * amp
         self.rhs = np.stack([coeffs, coeffs * self.omegas], axis=1)
-        self.m = panels * 64
 
-    def support_radius(self) -> float:
-        """Half-width, in the packet's phase coordinate, outside which the
-        envelope is below the support threshold."""
-        root = math.sqrt(math.log(1.0 / _SUPPORT_EPS))
-        linear = root / (self.sigma * self.omega_c)
-        logtail = math.exp(2.0 * self.sigma * root) / self.omega_c
-        return _SUPPORT_PAD * max(linear, logtail)
+        width = 4.0 / self.omegas[-1]
+        n_cells = math.ceil(2.0 * self.radius / width)
+        self._inv_width = 1.0 / width
+        self._half_width = 0.5 * width
+        self._offset = 0.5 * n_cells
+        # panel-local t is taken from these stored midpoints both when a
+        # panel is filled and when it is evaluated
+        self._mids = (np.arange(n_cells) - 0.5 * (n_cells - 1)) * width
+        self._coef = np.zeros((n_cells, _CHEB_N, 4))
+        self._filled = np.zeros(n_cells, bool)
+        self._block = max(1, _FILL_ELEMENTS // (_CHEB_N * len(offsets)))
+
+    def exact(self, z):
+        """Sums of cos(Omega_n z) and sin(Omega_n z) against the columns
+        [coeffs, coeffs Omega]: an (n, 4) array (C0, C1, S0, S1)."""
+        ph = np.multiply.outer(z, self.omegas)
+        cos = np.cos(ph) @ self.rhs
+        sin = np.sin(ph, out=ph) @ self.rhs
+        return np.concatenate([cos, sin], axis=1)
+
+    def _fill(self, blocks):
+        n_cells = len(self._mids)
+        for b in blocks:
+            cells = slice(b * self._block, min((b + 1) * self._block, n_cells))
+            z = self._mids[cells, None] + self._half_width * _CHEB_POINTS
+            values = self.exact(z.ravel()).reshape(z.shape + (4,))
+            self._coef[cells] = _CHEB_FROM_VALUES @ values
+            self._filled[cells] = True
+
+    def table(self, z):
+        """``exact`` from the Chebyshev tables: a panel gather, the
+        Chebyshev recurrence in the panel-local t and one contraction.
+        Panels not yet filled are filled first.  ``z`` must lie within
+        the radius, up to rounding."""
+        cell = np.minimum((z * self._inv_width + self._offset).astype(np.intp),
+                          len(self._mids) - 1)
+        missing = cell[~self._filled[cell]]
+        if missing.size:
+            self._fill(np.unique(missing // self._block))
+        cheb = np.empty((_CHEB_N, len(z)))
+        cheb[0] = 1.0
+        cheb[1] = (z - self._mids[cell]) * (1.0 / self._half_width)
+        t2 = 2.0 * cheb[1]
+        for k in range(2, _CHEB_N):
+            np.multiply(t2, cheb[k - 1], out=cheb[k])
+            cheb[k] -= cheb[k - 2]
+        return np.einsum("kn,nkc->nc", cheb, self._coef.take(cell, axis=0))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_packet(sigma: float) -> _UnitPacket:
+    return _UnitPacket(sigma)
+
+
+class _PacketCore:
+    """A packet of one chart family: the shared unit packet of its width,
+    dilated to its centre frequency and scaled by the family's norm.
+
+    The packet is hard-cut beyond its support radius, where the true
+    envelope is below the support threshold; the cut keeps under-resolved
+    quadrature tails from aliasing into spurious amplitude."""
+
+    def __init__(self, omega_c: float, sigma: float, norm: float):
+        self.unit = _unit_packet(sigma)
+        self.omega_c = omega_c
+        self.norm = norm
+        self.radius = self.unit.radius / self.omega_c
 
     def wave(self, coord):
         """Sum over the frequency nodes of e^{-i w c} and its c-derivative.
 
-        The coefficients are real, so the sums are taken in real
-        arithmetic: with C = cos(w c) and S = sin(w c) against the columns
-        [coeffs, coeffs w], the value is C0 - i S0 and the derivative
-        -S1 - i C1."""
+        With z = w_c c, C = cos(Omega z) and S = sin(Omega z) summed
+        against [coeffs, coeffs Omega] (``_UnitPacket.table``), the value
+        is C0 - i S0 and the derivative w_c (-S1 - i C1)."""
         coord = np.asarray(coord, dtype=float)
         vals = np.zeros(coord.shape, dtype=complex)
         dvals = np.zeros(coord.shape, dtype=complex)
         live = np.abs(coord) <= self.radius
         if live.any():
-            ph = np.multiply.outer(coord[live], self.omegas)
-            cos = np.cos(ph) @ self.rhs
-            sin = np.sin(ph, out=ph) @ self.rhs
-            vals.real[live] = cos[:, 0]
-            vals.imag[live] = -sin[:, 0]
-            dvals.real[live] = -sin[:, 1]
-            dvals.imag[live] = -cos[:, 1]
+            sums = self.unit.table(self.omega_c * coord[live])
+            scale = self.norm * self.omega_c
+            vals.real[live] = self.norm * sums[:, 0]
+            vals.imag[live] = -self.norm * sums[:, 2]
+            dvals.real[live] = -scale * sums[:, 3]
+            dvals.imag[live] = -scale * sums[:, 1]
         return vals, dvals
 
 
@@ -266,7 +345,7 @@ class _TravelingPacket:
         if self.map.inverse_fn is None:
             raise ValueError(f"chart '{chart.name}' has no closed-form "
                              f"inverse map for mode work")
-        self.core = _PacketCore(math.log(omega_c), sigma,
+        self.core = _PacketCore(omega_c, sigma,
                                 norm=1.0 / math.sqrt(4.0 * math.pi))
 
     def _base_coord(self, t, xs):
@@ -289,7 +368,7 @@ class _TravelingPacket:
         return vals, dts
 
     def support(self, t: float):
-        r = self.core.support_radius()
+        r = self.core.radius
         lo = float(self.map.fn(np.array([-r]))[0])
         hi = float(self.map.fn(np.array([r]))[0])
         if self.sector == "u":
@@ -331,7 +410,7 @@ class _StandingPacket:
         if chart.u_map.inverse_fn is None or chart.v_map.inverse_fn is None:
             raise ValueError(f"chart '{chart.name}' has no closed-form "
                              f"inverse maps for mode work")
-        self.core = _PacketCore(math.log(omega_c), sigma,
+        self.core = _PacketCore(omega_c, sigma,
                                 norm=1.0 / math.sqrt(math.pi))
 
     def evaluate(self, t: float, xs):
@@ -381,7 +460,7 @@ class _StandingPacket:
         return 0.5 * (a + b)
 
     def support(self, t: float):
-        r = self.core.support_radius()
+        r = self.core.radius
         u_lo = float(self.chart.u_map.fn(np.array([-r]))[0])
         u_hi = float(self.chart.u_map.fn(np.array([r]))[0])
         v_lo = float(self.chart.v_map.fn(np.array([-r]))[0])
@@ -551,7 +630,10 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
 @dataclass(frozen=True)
 class BogolubovPair:
     """alpha/beta matrices, rows indexed by basis-B packets, columns by
-    basis-A packets, plus per-entry quadrature metadata."""
+    basis-A packets, plus per-entry quadrature metadata: error estimate,
+    edge truncation, integrand evaluations and the truncation warning of
+    each entry's pairing.  The last two default to None, so a pair built
+    from matrices alone needs only the first six fields."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -559,6 +641,8 @@ class BogolubovPair:
     truncation: np.ndarray
     basis_a: ModeBasis
     basis_b: ModeBasis
+    n_evaluations: Optional[np.ndarray] = None
+    truncation_warning: Optional[np.ndarray] = None
 
     def row_discretization_error(self, i: int) -> float:
         """Estimated absolute error of sum_k (|alpha|^2 - |beta|^2) for
@@ -593,6 +677,8 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     beta = np.zeros((nb, na), dtype=complex)
     qerr = np.zeros((nb, na))
     trunc = np.zeros((nb, na))
+    n_evals = np.zeros((nb, na), dtype=int)
+    warned = np.zeros((nb, na), dtype=bool)
     for i, g in enumerate(packets_b):
         for k, f_pair in enumerate(packets_a):
             r = kg_inner_product(f_pair, g, t=t, tol=tol, full_output=True)
@@ -600,7 +686,10 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
             beta[i, k] = -r.value[1]
             qerr[i, k] = sum(r.error)
             trunc[i, k] = sum(r.truncation)
-    return BogolubovPair(alpha, beta, qerr, trunc, basis_a, basis_b)
+            n_evals[i, k] = r.n_evaluations
+            warned[i, k] = r.truncation_warning
+    return BogolubovPair(alpha, beta, qerr, trunc, basis_a, basis_b,
+                         n_evals, warned)
 
 
 def expected_number(pair: BogolubovPair, i: int) -> float:

@@ -456,6 +456,8 @@ def _invariant_suite(fault: float = 0.0, bog_export: dict = None):
         bog_export["beta_im"] = pair.beta.imag.tolist()
         bog_export["frequencies_a"] = basis_a.frequencies.tolist()
         bog_export["frequencies_b"] = basis_b.frequencies.tolist()
+        bog_export["n_evaluations"] = pair.n_evaluations.tolist()
+        bog_export["truncation_warning"] = pair.truncation_warning.tolist()
     yield "bogolubov_thermal_ratio", dev, 0.05
 
     # byte-identical output files

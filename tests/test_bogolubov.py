@@ -9,6 +9,7 @@ from mirrorstress.bogolubov import (
     ModeBasis,
     QuadReport,
     _Conjugate,
+    _UnitPacket,
     compute_coefficients,
     critical_packet_width,
     default_frequencies,
@@ -93,13 +94,18 @@ def test_truncation_metadata():
     assert not rep.truncation_warning
 
 
-def test_shared_grid_pairing_matches_separate_pairings():
-    # reference: alpha and beta from two separate single-mode pairings
+def two_by_five_bases():
     freqs_a = np.geomspace(0.25, 4.0, 5)
     basis_a = ModeBasis(MINK, frequencies=freqs_a,
                         packet_width=critical_packet_width(freqs_a))
     basis_b = ModeBasis(RIND, frequencies=np.array([0.7, 1.4]),
                         packet_width=0.04)
+    return basis_a, basis_b
+
+
+def test_shared_grid_pairing_matches_separate_pairings():
+    # reference: alpha and beta from two separate single-mode pairings
+    basis_a, basis_b = two_by_five_bases()
     pair = compute_coefficients(basis_a, basis_b, tol=1e-9)
     for i, g in enumerate(basis_b.packets()):
         for k, f in enumerate(basis_a.packets()):
@@ -116,6 +122,81 @@ def test_shared_grid_pairing_matches_separate_pairings():
             assert abs(pair.alpha[i, k] - ra.value) < 1e-10
             assert abs(pair.beta[i, k] + rb.value) < 1e-10
     assert np.abs(pair.beta).max() > 1e-3  # beta is not trivially zero
+
+
+def test_table_kernel_matrix_matches_exact_sum_kernel(monkeypatch):
+    # reference: the exact node sums patched in as the kernel
+    basis_a, basis_b = two_by_five_bases()
+    pair = compute_coefficients(basis_a, basis_b, tol=1e-9)
+    monkeypatch.setattr(_UnitPacket, "table", _UnitPacket.exact)
+    ref = compute_coefficients(basis_a, basis_b, tol=1e-9)
+    assert np.abs(pair.alpha - ref.alpha).max() < 1e-12
+    assert np.abs(pair.beta - ref.beta).max() < 1e-12
+    assert np.array_equal(pair.n_evaluations, ref.n_evaluations)
+    assert np.array_equal(pair.truncation_warning, ref.truncation_warning)
+    assert pair.n_evaluations.dtype.kind == "i"
+    assert (pair.n_evaluations > 0).all()
+
+
+# ---------- packet kernel ----------
+
+KERNEL_WIDTHS = [0.04, 0.06,
+                 critical_packet_width(np.geomspace(0.25, 4.0, 19)),
+                 critical_packet_width(np.geomspace(math.exp(-38.0),
+                                                    math.exp(38.0), 255)),
+                 0.12, 0.3]
+
+
+@pytest.mark.parametrize("sigma", KERNEL_WIDTHS)
+@pytest.mark.parametrize("omega_c", [math.exp(-38.0), 1.0, math.exp(38.0)])
+def test_table_wave_matches_exact_sum(monkeypatch, sigma, omega_c):
+    core = ModeBasis(MINK, frequencies=np.array([omega_c]),
+                     packet_width=sigma).packet(0).core
+    r = core.radius
+    rng = np.random.default_rng(7)
+    inside = np.concatenate([[0.0, -r, r], rng.uniform(-r, r, 2000)])
+    outside = np.array([-2.0 * r, -r * (1.0 + 1e-12), r * (1.0 + 1e-12),
+                        2.0 * r])
+    vals, dvals = core.wave(inside)
+    out_vals, out_dvals = core.wave(outside)
+    assert not out_vals.any() and not out_dvals.any()
+    monkeypatch.setattr(_UnitPacket, "table", _UnitPacket.exact)
+    ref_vals, ref_dvals = core.wave(inside)
+    assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
+    assert np.abs(dvals - ref_dvals).max() <= 1e-13 * np.abs(ref_dvals).max()
+
+
+def test_packets_of_one_width_share_one_table():
+    travel = ModeBasis(MINK, frequencies=np.geomspace(1e-3, 1e3, 4),
+                       packet_width=0.07)
+    wedge = ModeBasis(RIND, frequencies=np.array([0.5]), packet_width=0.07,
+                      sector="v")
+    hat = hatted_chart_for_stationary_mirror(1.0)
+    standing = ModeBasis(hat, boundary="dirichlet_half_line",
+                         frequencies=np.array([2.0]), packet_width=0.07)
+    other = ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=0.08)
+    tables = {id(p.core.unit)
+              for basis in (travel, wedge, standing)
+              for p in basis.packets()}
+    assert len(tables) == 1
+    assert other.packet(0).core.unit is not travel.packet(0).core.unit
+
+
+def test_table_values_do_not_depend_on_fill_order():
+    sigma = 0.3  # several fill blocks
+    first, second = _UnitPacket(sigma), _UnitPacket(sigma)
+    assert len(first._mids) > 3 * first._block
+    rng = np.random.default_rng(3)
+    batches = [rng.uniform(-first.radius, first.radius, 2)
+               for _ in range(6)]
+    got_first = [first.table(z) for z in batches]
+    got_second = [second.table(z) for z in batches[::-1]][::-1]
+    for a, b in zip(got_first, got_second):
+        assert np.array_equal(a, b)
+    assert np.array_equal(first._filled, second._filled)
+    assert not first._filled.all()
+    everywhere = np.linspace(-first.radius, first.radius, 5001)
+    assert np.array_equal(second.table(everywhere), first.table(everywhere))
 
 
 # ---------- Dirichlet packets ----------

@@ -315,6 +315,11 @@ def test_check_passes_and_exports(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
     payload = json.loads(bog.read_text())
     assert "alpha_re" in payload and "beta_re" in payload
+    shape = [len(row) for row in payload["alpha_re"]]
+    for key, kind in (("n_evaluations", int), ("truncation_warning", bool)):
+        assert [len(row) for row in payload[key]] == shape
+        assert all(type(v) is kind for row in payload[key] for v in row)
+    assert all(n > 0 for row in payload["n_evaluations"] for n in row)
 
 
 def test_check_injected_fault_exits_four(capsys):

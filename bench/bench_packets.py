@@ -3,11 +3,15 @@
     PYTHONPATH=src python -m pytest bench/bench_packets.py \
         [--benchmark-json FILE]
 
-Each case runs twice: with the Chebyshev tables (``table``) and with the
-exact node sums patched in as the kernel (``exact``), so one run gives
-before and after on one machine.  The file is named bench_* so the test
-suite does not collect it.
+The kernel cases run twice: with the Chebyshev tables (``table``) and
+with the exact node sums patched in as the kernel (``exact``), so one run
+gives before and after on one machine.  The 1 x 255 matrix runs on the
+tables only; compare it across commits by running this file against each
+commit's source.  The file is named bench_* so the test suite does not
+collect it.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -55,3 +59,15 @@ def test_compute_coefficients_thermal(benchmark, kernel):
     basis_a, basis_b = thermal_bases()
     benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
                        kwargs={"tol": 1e-9}, rounds=3, warmup_rounds=1)
+
+
+def test_compute_coefficients_wide(benchmark):
+    """One wedge row against the 255-column inertial family of the
+    planck fixture, on the table kernel."""
+    freqs_a = np.geomspace(math.exp(-38.0), math.exp(38.0), 255)
+    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
+                        packet_width=critical_packet_width(freqs_a))
+    basis_b = ModeBasis(get_chart("rindler"), frequencies=np.array([1.0]),
+                        packet_width=0.06)
+    benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
+                       kwargs={"tol": 1e-9}, rounds=5, warmup_rounds=1)

@@ -14,9 +14,13 @@ packet strictly positive-frequency in its chart's time.
 All Klein-Gordon pairings are adaptive quadratures over a constant-time
 surface of the base chart, with a change of variable that makes wedge
 (logarithmically piled-up) phases linear in the integration parameter.
-alpha and beta of one matrix entry share one adaptive grid: the column
-packet and its conjugate are paired with the row packet in one vector-
-valued quadrature, which evaluates each packet once per node.
+A matrix row is one lockstep quadrature: every entry keeps its own window
+and adaptive grid, on which alpha and beta are paired together, and each
+refinement wave evaluates the row packet once and all column packets
+together (as one stack) at the new nodes of every open entry.  A wave is
+evaluated in fixed blocks of at most 64 panels, so the memory of a wave
+does not grow with the number of columns.  A single pairing is a row of
+one.
 
 A packet is a Gauss-Legendre sum over log-frequency nodes.  Every packet
 of width sigma is a dilation U(w_c c) of one unit packet, so all of them
@@ -94,59 +98,108 @@ _G7_WEIGHTS = np.array([
 _G7_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 
 
-def _adaptive_gk(f, a: float, b: float, tol: float,
-                 max_panels: int = 4096):
-    """Globally adaptive G7/K15 of a vector-valued integrand, with batched
-    evaluation.
+def _blocks(n: int, size: int):
+    """Slices of [0, n) of at most ``size`` each."""
+    return [slice(i, i + size) for i in range(0, n, size)]
 
-    ``f`` maps an array of n nodes to an (ncomp, n) array.  Returns
-    (integrals, error_estimates, n_evaluations), the first two of shape
-    (ncomp,).  Panels are split in deterministic waves: for every
-    component whose error exceeds ``tol``, the worst half of the panels
-    over its budget, so a one-component integrand refines exactly as a
-    scalar one would.
+
+def _adaptive_gk(f, a, b, tol: float, max_panels: int = 4096):
+    """Globally adaptive G7/K15 of m vector-valued integrands in lockstep.
+
+    Entry k integrates over [a[k], b[k]].  ``f(xs, owner)`` maps n nodes
+    and the entry owning each to an (ncomp, n) array.  Every entry keeps
+    its own panels and refines exactly as it would alone: panels are
+    split in deterministic waves, for every component whose error
+    exceeds ``tol`` the worst half of the panels over its budget, until
+    no component is open, 60 waves have run or the entry has
+    ``max_panels`` panels.  Entries run in lockstep groups of
+    ``_LOCKSTEP_ENTRIES``, which bounds the panel state held at once.
+    Each wave gathers the new panels of every open entry of the group and
+    evaluates them in blocks of ``_BLOCK_PANELS`` panels, each reduced to
+    its panel sums before the next, so the memory of a wave does not grow
+    with the number of nodes it evaluates.  Returns (integrals,
+    error_estimates, n_evaluations), of shapes (m, ncomp), (m, ncomp) and
+    (m,).
     """
-    edges = np.linspace(a, b, 17)
-    n_evals = 0
+    groups = [_lockstep_gk(f, s.start, a[s], b[s], tol, max_panels)
+              for s in _blocks(len(a), _LOCKSTEP_ENTRIES)]
+    return tuple(np.concatenate(part) for part in zip(*groups))
 
-    def refine(lo, hi):
-        nonlocal n_evals
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        xs = mid + half * _K15_NODES[None, :]
-        vals = f(xs.ravel()).reshape((-1,) + xs.shape)
-        n_evals += xs.size
-        k15 = (vals * _K15_WEIGHTS).sum(axis=-1) * half[:, 0]
-        g7 = (vals[:, :, _G7_IDX] * _G7_WEIGHTS).sum(axis=-1) * half[:, 0]
-        return k15, np.abs(k15 - g7)
 
-    lo_all, hi_all = edges[:-1], edges[1:]
-    integrals, errors = refine(lo_all, hi_all)
-    for _ in range(60):
-        n_panels = errors.shape[1]
-        open_comps = np.flatnonzero(errors.sum(axis=1) > tol)
-        if len(open_comps) == 0 or n_panels >= max_panels:
+def _lockstep_gk(f, first, a, b, tol, max_panels):
+    """``_adaptive_gk`` of one group, entries first, first + 1, ..."""
+    m = len(a)
+    n_evals = np.zeros(m, dtype=int)
+
+    def refine(owner, lo, hi):
+        k15, g7 = [], []
+        for s in _blocks(len(lo), _BLOCK_PANELS):
+            mid = 0.5 * (lo[s] + hi[s])[:, None]
+            half = 0.5 * (hi[s] - lo[s])[:, None]
+            xs = mid + half * _K15_NODES[None, :]
+            vals = f(xs.ravel(), first + np.repeat(owner[s], xs.shape[1]))
+            vals = vals.reshape((-1,) + xs.shape)
+            k15.append((vals * _K15_WEIGHTS).sum(axis=-1) * half[:, 0])
+            g7.append((vals[:, :, _G7_IDX] * _G7_WEIGHTS).sum(axis=-1)
+                      * half[:, 0])
+        n_evals[:] += np.bincount(owner, minlength=m) * len(_K15_NODES)
+        k15 = np.concatenate(k15, axis=1)
+        return k15, np.abs(k15 - np.concatenate(g7, axis=1))
+
+    # the panels of the open entries, entry after entry, each entry's in
+    # the order its own refinement leaves them
+    edges = np.linspace(a, b, 17, axis=1)
+    own = np.repeat(np.arange(m), 16)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    integrals, errors = refine(own, lo, hi)
+    totals = np.zeros((m, len(integrals)), dtype=integrals.dtype)
+    error_totals = np.zeros((m, len(integrals)))
+    for wave in range(61):
+        entries, starts, counts = np.unique(own, return_index=True,
+                                            return_counts=True)
+        pos = np.repeat(np.arange(len(entries)), counts)
+        # numpy's own (pairwise) sum over each entry's panels
+        sums = np.array([errors[:, s:s + n].sum(axis=1)
+                         for s, n in zip(starts, counts)])
+        open_comps = ((sums > tol) & (counts < max_panels)[:, None]
+                      & (wave < 60))
+        limit = 0.25 * (tol / counts)
+        n_worst = np.maximum(1, counts // 2)
+        over = (errors > limit[pos]) & open_comps[pos].T
+        n_over = np.add.reduceat(over, starts, axis=1, dtype=int)
+        # where more than half the panels are over the budget, the worst
+        # half of them
+        for c, e in zip(*np.nonzero(n_over > n_worst)):
+            panels = slice(starts[e], starts[e] + counts[e])
+            worst = np.argsort(errors[c, panels])[::-1][:n_worst[e]]
+            over[c, panels] = False
+            over[c, starts[e] + worst] = True
+        split = over.any(axis=0)
+        going = np.bincount(pos[split], minlength=len(entries)) > 0
+        for e in np.flatnonzero(~going):
+            panels = slice(starts[e], starts[e] + counts[e])
+            # fixed summation order for reproducibility: by panel position
+            order = np.argsort(lo[panels], kind="stable")
+            totals[entries[e]] = integrals[:, panels][:, order].sum(axis=1)
+        error_totals[entries[~going]] = sums[~going]
+        if not going.any():
             break
-        budget = tol / n_panels
-        mask = np.zeros(n_panels, bool)
-        for err in errors[open_comps]:
-            worst = np.argsort(err)[::-1][:max(1, n_panels // 2)]
-            mask[worst[err[worst] > 0.25 * budget]] = True
-        if not mask.any():
-            break
-        keep = ~mask
-        lo_s, hi_s = lo_all[mask], hi_all[mask]
-        mid_s = 0.5 * (lo_s + hi_s)
-        new_lo = np.concatenate([lo_s, mid_s])
-        new_hi = np.concatenate([mid_s, hi_s])
-        k15_new, err_new = refine(new_lo, new_hi)
-        lo_all = np.concatenate([lo_all[keep], new_lo])
-        hi_all = np.concatenate([hi_all[keep], new_hi])
-        integrals = np.concatenate([integrals[:, keep], k15_new], axis=1)
-        errors = np.concatenate([errors[:, keep], err_new], axis=1)
-    # fixed summation order for reproducibility
-    order = np.argsort(lo_all, kind="stable")
-    return integrals[:, order].sum(axis=1), errors.sum(axis=1), n_evals
+        kept = np.flatnonzero(going[pos] & ~split)
+        halves = np.flatnonzero(split)
+        src = np.concatenate([kept, halves, halves])
+        part = np.repeat([0, 1, 2], [len(kept), len(halves), len(halves)])
+        order = np.argsort(3 * pos[src] + part, kind="stable")
+        src, part = src[order], part[order]
+        mid = 0.5 * (lo[src] + hi[src])
+        lo = np.where(part == 2, mid, lo[src])
+        hi = np.where(part == 1, mid, hi[src])
+        own = own[src]
+        new = part > 0
+        # C order, so that each entry's error sum is numpy's pairwise sum
+        integrals, errors = (integrals.take(src, axis=1),
+                             errors.take(src, axis=1))
+        integrals[:, new], errors[:, new] = refine(own[new], lo[new], hi[new])
+    return totals, error_totals, n_evals
 
 
 # ---------- mode bases and packets ----------
@@ -185,15 +238,19 @@ class ModeBasis:
         return len(self.frequencies)
 
     def packet(self, i: int):
-        if self.boundary == "full_line":
-            return _TravelingPacket(self.chart, self.sector,
-                                    float(self.frequencies[i]),
-                                    self.packet_width)
-        return _StandingPacket(self.chart, float(self.frequencies[i]),
-                               self.packet_width)
+        return self._packet(float(self.frequencies[i]))
 
     def packets(self):
         return [self.packet(i) for i in range(len(self))]
+
+    def _packet(self, omega_c):
+        """The packet at ``omega_c``; for an array of centre frequencies,
+        one stack of packets whose ``evaluate`` takes the index of the
+        packet wanted at each point."""
+        if self.boundary == "full_line":
+            return _TravelingPacket(self.chart, self.sector, omega_c,
+                                    self.packet_width)
+        return _StandingPacket(self.chart, omega_c, self.packet_width)
 
 
 @functools.lru_cache(maxsize=128)
@@ -212,6 +269,13 @@ _CHEB_FROM_VALUES[0] *= 0.5
 # phase-matrix elements per filling chunk: bounds the transient memory of
 # a fill whatever the packet's node count
 _FILL_ELEMENTS = 1 << 16
+# panels per quadrature evaluation block: the (n, 17, 4) table gather of a
+# block's 15-node panels stays within the same budget
+_BLOCK_PANELS = max(1, _FILL_ELEMENTS // (_CHEB_N * 4 * len(_K15_NODES)))
+_BLOCK_NODES = _BLOCK_PANELS * len(_K15_NODES)
+# entries refined in lockstep at a time: their panel state (up to about
+# 25 KB an entry) stays near a megabyte, and a wave still fills blocks
+_LOCKSTEP_ENTRIES = 32
 
 
 class _UnitPacket:
@@ -302,31 +366,39 @@ def _unit_packet(sigma: float) -> _UnitPacket:
 
 class _PacketCore:
     """A packet of one chart family: the shared unit packet of its width,
-    dilated to its centre frequency and scaled by the family's norm.
+    dilated to its centre frequency and scaled by the family's norm.  With
+    an array of centre frequencies it is a stack of such packets.
 
     The packet is hard-cut beyond its support radius, where the true
     envelope is below the support threshold; the cut keeps under-resolved
     quadrature tails from aliasing into spurious amplitude."""
 
-    def __init__(self, omega_c: float, sigma: float, norm: float):
+    def __init__(self, omega_c, sigma: float, norm: float):
         self.unit = _unit_packet(sigma)
         self.omega_c = omega_c
         self.norm = norm
         self.radius = self.unit.radius / self.omega_c
 
-    def wave(self, coord):
+    def wave(self, coord, owner=None):
         """Sum over the frequency nodes of e^{-i w c} and its c-derivative.
 
         With z = w_c c, C = cos(Omega z) and S = sin(Omega z) summed
         against [coeffs, coeffs Omega] (``_UnitPacket.table``), the value
-        is C0 - i S0 and the derivative w_c (-S1 - i C1)."""
+        is C0 - i S0 and the derivative w_c (-S1 - i C1).  For a stack,
+        ``owner`` indexes the packet of each point: there z =
+        w_c[owner] c, and the point is live if |c| <= radius[owner]."""
         coord = np.asarray(coord, dtype=float)
         vals = np.zeros(coord.shape, dtype=complex)
         dvals = np.zeros(coord.shape, dtype=complex)
-        live = np.abs(coord) <= self.radius
+        omega_c, radius = self.omega_c, self.radius
+        if owner is not None:
+            omega_c, radius = np.take(omega_c, owner), np.take(radius, owner)
+        live = np.abs(coord) <= radius
         if live.any():
-            sums = self.unit.table(self.omega_c * coord[live])
-            scale = self.norm * self.omega_c
+            if owner is not None:
+                omega_c = omega_c[live]
+            sums = self.unit.table(omega_c * coord[live])
+            scale = self.norm * omega_c
             vals.real[live] = self.norm * sums[:, 0]
             vals.imag[live] = -self.norm * sums[:, 2]
             dvals.real[live] = -scale * sums[:, 3]
@@ -335,9 +407,10 @@ class _PacketCore:
 
 
 class _TravelingPacket:
-    """Right- or left-moving packet on a full-line chart."""
+    """Right- or left-moving packet on a full-line chart, or a stack of
+    them for an array ``omega_c`` (``evaluate`` and ``substitution``)."""
 
-    def __init__(self, chart: ConformalChart, sector: str, omega_c: float,
+    def __init__(self, chart: ConformalChart, sector: str, omega_c,
                  sigma: float):
         self.chart = chart
         self.sector = sector
@@ -351,8 +424,9 @@ class _TravelingPacket:
     def _base_coord(self, t, xs):
         return t - xs if self.sector == "u" else t + xs
 
-    def evaluate(self, t: float, xs):
-        """(values, d/dt values) on the surface t = const."""
+    def evaluate(self, t: float, xs, owner=None):
+        """(values, d/dt values) on the surface t = const; for a stack,
+        ``owner`` picks the packet at each point."""
         xs = np.asarray(xs, dtype=float)
         w = self._base_coord(t, xs)
         rng = self.map.range
@@ -361,7 +435,8 @@ class _TravelingPacket:
         dts = np.zeros(xs.shape, dtype=complex)
         if inside.any():
             c = self.map.inverse_fn(w[inside])
-            v, dv = self.core.wave(c)
+            v, dv = self.core.wave(c, None if owner is None
+                                   else owner[inside])
             vals[inside] = v
             # d/dt = (dc/dw) f'(c); dw/dt = 1 on constant-t surfaces
             dts[inside] = dv / self.map.dfn(c)
@@ -403,17 +478,20 @@ class _TravelingPacket:
 
 
 class _StandingPacket:
-    """Dirichlet packet vanishing on the chart's x* = 0 boundary."""
+    """Dirichlet packet vanishing on the chart's x* = 0 boundary, or a
+    stack of them for an array ``omega_c`` (``evaluate`` and
+    ``substitution``)."""
 
-    def __init__(self, chart: ConformalChart, omega_c: float, sigma: float):
+    def __init__(self, chart: ConformalChart, omega_c, sigma: float):
         self.chart = chart
         if chart.u_map.inverse_fn is None or chart.v_map.inverse_fn is None:
             raise ValueError(f"chart '{chart.name}' has no closed-form "
                              f"inverse maps for mode work")
         self.core = _PacketCore(omega_c, sigma,
                                 norm=1.0 / math.sqrt(math.pi))
+        self._mirror = {}
 
-    def evaluate(self, t: float, xs):
+    def evaluate(self, t: float, xs, owner=None):
         xs = np.asarray(xs, dtype=float)
         u = t - xs
         v = t + xs
@@ -428,8 +506,9 @@ class _StandingPacket:
             cu, cv = cu[right], cv[right]
             live = np.zeros(xs.shape, bool)
             live[inside] = right
-            fu, dfu = self.core.wave(cu)
-            fv, dfv = self.core.wave(cv)
+            own = None if owner is None else owner[live]
+            fu, dfu = self.core.wave(cu, own)
+            fv, dfv = self.core.wave(cv, own)
             # mode = (e^{-i w u*} - e^{-i w v*}) / 2i per frequency node
             vals[live] = (fu - fv) / 2j
             dts[live] = (dfu / self.chart.u_map.dfn(cu)
@@ -437,7 +516,13 @@ class _StandingPacket:
         return vals, dts
 
     def _mirror_position(self, t: float) -> float:
-        """x with x*(t, x) = 0, by bisection on cv - cu."""
+        """x with x*(t, x) = 0, by bisection on cv - cu; memoized per
+        surface time."""
+        if t not in self._mirror:
+            self._mirror[t] = self._bisect_mirror(t)
+        return self._mirror[t]
+
+    def _bisect_mirror(self, t: float) -> float:
         ur, vr = self.chart.u_map.range, self.chart.v_map.range
         lo = (vr.lo - t if math.isfinite(vr.lo) else t - ur.hi)
         hi = (t - ur.lo if math.isfinite(ur.lo) else vr.hi - t)
@@ -500,8 +585,8 @@ class _Conjugate:
     def __init__(self, mode):
         self._mode = mode
 
-    def evaluate(self, t, xs):
-        v, d = self._mode.evaluate(t, xs)
+    def evaluate(self, t, xs, owner=None):
+        v, d = self._mode.evaluate(t, xs, owner)
         return np.conj(v), np.conj(d)
 
     def support(self, t):
@@ -515,9 +600,10 @@ class _Conjugate:
 
 @dataclass(frozen=True)
 class QuadReport:
-    """Result of a pairing.  For a tuple of left modes, ``value``,
-    ``error`` and ``truncation`` are tuples with one entry per mode, and
-    ``truncation_warning`` flags any of them."""
+    """Result of one pairing (m1, m2): its value, quadrature error
+    estimate and edge truncation, whether the truncation exceeds the
+    tolerance, and the integrand evaluations of its grid.  The grid is
+    the one the pairing (m1*, m2) shares, as in a matrix entry."""
 
     value: complex
     error: float
@@ -526,15 +612,107 @@ class QuadReport:
     n_evaluations: int
 
 
-def _pairing_result(single, full_output, values, errors, truncs, tol, n):
-    if single:
-        report = QuadReport(complex(values[0]), float(errors[0]),
-                            float(truncs[0]), bool(truncs[0] > tol), n)
+def _s_interval(window, substitution, s_win):
+    """The window [x0, x1] in the substitution's variable, clipped to
+    ``s_win``: (a, b, flip), flip = -1 where s runs against x, or None if
+    the interval is empty."""
+    dx_of_s, s_of_x = substitution[1:3]
+    probe = 0.5 * (max(s_win[0], -1.0) + min(s_win[1], 1.0))
+    increasing = float(np.asarray(dx_of_s(np.asarray([probe])))[0]) > 0.0
+
+    def to_s(x, fallback):
+        # window edges can sit at (or float-collapse onto) the
+        # substitution's reachable limit; those map to the window of the
+        # substitution itself
+        with np.errstate(all="ignore"):
+            try:
+                s = s_of_x(x)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                return fallback
+        return s if math.isfinite(s) else fallback
+
+    if increasing:
+        img = (to_s(window[0], -math.inf), to_s(window[1], math.inf))
     else:
-        report = QuadReport(tuple(complex(v) for v in values),
-                            tuple(errors.tolist()), tuple(truncs.tolist()),
-                            bool((truncs > tol).any()), n)
-    return report if full_output else report.value
+        img = (to_s(window[1], -math.inf), to_s(window[0], math.inf))
+    a = max(s_win[0], img[0])
+    b = min(s_win[1], img[1])
+    if not a < b:
+        return None
+    return a, b, (1.0 if increasing else -1.0)
+
+
+def _pair_row(stack, supports, g, t, tol, window=None, substitution=None):
+    """Pair the row mode ``g`` with m column modes f_k and with their
+    conjugates, all in one lockstep quadrature (``_adaptive_gk``).
+
+    ``stack.evaluate(t, xs, owner)`` evaluates f_k at the points owned
+    by column k, and ``supports[k]`` is the support of f_k.  Entry k is
+    integrated over the intersection of its support with g's (or over
+    ``window``), in the substitution of g, else of the stack, else in x.
+    At every node g and the owning column are each evaluated once, and
+    both components, (f_k, g) and (f_k*, g), are formed from those values.
+
+    Returns (values, errors, truncations, n_evaluations): the first three
+    of shape (m, 2), component 0 the pairing with f_k and 1 with f_k*.
+    Entries with an empty window are 0, with no evaluations.
+    """
+    m = len(supports)
+    a, b, flip = np.zeros(m), np.zeros(m), np.ones(m)
+    live = np.zeros(m, bool)
+    s2 = g.support(t)
+    if substitution is None:
+        substitution = g.substitution(t) or stack.substitution(t)
+    if substitution is not None:
+        s_win = substitution[3] if len(substitution) > 3 else (-math.inf,
+                                                               math.inf)
+        s_lo, s_hi = (np.broadcast_to(w, m) for w in s_win)
+    for k, s1 in enumerate(supports):
+        win = window if window is not None else (max(s1[0], s2[0]),
+                                                 min(s1[1], s2[1]))
+        if not win[0] < win[1]:
+            continue
+        if substitution is None:
+            a[k], b[k] = win
+        else:
+            span = _s_interval(win, substitution,
+                               (float(s_lo[k]), float(s_hi[k])))
+            if span is None:
+                continue
+            a[k], b[k], flip[k] = span
+        live[k] = True
+
+    values = np.zeros((m, 2), dtype=complex)
+    errors = np.zeros((m, 2))
+    truncs = np.zeros((m, 2))
+    n_evals = np.zeros(m, dtype=int)
+    cols = np.flatnonzero(live)
+    if len(cols) == 0:
+        return values, errors, truncs, n_evals
+
+    def integrand(ss, owner):
+        col = cols[owner]
+        xs = ss if substitution is None else substitution[0](ss)
+        v2, d2 = g.evaluate(t, xs)
+        v1, d1 = stack.evaluate(t, xs, col)
+        out = np.empty((2, len(xs)), dtype=complex)
+        out[0] = 1j * (np.conj(v1) * d2 - np.conj(d1) * v2)
+        out[1] = 1j * (v1 * d2 - d1 * v2)
+        if substitution is not None:
+            out *= flip[col] * substitution[1](ss)
+        return out
+
+    a, b = a[cols], b[cols]
+    values[cols], errors[cols], n_evals[cols] = _adaptive_gk(
+        integrand, a, b, tol)
+    ends = np.stack([a, b], axis=1).ravel()
+    owner = np.arange(len(ends)) // 2
+    edge = np.abs(np.concatenate([integrand(ends[s], owner[s]) for s in
+                                  _blocks(len(ends), _BLOCK_NODES)], axis=1))
+    edge = edge.reshape(2, len(cols), 2)
+    truncs[cols] = ((edge[:, :, 0] + edge[:, :, 1])
+                    * np.maximum(1.0, 0.05 * (b - a))).T
+    return values, errors, truncs, n_evals
 
 
 def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
@@ -545,84 +723,17 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
     The window defaults to the intersection of the packet supports; the
     substitution to whichever mode prefers a non-linear one.
 
-    ``mode1`` may also be a tuple of modes with one support, such as a
-    packet and its conjugate: each is paired with ``mode2`` on one shared
-    adaptive grid, with every underlying packet evaluated once per node,
-    and the result holds one value per mode (see ``QuadReport``).
+    This is a row of one in the engine of ``compute_coefficients``: mode1
+    and its conjugate are paired with mode2 on one adaptive grid, so the
+    value is bit for bit that of the matrix entry, and a conjugate packet
+    ``_Conjugate(f)`` reproduces its beta entry (up to sign).
     """
-    single = not isinstance(mode1, tuple)
-    modes1 = (mode1,) if single else mode1
-    s1, s2 = modes1[0].support(t), mode2.support(t)
-    if any(m.support(t) != s1 for m in modes1[1:]):
-        raise ValueError("modes paired on one grid must share one support")
-    empty = np.zeros(len(modes1))
-    if window is None:
-        window = (max(s1[0], s2[0]), min(s1[1], s2[1]))
-    if not window[0] < window[1]:
-        return _pairing_result(single, full_output, empty, empty, empty,
-                               tol, 0)
-    if substitution is None:
-        substitution = mode2.substitution(t) or modes1[0].substitution(t)
-
-    # a conjugate partner reuses its base mode's values at each node
-    left = [(m._mode, True) if isinstance(m, _Conjugate) else (m, False)
-            for m in modes1]
-
-    def integrand_x(xs):
-        v2, d2 = mode2.evaluate(t, xs)
-        evaluated = {}
-        out = np.empty((len(left), len(xs)), dtype=complex)
-        for k, (base, conj) in enumerate(left):
-            if id(base) not in evaluated:
-                evaluated[id(base)] = base.evaluate(t, xs)
-            v1, d1 = evaluated[id(base)]
-            if not conj:
-                v1, d1 = np.conj(v1), np.conj(d1)
-            out[k] = 1j * (v1 * d2 - d1 * v2)
-        return out
-
-    if substitution is None:
-        a, b = window
-
-        def integrand(ss):
-            return integrand_x(ss)
-    else:
-        x_of_s, dx_of_s, s_of_x = substitution[:3]
-        s_win = substitution[3] if len(substitution) > 3 else (-math.inf,
-                                                               math.inf)
-        probe = 0.5 * (max(s_win[0], -1.0) + min(s_win[1], 1.0))
-        increasing = float(np.asarray(dx_of_s(np.asarray([probe])))[0]) > 0.0
-
-        def to_s(x, fallback):
-            # window edges can sit at (or float-collapse onto) the
-            # substitution's reachable limit; those map to the window of
-            # the substitution itself
-            with np.errstate(all="ignore"):
-                try:
-                    s = s_of_x(x)
-                except (ValueError, OverflowError, ZeroDivisionError):
-                    return fallback
-            return s if math.isfinite(s) else fallback
-
-        if increasing:
-            img = (to_s(window[0], -math.inf), to_s(window[1], math.inf))
-        else:
-            img = (to_s(window[1], -math.inf), to_s(window[0], math.inf))
-        a = max(s_win[0], img[0])
-        b = min(s_win[1], img[1])
-        if not a < b:
-            return _pairing_result(single, full_output, empty, empty, empty,
-                                   tol, 0)
-        flip = 1.0 if increasing else -1.0
-
-        def integrand(ss):
-            return flip * integrand_x(x_of_s(ss)) * dx_of_s(ss)
-
-    values, errors, n = _adaptive_gk(integrand, a, b, tol)
-    edge = np.abs(integrand(np.array([a, b])))
-    truncs = (edge[:, 0] + edge[:, 1]) * max(1.0, 0.05 * (b - a))
-    return _pairing_result(single, full_output, values, errors, truncs,
-                           tol, n)
+    values, errors, truncs, n_evals = _pair_row(
+        mode1, [mode1.support(t)], mode2, t, tol, window, substitution)
+    report = QuadReport(complex(values[0, 0]), float(errors[0, 0]),
+                        float(truncs[0, 0]), bool(truncs[0, 0] > tol),
+                        int(n_evals[0]))
+    return report if full_output else report.value
 
 
 # ---------- coefficient matrices ----------
@@ -668,11 +779,15 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
                          t: float = 0.0, tol: float = 1e-8) -> BogolubovPair:
     """alpha[i, k] = (f_k, g_i),  beta[i, k] = -(f_k*, g_i).
 
-    Both come from one pairing per entry: f_k and f_k* share one adaptive
-    grid, on which each packet is evaluated once per node."""
-    packets_a = [(f, _Conjugate(f)) for f in basis_a.packets()]
+    Each row is one lockstep quadrature (``_pair_row``): every entry keeps
+    its own window and adaptive grid, on which f_k and f_k* are paired
+    together, and each refinement wave evaluates the row packet g_i and
+    the stack of all columns once for the new nodes of every open entry,
+    in blocks of bounded size."""
+    supports = [f.support(t) for f in basis_a.packets()]
+    stack = basis_a._packet(basis_a.frequencies)
     packets_b = basis_b.packets()
-    nb, na = len(packets_b), len(packets_a)
+    nb, na = len(packets_b), len(supports)
     alpha = np.zeros((nb, na), dtype=complex)
     beta = np.zeros((nb, na), dtype=complex)
     qerr = np.zeros((nb, na))
@@ -680,14 +795,13 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     n_evals = np.zeros((nb, na), dtype=int)
     warned = np.zeros((nb, na), dtype=bool)
     for i, g in enumerate(packets_b):
-        for k, f_pair in enumerate(packets_a):
-            r = kg_inner_product(f_pair, g, t=t, tol=tol, full_output=True)
-            alpha[i, k] = r.value[0]
-            beta[i, k] = -r.value[1]
-            qerr[i, k] = sum(r.error)
-            trunc[i, k] = sum(r.truncation)
-            n_evals[i, k] = r.n_evaluations
-            warned[i, k] = r.truncation_warning
+        values, errors, truncs, n_evals[i] = _pair_row(stack, supports, g,
+                                                       t, tol)
+        alpha[i] = values[:, 0]
+        beta[i] = -values[:, 1]
+        qerr[i] = errors[:, 0] + errors[:, 1]
+        trunc[i] = truncs[:, 0] + truncs[:, 1]
+        warned[i] = (truncs > tol).any(axis=1)
     return BogolubovPair(alpha, beta, qerr, trunc, basis_a, basis_b,
                          n_evals, warned)
 

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from mirrorstress.bogolubov import (
+    _CHEB_N,
+    _FILL_ELEMENTS,
+    _G7_IDX,
+    _G7_WEIGHTS,
+    _K15_NODES,
+    _K15_WEIGHTS,
     ModeBasis,
     QuadReport,
+    _adaptive_gk,
     _Conjugate,
     _UnitPacket,
     compute_coefficients,
@@ -103,14 +110,15 @@ def two_by_five_bases():
     return basis_a, basis_b
 
 
-def test_shared_grid_pairing_matches_separate_pairings():
-    # reference: alpha and beta from two separate single-mode pairings
-    basis_a, basis_b = two_by_five_bases()
-    pair = compute_coefficients(basis_a, basis_b, tol=1e-9)
+def assert_matches_single_pairings(basis_a, basis_b, t=0.0, tol=1e-9):
+    """The row engine against one single pairing per mode, f_k and its
+    conjugate, bit for bit: the value, the error and truncation of each
+    component, the shared grid's evaluation count and the warning."""
+    pair = compute_coefficients(basis_a, basis_b, t=t, tol=tol)
     for i, g in enumerate(basis_b.packets()):
         for k, f in enumerate(basis_a.packets()):
-            ra = kg_inner_product(f, g, tol=1e-9, full_output=True)
-            rb = kg_inner_product(_Conjugate(f), g, tol=1e-9,
+            ra = kg_inner_product(f, g, t=t, tol=tol, full_output=True)
+            rb = kg_inner_product(_Conjugate(f), g, t=t, tol=tol,
                                   full_output=True)
             for rep in (ra, rb):
                 assert isinstance(rep, QuadReport)
@@ -119,9 +127,137 @@ def test_shared_grid_pairing_matches_separate_pairings():
                 assert isinstance(rep.truncation, float)
                 assert isinstance(rep.truncation_warning, bool)
                 assert isinstance(rep.n_evaluations, int)
-            assert abs(pair.alpha[i, k] - ra.value) < 1e-10
-            assert abs(pair.beta[i, k] + rb.value) < 1e-10
+            assert pair.alpha[i, k] == ra.value
+            assert pair.beta[i, k] == -rb.value
+            assert pair.quad_error[i, k] == ra.error + rb.error
+            assert pair.truncation[i, k] == ra.truncation + rb.truncation
+            assert pair.n_evaluations[i, k] == ra.n_evaluations
+            assert pair.n_evaluations[i, k] == rb.n_evaluations
+            assert pair.truncation_warning[i, k] == (ra.truncation_warning
+                                                     or rb.truncation_warning)
+    return pair
+
+
+def test_shared_grid_pairing_matches_separate_pairings():
+    pair = assert_matches_single_pairings(*two_by_five_bases())
     assert np.abs(pair.beta).max() > 1e-3  # beta is not trivially zero
+
+
+def test_dirichlet_matrix_matches_separate_pairings():
+    hat = hatted_chart_for_stationary_mirror(1.0)
+    basis_a = ModeBasis(hat, boundary="dirichlet_half_line",
+                        frequencies=np.array([1.0, 2.0, 4.0]),
+                        packet_width=0.25)
+    basis_b = ModeBasis(hat, boundary="dirichlet_half_line",
+                        frequencies=np.array([1.5, 3.0]), packet_width=0.25)
+    pair = assert_matches_single_pairings(basis_a, basis_b, t=2.0, tol=1e-10)
+    assert np.abs(pair.beta).max() > 1e-3
+    assert len(np.unique(pair.n_evaluations)) > 2  # entries refine apart
+
+
+def test_empty_window_entries_match_separate_pairings():
+    # columns this far above the wedge row have a support radius below
+    # the row's support: their windows are empty
+    freqs = np.geomspace(math.exp(-38.0), math.exp(38.0), 255)
+    columns = freqs[[127, 132, 140, 214, 215, 254]]
+    basis_a = ModeBasis(MINK, frequencies=columns,
+                        packet_width=critical_packet_width(freqs))
+    basis_b = ModeBasis(RIND, frequencies=np.array([5.0]), packet_width=0.06)
+    pair = assert_matches_single_pairings(basis_a, basis_b)
+    empty = pair.n_evaluations[0] == 0
+    assert empty.tolist() == [False] * 4 + [True] * 2
+    assert not pair.alpha[0, empty].any() and not pair.beta[0, empty].any()
+    assert np.abs(pair.alpha[0, :3]).min() > 0.1
+
+
+def test_row_evaluation_stays_within_block_budget(monkeypatch, planck_pair):
+    sizes = []
+    table = _UnitPacket.table
+
+    def recording_table(self, z):
+        sizes.append(len(z))
+        return table(self, z)
+
+    monkeypatch.setattr(_UnitPacket, "table", recording_table)
+    pair = compute_coefficients(planck_pair.basis_a, planck_pair.basis_b,
+                                tol=1e-9)
+    # the (n, 17, 4) table gather of one call stays within the budget
+    budget = _FILL_ELEMENTS // (_CHEB_N * 4)
+    assert max(sizes) <= budget
+    assert max(sizes) > budget // 2  # the blocks are filled
+    assert np.array_equal(pair.alpha, planck_pair.alpha)
+    assert np.array_equal(pair.n_evaluations, planck_pair.n_evaluations)
+
+
+def reference_adaptive_gk(f, a, b, tol, max_panels=4096):
+    """One entry at a time: the quadrature the lockstep engine reproduces
+    entry by entry."""
+    edges = np.linspace(a, b, 17)
+    n_evals = 0
+
+    def refine(lo, hi):
+        nonlocal n_evals
+        mid = 0.5 * (lo + hi)[:, None]
+        half = 0.5 * (hi - lo)[:, None]
+        xs = mid + half * _K15_NODES[None, :]
+        vals = f(xs.ravel()).reshape((-1,) + xs.shape)
+        n_evals += xs.size
+        k15 = (vals * _K15_WEIGHTS).sum(axis=-1) * half[:, 0]
+        g7 = (vals[:, :, _G7_IDX] * _G7_WEIGHTS).sum(axis=-1) * half[:, 0]
+        return k15, np.abs(k15 - g7)
+
+    lo_all, hi_all = edges[:-1], edges[1:]
+    integrals, errors = refine(lo_all, hi_all)
+    for _ in range(60):
+        n_panels = errors.shape[1]
+        open_comps = np.flatnonzero(errors.sum(axis=1) > tol)
+        if len(open_comps) == 0 or n_panels >= max_panels:
+            break
+        budget = tol / n_panels
+        mask = np.zeros(n_panels, bool)
+        for err in errors[open_comps]:
+            worst = np.argsort(err)[::-1][:max(1, n_panels // 2)]
+            mask[worst[err[worst] > 0.25 * budget]] = True
+        if not mask.any():
+            break
+        keep = ~mask
+        lo_s, hi_s = lo_all[mask], hi_all[mask]
+        mid_s = 0.5 * (lo_s + hi_s)
+        new_lo = np.concatenate([lo_s, mid_s])
+        new_hi = np.concatenate([mid_s, hi_s])
+        k15_new, err_new = refine(new_lo, new_hi)
+        lo_all = np.concatenate([lo_all[keep], new_lo])
+        hi_all = np.concatenate([hi_all[keep], new_hi])
+        integrals = np.concatenate([integrals[:, keep], k15_new], axis=1)
+        errors = np.concatenate([errors[:, keep], err_new], axis=1)
+    order = np.argsort(lo_all, kind="stable")
+    return integrals[:, order].sum(axis=1), errors.sum(axis=1), n_evals
+
+
+@pytest.mark.parametrize("tol,max_panels", [(1e-9, 4096), (1e-13, 4096),
+                                            (1e-13, 100)])
+def test_lockstep_quadrature_matches_one_entry_at_a_time(tol, max_panels):
+    # oscillatory entries, and a singularity at x = 0.3 (kept finite) that
+    # no panel resolves to tol 1e-13: entries covering it refine toward
+    # it until the panel cap
+    rng = np.random.default_rng(5)
+    freq = rng.uniform(0.5, 40.0, 12)
+    a = rng.uniform(-3.0, 0.0, 12)
+    b = a + rng.uniform(0.1, 6.0, 12)
+
+    def f(xs, owner):
+        return np.stack([np.exp(1j * freq[owner] * xs - xs * xs),
+                         (np.abs(xs - 0.3) + 1e-300) ** -0.5 + 0j])
+
+    values, errors, n_evals = _adaptive_gk(f, a, b, tol, max_panels)
+    for k in range(12):
+        want = reference_adaptive_gk(
+            lambda xs: f(xs, np.full(len(xs), k)), a[k], b[k], tol,
+            max_panels)
+        assert np.array_equal(values[k], want[0])
+        assert np.array_equal(errors[k], want[1])
+        assert n_evals[k] == want[2]
+    assert len(np.unique(n_evals)) > 6
 
 
 def test_table_kernel_matrix_matches_exact_sum_kernel(monkeypatch):
@@ -211,6 +347,23 @@ def test_dirichlet_mode_vanishes_on_mirror():
         vals, _ = p.evaluate(t, np.array([xm - 1e-9, xm + 1e-9]))
         assert abs(vals[0]) == 0.0          # no field left of the mirror
         assert abs(vals[1]) < 1e-6          # continuous vanishing on it
+
+
+def test_mirror_position_is_bisected_once_per_surface_time(monkeypatch):
+    hat = hatted_chart_for_stationary_mirror(1.0)
+    basis = ModeBasis(hat, boundary="dirichlet_half_line",
+                      frequencies=np.array([2.0]), packet_width=0.25)
+    p = basis.packet(0)
+    want = [p._bisect_mirror(t) for t in (0.0, 2.0)]
+    calls = []
+    bisect = type(p)._bisect_mirror
+    monkeypatch.setattr(type(p), "_bisect_mirror",
+                        lambda self, t: calls.append(t) or bisect(self, t))
+    for _ in range(3):
+        assert [p._mirror_position(t) for t in (0.0, 2.0)] == want
+        p.support(0.0)
+        p.substitution(2.0)
+    assert calls == [0.0, 2.0]
 
 
 def test_dirichlet_norm_grows_to_one_with_surface_time():

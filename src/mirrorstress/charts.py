@@ -7,7 +7,9 @@ curved test metrics.  The induced conformal factor, metric components and
 Ricci scalar are all evaluated through order-3 jets, so chart derivatives
 are exact wherever the maps are exact.
 
-Charts are immutable after construction and safe to share across threads.
+Charts are immutable after construction and safe to share across threads;
+the one mutable piece, the last root a numeric inverse found, is replaced
+whole in one assignment.
 """
 
 from __future__ import annotations
@@ -138,9 +140,10 @@ class ChartMap:
         self.monotone_sign = monotone_sign
 
     def _auto_dfn(self, x):
-        # one extra nesting level recovers the exact order-3 jet of f'
-        j = self.fn(Jet3(x, 1.0, 0.0, 0.0))
-        return j.d1
+        # f' needs one tangent: the d1 slot of fn on a first-order seed
+        # over x carries f' with all of x's own jet structure, so this is
+        # exact to whatever order x is
+        return self.fn(Jet1(x, 1.0)).d1
 
     def _interior_point(self) -> float:
         lo, hi = self.domain.lo, self.domain.hi
@@ -274,13 +277,23 @@ class ChartMap:
         raise NoRootError(f"{self.label}: bracketing failed for {target}")
 
     def inverse_map(self) -> "ChartMap":
-        """The inverse as a first-class ChartMap (exact on jets)."""
+        """The inverse as a first-class ChartMap, exact on jets, nested
+        jets included.  A numeric inverse recurses to the float at the
+        core of its argument and inverts that float once: the map keeps
+        the last (target, root) pair, so repeated evaluations at one
+        target, jet or float, share one root bit for bit."""
         if self.inverse_fn is not None:
             inv_fn = self.inverse_fn
         else:
+            # the (target, root) cell, shared by inv_fn and inv_dfn: the
+            # components of one stress point evaluate a transition five
+            # times at one float.  It is replaced by a single tuple
+            # assignment, so a thread reads a consistent pair or misses.
+            cell = [(None, None)]
+
             def inv_fn(y, _self=self):
                 if isinstance(y, Jet3):
-                    x0 = _self.invert(lead_value(y))
+                    x0 = inv_fn(y.value)
                     m = _self.fn(seed(x0))
                     g1 = 1.0 / m.d1
                     g1sq = g1 * g1
@@ -288,8 +301,15 @@ class ChartMap:
                     g3 = (3.0 * (m.d2 * m.d2) - m.d1 * m.d3) * (g1sq * g1sq * g1)
                     return compose((x0, g1, g2, g3), y)
                 if isinstance(y, Jet1):
-                    x0 = _self.invert(lead_value(y))
-                    return Jet1(x0, y.d1 / lead_value(_self.dfn(x0)))
+                    x0 = inv_fn(y.value)
+                    return Jet1(x0, y.d1 / _self.dfn(x0))
+                if y.__class__ is float:
+                    target, root = cell[0]
+                    if target == y:
+                        return root
+                    root = _self.invert(y)
+                    cell[0] = (y, root)
+                    return root
                 return _self.invert(y)
 
         def inv_dfn(y, _self=self, _inv=inv_fn):
@@ -365,7 +385,7 @@ def invert_map(m: ChartMap, target: float, bracket=None) -> float:
 
 # ---------- points ----------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """Null coordinates of an event in a named chart."""
 

@@ -132,7 +132,7 @@ class VacuumSpec:
                 "half-line vacua require a mirror-adapted (half_line) chart")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StressSample:
     """Null stress components at a point, in a chart, for a state."""
 
@@ -163,14 +163,14 @@ class StressGrid:
     state: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrthonormalStress:
     energy_density: float
     pressure: float
     flux: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConservationReport:
     max_residual: float
     max_residual_u_equation: float
@@ -203,7 +203,7 @@ def schwarzian_derivative(m, x: float) -> float:
 
     Vanishes identically for Moebius maps.
     """
-    j = m(seed(x)) if isinstance(m, ChartMap) else m(seed(x))
+    j = m(seed(x))
     if lead_value(j.d1) == 0.0:
         raise SingularRayError(f"schwarzian: m'({x}) = 0")
     r = j.d2 / j.d1

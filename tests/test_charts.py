@@ -1,6 +1,8 @@
 """Charts: conformal factors, curvature, conversions, inversion."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -236,6 +238,42 @@ def test_inverse_map_jets_match_closed_form():
         b = f_closed(seed(y))
         for x, z in zip(a.as_tuple(), b.as_tuple()):
             assert close(x, z, 1e-11)
+
+
+def test_numeric_inverse_roots_agree_across_threads():
+    # every caller shares the inverse's one (target, root) cell; a torn or
+    # stale read would hand one thread the root of another's target
+    p = ChartMap(fn=lambda x: jlog(2.0 - jexp(-x)),
+                 domain=Interval(math.log(0.5), math.inf),
+                 label="p-numeric",
+                 range_hint=Interval(-math.inf, math.log(2.0)))
+    numeric = p.inverse_map()
+    targets = [-2.0 + 0.1 * k for k in range(26)]
+    want = [invert_map(p, y) for y in targets]
+    wrong = []
+    start = threading.Barrier(6, timeout=60.0)
+
+    def work():
+        # all threads ask for the same targets at about the same time, so
+        # that one reads the cell while another is replacing it
+        start.wait()
+        for i in range(300):
+            j = i % len(targets)
+            if numeric.fn(targets[j]) != want[j]:
+                wrong.append(targets[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # ---------- composition ----------

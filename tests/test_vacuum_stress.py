@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mirrorstress.charts import (
@@ -16,7 +17,7 @@ from mirrorstress.charts import (
     identity_map,
     synthetic_curved_chart,
 )
-from mirrorstress.jets import jexp, jlog, lead_value, seed
+from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
 from mirrorstress.scenarios import build_scenario
 from mirrorstress.trajectories import (
     reflection_map,
@@ -38,6 +39,7 @@ from mirrorstress.vacuum_stress import (
     check_conservation,
     expectation_stress,
     schwarzian_derivative,
+    stress_component_functions,
     theta_components,
     to_orthonormal_frame,
     transform_stress,
@@ -423,3 +425,112 @@ def test_anomaly_curved_chart_vs_symbolic():
         r_symbolic = 8.0 / (u + v) ** 4
         assert close(4.0 / c * s.t_uv, -r_symbolic / (24.0 * math.pi), 1e-10)
         assert close(curved.ricci_scalar(u, v), r_symbolic, 1e-10)
+
+
+# ---------- forward-only derived charts ----------
+
+def _derived_relabel():
+    """u* -> -log(2 - exp(u*)): the wedge-to-mirror relabeling at a = 1,
+    given forward only (no derivative, no inverse)."""
+    return ChartMap(fn=lambda x: -jlog(2.0 - jexp(x)),
+                    domain=Interval(-math.inf, math.log(2.0)),
+                    label="derived-u")
+
+
+def _derived_mirror_state():
+    """The a = 1 mirror state on the wedge chart relabeled forward only;
+    the chart equals the hatted one, u = exp(u*) - 2, but inverts
+    numerically."""
+    chart = compose_charts(RIND, _derived_relabel(), identity_map(),
+                           "derived:mirror_in_rindler_vacuum:a=1",
+                           global_class="half_line")
+    return VacuumSpec(chart, "dirichlet_half_line",
+                      label="mirror_in_rindler_vacuum", ambient_chart=RIND,
+                      reflected_u_range=Interval(-2.0, math.inf),
+                      region_predicate=lambda u, v: v - u > 2.0)
+
+
+def _leaves(j):
+    """Float coefficients of a (possibly nested) jet, depth first."""
+    if isinstance(j, (Jet1, Jet3)):
+        parts = (j.value, j.d1) if isinstance(j, Jet1) else j.as_tuple()
+        return [x for part in parts for x in _leaves(part)]
+    return [j]
+
+
+def test_numeric_inverse_keeps_inner_derivatives():
+    # the derived u-map's inverse against the hatted closed form
+    # log(u + 2), on seeds whose coefficients are jets themselves
+    u_map = _derived_mirror_state().chart.u_map
+    assert u_map.inverse_fn is None  # inverts numerically
+    numeric = u_map.inverse_map()
+    closed = lambda y: jlog(y + 2.0)
+    for y in (-1.7, -1.0, -0.3):
+        for arg in (Jet1(Jet1(y, 1.0), 0.0),
+                    Jet1(Jet1(y, 0.4), Jet1(1.0, -0.3)),
+                    Jet3(seed(y), 0.5, 0.1, 0.2),
+                    Jet3(Jet3(y, 1.0, 0.0, 0.0), 0.0, 1.0, 0.0)):
+            got, want = _leaves(numeric(arg)), _leaves(closed(arg))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert close(g, w, 1e-12)
+
+
+def test_derived_chart_component_jets_match_hatted_state():
+    # value, d/dc1 and d/dc2 of every component, through the numeric
+    # inverse, against the closed-form hatted chart
+    derived = stress_component_functions(_derived_mirror_state(), RIND)
+    hatted = stress_component_functions(
+        build_scenario("mirror_in_rindler_vacuum", {"a": 1.0}).state, RIND)
+    lo = math.log(0.5)
+    for c1, c2 in ((lo + 0.05, 1.0), (lo + 1.3, 2.2), (lo + 3.9, 3.0)):
+        a1, a2 = Jet1(Jet1(c1, 1.0), 0.0), Jet1(Jet1(c2, 0.0), 1.0)
+        for f_derived, f_hatted in zip(derived, hatted):
+            got, want = f_derived(a1, a2), f_hatted(a1, a2)
+            for g, w in ((got.value.value, want.value.value),
+                         (got.value.d1, want.value.d1),
+                         (got.d1.value, want.d1.value)):
+                assert abs(g - w) <= 1e-12 * max(INV_48PI, abs(w))
+
+
+def _jet3_seeded_dfn(m, x):
+    """The derivative of a map given without one, as it was taken before
+    the first-order seed: the d1 slot of fn on an order-3 seed over x.
+    Kept as the reference for ChartMap._auto_dfn."""
+    return m.fn(Jet3(x, 1.0, 0.0, 0.0)).d1
+
+
+def test_auto_derivative_matches_jet3_seeded_reference():
+    moebius = ChartMap(fn=lambda x: (1.3 * x - 0.4) / (0.7 * x + 1.1),
+                       label="moebius", monotone_sign=1)
+    eps = np.finfo(float).eps
+    for m in (_derived_relabel(), moebius):
+        assert m.dfn == m._auto_dfn
+        args = [np.array([-1.2, -0.2, 0.5])]
+        for x in (-1.2, -0.2, 0.5):
+            args += [x, seed(x), Jet3(x, 0.7, -0.3, 0.2),
+                     Jet1(Jet1(x, 1.0), 0.0), Jet1(Jet1(x, 0.0), 1.0)]
+        for arg in args:
+            got, want = _leaves(m.dfn(arg)), _leaves(_jet3_seeded_dfn(m, arg))
+            assert len(got) == len(want)
+            scale = max(np.max(np.abs(w)) for w in want)
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 4.0 * eps * scale)
+
+
+def test_point_evaluation_inverts_each_target_once(monkeypatch):
+    # the five u-transition evaluations of a point (fn and dfn in T_11
+    # and T_12, fn in T_22) share one numeric root
+    targets = []
+    invert = ChartMap.invert
+
+    def counting(m, target, bracket=None):
+        if m.inverse_fn is None:
+            targets.append(target)
+        return invert(m, target, bracket)
+
+    monkeypatch.setattr(ChartMap, "invert", counting)
+    state = _derived_mirror_state()
+    for c1 in (0.3, 1.1):
+        expectation_stress(state, RIND, Point(c1, 2.5, "rindler"))
+    assert targets == [-math.exp(-0.3), -math.exp(-1.1)]

@@ -1,0 +1,57 @@
+"""Per-layer timings of `run` output rendering, on pytest-benchmark.
+
+    PYTHONPATH=src python -m pytest bench/bench_render.py \
+        [--benchmark-json FILE]
+
+The subject is the a = 1 mirror state on the wedge chart, on a 200 x 200
+grid over the conservation region of the CLI's invariant suite.  The
+layers: ``_write_csv`` and ``_write_json`` into memory, on rows evaluated
+once, and an in-process ``mirrorstress run`` of each format into a file
+(argument parsing, scenario build, grid evaluation and rendering).  Only
+``_evaluate_rows`` and the two writers' call signatures are used, so the
+file runs unchanged against earlier commits: compare commits by running
+it against each commit's source.
+"""
+
+import io
+import math
+
+import pytest
+
+from mirrorstress import cli
+from mirrorstress.scenarios import build_scenario
+
+N = 200
+LOG_HALF = math.log(0.5)
+WINDOW = (LOG_HALF + 0.05, LOG_HALF + 4.0, 1.0, 3.0)
+FORMATS = ["csv", "json"]
+
+
+def run_argv(fmt, path):
+    c1_min, c1_max, c2_min, c2_max = WINDOW
+    return ["run", "--scenario", "mirror_in_rindler_vacuum", "--a", "1",
+            "--chart", "rindler",
+            "--c1-min", repr(c1_min), "--c1-max", repr(c1_max),
+            "--n1", str(N),
+            "--c2-min", repr(c2_min), "--c2-max", repr(c2_max),
+            "--n2", str(N), "--format", fmt, "--output", str(path)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write(benchmark, fmt):
+    c1_min, c1_max, c2_min, c2_max = WINDOW
+    cfg = cli.RunConfig("mirror_in_rindler_vacuum", 1.0, "rindler",
+                        c1_min, c1_max, N, c2_min, c2_max, N, "null", "-",
+                        fmt)
+    scenario = build_scenario(cfg.scenario, {"a": cfg.a})
+    chart = cli._resolve_chart(cfg, scenario)
+    rows = cli._evaluate_rows(cfg, scenario, chart)
+    write = cli._write_csv if fmt == "csv" else cli._write_json
+    benchmark(lambda: write(io.StringIO(), cfg, scenario, chart, rows))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_run(benchmark, tmp_path, fmt):
+    argv = run_argv(fmt, tmp_path / f"grid.{fmt}")
+    assert cli.main(argv) == 0
+    benchmark(cli.main, argv)

@@ -225,11 +225,13 @@ class ChartMap:
         tol = 1e-12 * max(1.0, abs(target))
         for _ in range(100):
             fx = lead_value(self.fn(x)) - target
-            if abs(fx) <= tol:
-                return x
             d = lead_value(self.dfn(x))
             step = fx / d if d != 0.0 else 0.0
             xn = x - step
+            if abs(fx) <= tol:
+                # one last step takes the root from the tolerance to
+                # rounding; it is kept only inside the bracket
+                return xn if a <= xn <= b else x
             if not (a <= xn <= b) or step == 0.0:
                 # fall back to a bisection step, keeping the bracket valid
                 if fa * fx < 0.0:
@@ -281,7 +283,8 @@ class ChartMap:
         jets included.  A numeric inverse recurses to the float at the
         core of its argument and inverts that float once: the map keeps
         the last (target, root) pair, so repeated evaluations at one
-        target, jet or float, share one root bit for bit."""
+        target, jet or float, share one root bit for bit.  An array is
+        inverted element by element."""
         if self.inverse_fn is not None:
             inv_fn = self.inverse_fn
         else:
@@ -310,6 +313,10 @@ class ChartMap:
                     root = _self.invert(y)
                     cell[0] = (y, root)
                     return root
+                if y.__class__ is np.ndarray:
+                    return np.array([_self.invert(t)
+                                     for t in y.ravel().tolist()],
+                                    dtype=float).reshape(y.shape)
                 return _self.invert(y)
 
         def inv_dfn(y, _self=self, _inv=inv_fn):

@@ -51,7 +51,6 @@ from .vacuum_stress import (
 )
 
 _MARGIN = 1e-3
-_FMT = "{:.16e}"
 
 _CONFIG_KEYS = {
     "scenario": str, "a": float, "chart": str,
@@ -164,6 +163,13 @@ def _build_run_config(args) -> RunConfig:
         raise ConfigError("field 'c1_min': must be below c1_max")
     if not cfg.c2_min < cfg.c2_max:
         raise ConfigError("field 'c2_min': must be below c2_max")
+    for axis, lo, hi, n in (("c1", cfg.c1_min, cfg.c1_max, cfg.n1),
+                            ("c2", cfg.c2_min, cfg.c2_max, cfg.n2)):
+        # the last grid coordinate, by _evaluate_rows' formula: the
+        # largest, so every coordinate is finite when it is
+        if not math.isfinite(lo + (hi - lo) * (n - 1) / (n - 1)):
+            raise ConfigError(f"field '{axis}_min'/'{axis}_max': grid "
+                              f"window [{lo}, {hi}] overflows a double")
     if cfg.frame not in ("null", "orthonormal"):
         raise ConfigError(f"field 'frame': must be null or orthonormal, "
                           f"got {cfg.frame!r}")
@@ -206,6 +212,9 @@ def _resolve_chart(cfg: RunConfig, scenario):
 
 
 def _evaluate_rows(cfg: RunConfig, scenario, chart):
+    """The grid's rows as (table, singular): an (n1 n2, 5) array of c1,
+    c2 and the three stress values, row-major in c1, and a flag per row.
+    The stress values of a singular row are NaN."""
     lo1, hi1 = _coverage_interval(scenario.state, chart, "u")
     lo2, hi2 = _coverage_interval(scenario.state, chart, "v")
     if not (cfg.c1_min > lo1 + _MARGIN and cfg.c1_max < hi1 - _MARGIN):
@@ -225,15 +234,9 @@ def _evaluate_rows(cfg: RunConfig, scenario, chart):
     if cfg.frame == "orthonormal":
         status, o = orthonormal_grid(grid)
         values = (o.energy_density, o.pressure, o.flux)
-    singular = (status != 0).ravel().tolist()
-    x, y, z = (v.ravel().tolist() for v in values)
-    c1s, c2s = c1.tolist(), c2.tolist()
-    rows = []
-    for k, bad in enumerate(singular):
-        c = (c1s[k // cfg.n2], c2s[k % cfg.n2])
-        rows.append((*c, None, None, None, 1) if bad
-                    else (*c, x[k], y[k], z[k], 0))
-    return rows
+    coords = np.meshgrid(c1, c2, indexing="ij")
+    table = np.stack((*coords, *values), axis=-1).reshape(-1, 5)
+    return table, (status != 0).ravel()
 
 
 def _columns(cfg: RunConfig):
@@ -242,22 +245,45 @@ def _columns(cfg: RunConfig):
     return ("c1", "c2", "T_uu", "T_vv", "T_uv", "singular")
 
 
-# The writers stream into the output file, so that a run holds its rows
-# but never the whole rendered document.
+# The writers stream into the output file in blocks of _BLOCK_ROWS rows,
+# so that a run holds its rows as arrays but never the whole rendered
+# document.  Each row is rendered by the %-template of its shape: five
+# values, or the two coordinates of a singular row.  All of them are
+# finite floats, for which '%.16e' gives the bytes of '{:.16e}'.format and
+# '%r' those of the json module.  Blocks are small on purpose: rendered
+# blocks of 1024 rows (100-150 KB strings) made the heap grow over
+# thousands of runs in one process.
+
+_BLOCK_ROWS = 128
+_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,0\n"
+_CSV_SINGULAR = "%.16e,%.16e,,,,1\n"
+# a row of json.dump(..., indent=1) at depth two
+_JSON_ROW = "  [\n   %r,\n   %r,\n   %r,\n   %r,\n   %r,\n   0\n  ]"
+_JSON_SINGULAR = ("  [\n   %r,\n   %r,\n   null,\n   null,\n   null,\n"
+                  "   1\n  ]")
+
+
+def _write_rows(out, rows, row, singular_row, sep=""):
+    table, singular = rows
+    keep = ~singular[:, None] | (np.arange(5) < 2)  # cells a row prints
+    for k in range(0, len(table), _BLOCK_ROWS):
+        rows_k = slice(k, k + _BLOCK_ROWS)
+        template = sep.join([singular_row if bad else row
+                             for bad in singular[rows_k].tolist()])
+        cells = table[rows_k][keep[rows_k]].tolist()
+        out.write((sep if k else "") + template % tuple(cells))
+
 
 def _write_csv(out, cfg: RunConfig, scenario, chart, rows):
     out.write(f"# scenario={cfg.scenario} state={scenario.state.label} "
               f"chart={chart.name} a={cfg.a:g} frame={cfg.frame}\n")
     out.write(",".join(_columns(cfg)) + "\n")
-    for c1, c2, x, y, z, singular in rows:
-        cells = [_FMT.format(c1), _FMT.format(c2)]
-        for v in (x, y, z):
-            cells.append("" if v is None else _FMT.format(v))
-        cells.append(str(singular))
-        out.write(",".join(cells) + "\n")
+    _write_rows(out, rows, _CSV_ROW, _CSV_SINGULAR)
 
 
 def _write_json(out, cfg: RunConfig, scenario, chart, rows):
+    # json.dump(..., indent=1, sort_keys=True) of the payload, its header
+    # and trailer taken from the payload with no rows
     payload = {
         "scenario": cfg.scenario,
         "state": scenario.state.label,
@@ -265,10 +291,13 @@ def _write_json(out, cfg: RunConfig, scenario, chart, rows):
         "a": cfg.a,
         "frame": cfg.frame,
         "columns": list(_columns(cfg)),
-        "rows": rows,
+        "rows": [],
     }
-    json.dump(payload, out, indent=1, sort_keys=True)
-    out.write("\n")
+    head, _, tail = json.dumps(payload, indent=1, sort_keys=True) \
+        .partition('"rows": []')
+    out.write(head + '"rows": [\n')
+    _write_rows(out, rows, _JSON_ROW, _JSON_SINGULAR, ",\n")
+    out.write("\n ]" + tail + "\n")
 
 
 def cmd_run(args) -> int:

@@ -24,6 +24,7 @@ from .charts import (
 from .jets import jexp, jlog
 from .trajectories import (
     Trajectory,
+    hyperbola_constant,
     stationary_mirror,
     uniformly_accelerated_mirror,
 )
@@ -108,7 +109,7 @@ def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
 def hatted_chart_for_accelerated_mirror(a: float) -> ConformalChart:
     """Chart adapted to the hyperbolic mirror in flat base coordinates:
     u = -1/(a^2 u*), v = v*; the reflection relabeling is a Moebius map."""
-    c = 1.0 / (a * a)
+    c = hyperbola_constant(a)
     u_map = ChartMap(
         fn=lambda x: -c / x,
         dfn=lambda x: c / (x * x),
@@ -193,7 +194,7 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
         a = _require_positive_a(params)
         mink = get_chart("minkowski")
         hatted = register_chart(hatted_chart_for_accelerated_mirror(a))
-        c = 1.0 / (a * a)
+        c = hyperbola_constant(a)
         state = VacuumSpec(
             hatted, "dirichlet_half_line",
             label="accelerated_mirror_minkowski",

@@ -127,11 +127,22 @@ def stationary_mirror(z0: float) -> Trajectory:
     )
 
 
-def uniformly_accelerated_mirror(a: float) -> Trajectory:
-    """Mirror on the hyperbola z^2 - t^2 = 1/a^2 (uniform acceleration a)."""
+def hyperbola_constant(a: float) -> float:
+    """1/a^2 for the hyperbolic mirror of acceleration a; ValueError unless
+    a is positive and 1/a^2 a positive finite float."""
     if not a > 0.0:
         raise ValueError(f"acceleration must be positive, got {a}")
-    c = 1.0 / (a * a)
+    sq = a * a
+    c = 1.0 / sq if sq > 0.0 else math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"acceleration {a!r} out of range: 1/a^2 = {c!r} "
+                         f"is not a positive finite float")
+    return c
+
+
+def uniformly_accelerated_mirror(a: float) -> Trajectory:
+    """Mirror on the hyperbola z^2 - t^2 = 1/a^2 (uniform acceleration a)."""
+    c = hyperbola_constant(a)
 
     def minkowski_reflection() -> ChartMap:
         return ChartMap(

@@ -114,6 +114,57 @@ def test_run_float_range_points_are_singular(tmp_path, args):
         assert r[2:] == ["", "", "", "1"]
 
 
+@pytest.mark.parametrize("axis,lo,hi,n", [
+    ("c1", "-1e308", "1e308", "3"),  # c1_max - c1_min overflows
+    ("c1", "-1e308", "0", "3"),  # the difference is finite, 2 x it is not
+    ("c2", "-1e308", "1e308", "2"),
+])
+def test_run_overflowing_grid_window_exits_one(tmp_path, capsys, axis, lo,
+                                               hi, n):
+    # the window's coordinates would be inf or nan: refused before any
+    # evaluation, with no output
+    window = {"c1": ["-1", "1", "2"], "c2": ["0", "1", "2"]}
+    window[axis] = [lo, hi, n]
+    out = tmp_path / "x.csv"
+    code = run_cli("run", "--scenario", "rindler_vacuum",
+                   "--chart", "rindler",
+                   "--c1-min", window["c1"][0], "--c1-max", window["c1"][1],
+                   "--n1", window["c1"][2],
+                   "--c2-min", window["c2"][0], "--c2-max", window["c2"][1],
+                   "--n2", window["c2"][2], "--output", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{axis}_min" in err
+    assert not out.exists()
+
+
+def test_run_widest_finite_grid_window_runs(tmp_path):
+    # two coordinates 1e308 apart are finite: the run goes ahead
+    out = tmp_path / "wide.csv"
+    code = run_cli("run", "--scenario", "rindler_vacuum",
+                   "--chart", "rindler",
+                   "--c1-min", "-1e308", "--c1-max", "0", "--n1", "2",
+                   "--c2-min", "0", "--c2-max", "1", "--n2", "2",
+                   "--output", str(out))
+    assert code == 0
+    rows = read_rows(out)
+    assert [float(r[0]) for r in rows] == [-1e308, -1e308, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("a", ["1e-200", "1e200"])
+@pytest.mark.parametrize("chart", ["minkowski", "rindler", "hatted"])
+def test_run_accelerated_mirror_out_of_range_a_exits_one(tmp_path, capsys,
+                                                         a, chart):
+    # 1/a^2 is inf (a*a underflows) or 0 (a*a overflows)
+    code = run_cli("run", "--scenario", "accelerated_mirror_minkowski",
+                   "--a", a, "--chart", chart,
+                   "--c1-min", "0.2", "--c1-max", "1", "--n1", "2",
+                   "--c2-min", "1.2", "--c2-max", "3", "--n2", "2",
+                   "--output", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_negative_exponent_floats_parse(tmp_path):
     out = tmp_path / "small.csv"
     code = run_cli("run", "--scenario", "rindler_vacuum", "--chart", "rindler",
@@ -260,7 +311,8 @@ _WINDOW = st.lists(st.floats(-800.0, 800.0), min_size=2, max_size=2)
 
 @given(scenario=st.sampled_from(SCENARIO_NAMES),
        chart=st.sampled_from(["minkowski", "rindler", "hatted"]),
-       a=st.floats(1e-3, 1e3), c1=_WINDOW, c2=_WINDOW,
+       a=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+       c1=_WINDOW, c2=_WINDOW,
        n1=st.integers(1, 4), n2=st.integers(1, 4),
        frame=st.sampled_from(["null", "orthonormal"]),
        fmt=st.sampled_from(["csv", "json"]))

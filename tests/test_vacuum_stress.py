@@ -473,7 +473,9 @@ def test_numeric_inverse_keeps_inner_derivatives():
             got, want = _leaves(numeric(arg)), _leaves(closed(arg))
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert close(g, w, 1e-12)
+                # worst measured 1.4e-13, in a third-order coefficient
+                # at y = -0.3, so the bound leaves a margin of 3.5
+                assert close(g, w, 5e-13)
 
 
 def test_derived_chart_component_jets_match_hatted_state():

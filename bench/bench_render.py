@@ -7,7 +7,9 @@ The subject is the a = 1 mirror state on the wedge chart, on a 200 x 200
 grid over the conservation region of the CLI's invariant suite.  The
 layers: ``_write_csv`` and ``_write_json`` into memory, on rows evaluated
 once, and an in-process ``mirrorstress run`` of each format into a file
-(argument parsing, scenario build, grid evaluation and rendering).  Only
+(argument parsing, scenario build, grid evaluation and rendering), on the
+200 x 200 grid and on the 24 x 24 grid of the ``grid`` workload in
+``mirrorbench``, where the fixed cost of a call is a large share.  Only
 ``_evaluate_rows`` and the two writers' call signatures are used, so the
 file runs unchanged against earlier commits: compare commits by running
 it against each commit's source.
@@ -22,19 +24,20 @@ from mirrorstress import cli
 from mirrorstress.scenarios import build_scenario
 
 N = 200
+N_SMALL = 24
 LOG_HALF = math.log(0.5)
 WINDOW = (LOG_HALF + 0.05, LOG_HALF + 4.0, 1.0, 3.0)
 FORMATS = ["csv", "json"]
 
 
-def run_argv(fmt, path):
+def run_argv(fmt, path, n=N):
     c1_min, c1_max, c2_min, c2_max = WINDOW
     return ["run", "--scenario", "mirror_in_rindler_vacuum", "--a", "1",
             "--chart", "rindler",
             "--c1-min", repr(c1_min), "--c1-max", repr(c1_max),
-            "--n1", str(N),
+            "--n1", str(n),
             "--c2-min", repr(c2_min), "--c2-max", repr(c2_max),
-            "--n2", str(N), "--format", fmt, "--output", str(path)]
+            "--n2", str(n), "--format", fmt, "--output", str(path)]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -53,5 +56,12 @@ def test_write(benchmark, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_run(benchmark, tmp_path, fmt):
     argv = run_argv(fmt, tmp_path / f"grid.{fmt}")
+    assert cli.main(argv) == 0
+    benchmark(cli.main, argv)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_run_small(benchmark, tmp_path, fmt):
+    argv = run_argv(fmt, tmp_path / f"grid.{fmt}", N_SMALL)
     assert cli.main(argv) == 0
     benchmark(cli.main, argv)

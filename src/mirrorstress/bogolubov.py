@@ -210,7 +210,10 @@ class ModeBasis:
 
     ``sector`` picks the right-moving ('u') or left-moving ('v') family
     for full-line charts; Dirichlet bases combine both into standing
-    packets that vanish on the boundary.
+    packets that vanish on the boundary.  ValueError at construction for
+    frequencies that are not positive and increasing, or a
+    ``packet_width`` that is not positive and finite or whose support
+    radius overflows a double.
     """
 
     chart: ConformalChart
@@ -227,8 +230,7 @@ class ModeBasis:
             raise ValueError("frequencies must be a non-empty 1-d grid")
         if not (freqs > 0).all() or not (np.diff(freqs) > 0).all():
             raise ValueError("frequencies must be positive and increasing")
-        if self.packet_width <= 0:
-            raise ValueError("packet_width must be positive")
+        _support_radius(self.packet_width)
         if self.boundary not in ("full_line", "dirichlet_half_line"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.sector not in ("u", "v"):
@@ -278,6 +280,25 @@ _BLOCK_NODES = _BLOCK_PANELS * len(_K15_NODES)
 _LOCKSTEP_ENTRIES = 32
 
 
+def _support_radius(sigma) -> float:
+    """Support radius of the unit packet of width sigma: outside it the
+    envelope is below the support threshold.  ValueError unless sigma is
+    positive and finite and the radius a finite float."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"packet_width must be positive and finite, "
+                         f"got {sigma!r}")
+    root = math.sqrt(math.log(1.0 / _SUPPORT_EPS))
+    try:
+        radius = _SUPPORT_PAD * max(root / sigma,
+                                    math.exp(2.0 * sigma * root))
+    except OverflowError:
+        radius = math.inf
+    if radius == math.inf:
+        raise ValueError(f"packet_width {sigma!r} out of range: its support "
+                         f"radius overflows a double")
+    return radius
+
+
 class _UnitPacket:
     """The packet of width sigma at unit centre frequency, tabulated.
 
@@ -291,10 +312,7 @@ class _UnitPacket:
 
     def __init__(self, sigma: float):
         span = 7.0 * math.sqrt(2.0) * sigma
-        root = math.sqrt(math.log(1.0 / _SUPPORT_EPS))
-        # outside this radius the envelope is below the support threshold
-        self.radius = _SUPPORT_PAD * max(root / sigma,
-                                         math.exp(2.0 * sigma * root))
+        self.radius = _support_radius(sigma)
         m = int(min(12032, 72 + 0.55 * math.exp(span) * self.radius))
         # composite 64-point panels: one cached rule, any total node count
         panels = max(2, (m + 63) // 64)

@@ -9,6 +9,7 @@ list-scenarios.  Exit codes: 0 success, 1 configuration or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -554,7 +555,11 @@ def cmd_list(args) -> int:
 
 # ---------- entry points ----------
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then shared by
+    every ``main`` call of the process: parsing leaves it unchanged, and
+    building it costs more than a small ``run``."""
     parser = _Parser(
         prog="mirrorstress",
         description="Stress-energy of a massless 2D scalar field in "

@@ -132,8 +132,9 @@ def _require_positive_a(params: Optional[dict]) -> float:
     if params:
         raise ValueError(f"unknown scenario parameters: {sorted(params)}")
     a = float(a)
-    if not a > 0.0:
-        raise ValueError(f"parameter a must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"parameter a must be positive and finite, "
+                         f"got {a}")
     return a
 
 

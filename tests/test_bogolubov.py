@@ -49,8 +49,10 @@ def test_frequencies_must_increase():
         ModeBasis(MINK, frequencies=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         ModeBasis(MINK, frequencies=np.array([-1.0, 0.5]))
-    with pytest.raises(ValueError):
-        ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=0.0)
+    # 1e3 is finite, but its support radius overflows a double
+    for width in (0.0, math.nan, math.inf, 1e3):
+        with pytest.raises(ValueError, match="packet_width"):
+            ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=width)
 
 
 # ---------- normalization and overlaps ----------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorstress import cli
 from mirrorstress.cli import main
 from mirrorstress.scenarios import SCENARIO_NAMES
 from mirrorstress.vacuum_stress import INV_48PI
@@ -151,11 +152,11 @@ def test_run_widest_finite_grid_window_runs(tmp_path):
     assert [float(r[0]) for r in rows] == [-1e308, -1e308, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("a", ["1e-200", "1e200"])
+@pytest.mark.parametrize("a", ["1e-200", "1e200", "inf"])
 @pytest.mark.parametrize("chart", ["minkowski", "rindler", "hatted"])
 def test_run_accelerated_mirror_out_of_range_a_exits_one(tmp_path, capsys,
                                                          a, chart):
-    # 1/a^2 is inf (a*a underflows) or 0 (a*a overflows)
+    # 1/a^2 is inf (a*a underflows) or 0 (a*a overflows, or a is inf)
     code = run_cli("run", "--scenario", "accelerated_mirror_minkowski",
                    "--a", a, "--chart", chart,
                    "--c1-min", "0.2", "--c1-max", "1", "--n1", "2",
@@ -163,6 +164,25 @@ def test_run_accelerated_mirror_out_of_range_a_exits_one(tmp_path, capsys,
                    "--output", str(tmp_path / "x.csv"))
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scenario", ["rindler_vacuum",
+                                      "minkowski_vacuum_rindler_observer",
+                                      "mirror_in_rindler_vacuum"])
+def test_run_infinite_a_exits_one(tmp_path, capsys, scenario, fmt):
+    # the vacua ignore a, which would otherwise reach the output header
+    # (JSON has no Infinity); the stationary mirror would sit at z = 0
+    out = tmp_path / f"x.{fmt}"
+    code = run_cli("run", "--scenario", scenario, "--a", "inf",
+                   "--chart", "rindler",
+                   "--c1-min", "-1", "--c1-max", "1", "--n1", "2",
+                   "--c2-min", "1", "--c2-max", "2", "--n2", "2",
+                   "--format", fmt, "--output", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "positive and finite" in err
+    assert not out.exists()
 
 
 def test_run_negative_exponent_floats_parse(tmp_path):
@@ -183,6 +203,37 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
     assert run_cli("run", "--no-such-flag") == 1
     assert run_cli() == 1
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    inits = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._make_parser.cache_clear()
+
+    def run(out):
+        return run_cli("run", "--scenario", "rindler_vacuum",
+                       "--chart", "rindler",
+                       "--c1-min", "-1", "--c1-max", "1", "--n1", "3",
+                       "--c2-min", "-1", "--c2-max", "1", "--n2", "3",
+                       "--format", "json", "--output", str(out))
+
+    assert run(tmp_path / "first.json") == 0
+    built = len(inits)
+    assert run_cli("run", "--c1-min") == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(tmp_path / "second.json") == 0
+    assert run_cli("list-scenarios") == 0
+    assert "rindler_vacuum" in capsys.readouterr().out
+    cli._make_parser.__wrapped__()  # one build, for the count
+    assert built > 0 and len(inits) == 2 * built
+    assert (tmp_path / "second.json").read_bytes() \
+        == (tmp_path / "first.json").read_bytes()
 
 
 def test_run_orthonormal_frame(tmp_path):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -212,8 +213,8 @@ class ModeBasis:
     for full-line charts; Dirichlet bases combine both into standing
     packets that vanish on the boundary.  ValueError at construction for
     frequencies that are not positive and increasing, or a
-    ``packet_width`` that is not positive and finite or whose support
-    radius overflows a double.
+    ``packet_width`` that is not positive and finite or whose packet
+    table would overflow a double or need more than 2^17 cells.
     """
 
     chart: ConformalChart
@@ -230,7 +231,7 @@ class ModeBasis:
             raise ValueError("frequencies must be a non-empty 1-d grid")
         if not (freqs > 0).all() or not (np.diff(freqs) > 0).all():
             raise ValueError("frequencies must be positive and increasing")
-        _support_radius(self.packet_width)
+        _unit_layout(self.packet_width)
         if self.boundary not in ("full_line", "dirichlet_half_line"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.sector not in ("u", "v"):
@@ -278,6 +279,8 @@ _BLOCK_NODES = _BLOCK_PANELS * len(_K15_NODES)
 # entries refined in lockstep at a time: their panel state (up to about
 # 25 KB an entry) stays near a megabyte, and a wave still fills blocks
 _LOCKSTEP_ENTRIES = 32
+# cells of one unit-packet table, 71 MB of coefficients (sigma 0.5: 11,559)
+_MAX_CELLS = 1 << 17
 
 
 def _support_radius(sigma) -> float:
@@ -299,6 +302,32 @@ def _support_radius(sigma) -> float:
     return radius
 
 
+def _unit_layout(sigma):
+    """(radius, log-frequency offsets, weights, frequencies, cell width,
+    cell count) of the unit packet table of width sigma; ValueError where
+    the table would need more than ``_MAX_CELLS`` cells."""
+    radius = _support_radius(sigma)
+    span = 7.0 * math.sqrt(2.0) * sigma
+    # from e^700 on the node count sits at its cap whatever the radius
+    m = int(min(12032, 72 + 0.55 * math.exp(min(span, 700.0)) * radius))
+    # composite 64-point panels: one cached rule, any total node count
+    panels = max(2, (m + 63) // 64)
+    base_nodes, base_weights = _leggauss(64)
+    edges = np.linspace(-span, span, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1] - edges[0])
+    offsets = (mid + half * base_nodes[None, :]).ravel()
+    weights = np.tile(base_weights * half, panels)
+    with np.errstate(over="ignore", divide="ignore"):
+        omegas = np.exp(offsets)
+        width = 4.0 / omegas[-1]
+        cells = 2.0 * radius / width
+    if not cells <= _MAX_CELLS:
+        raise ValueError(f"packet_width {sigma!r} out of range: its table "
+                         f"needs {cells:.3g} cells, over {_MAX_CELLS}")
+    return radius, offsets, weights, omegas, width, math.ceil(cells)
+
+
 class _UnitPacket:
     """The packet of width sigma at unit centre frequency, tabulated.
 
@@ -311,25 +340,13 @@ class _UnitPacket:
     """
 
     def __init__(self, sigma: float):
-        span = 7.0 * math.sqrt(2.0) * sigma
-        self.radius = _support_radius(sigma)
-        m = int(min(12032, 72 + 0.55 * math.exp(span) * self.radius))
-        # composite 64-point panels: one cached rule, any total node count
-        panels = max(2, (m + 63) // 64)
-        base_nodes, base_weights = _leggauss(64)
-        edges = np.linspace(-span, span, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        offsets = (mid + half * base_nodes[None, :]).ravel()
-        weights = np.tile(base_weights * half, panels)
+        (self.radius, offsets, weights, self.omegas, width,
+         n_cells) = _unit_layout(sigma)
         gauss = np.exp(-(offsets ** 2) / (4.0 * sigma ** 2))
         amp = (sigma * math.sqrt(2.0 * math.pi)) ** -0.5
-        self.omegas = np.exp(offsets)
         coeffs = weights * gauss * amp
         self.rhs = np.stack([coeffs, coeffs * self.omegas], axis=1)
 
-        width = 4.0 / self.omegas[-1]
-        n_cells = math.ceil(2.0 * self.radius / width)
         self._inv_width = 1.0 / width
         self._half_width = 0.5 * width
         self._offset = 0.5 * n_cells
@@ -495,6 +512,10 @@ class _TravelingPacket:
         return (x_of_s, dx_of_s, s_of_x, (-r, r))
 
 
+# mirror position per surface time, per chart held weakly
+_MIRROR_POSITIONS = weakref.WeakKeyDictionary()
+
+
 class _StandingPacket:
     """Dirichlet packet vanishing on the chart's x* = 0 boundary, or a
     stack of them for an array ``omega_c`` (``evaluate`` and
@@ -507,7 +528,6 @@ class _StandingPacket:
                              f"inverse maps for mode work")
         self.core = _PacketCore(omega_c, sigma,
                                 norm=1.0 / math.sqrt(math.pi))
-        self._mirror = {}
 
     def evaluate(self, t: float, xs, owner=None):
         xs = np.asarray(xs, dtype=float)
@@ -535,10 +555,11 @@ class _StandingPacket:
 
     def _mirror_position(self, t: float) -> float:
         """x with x*(t, x) = 0, by bisection on cv - cu; memoized per
-        surface time."""
-        if t not in self._mirror:
-            self._mirror[t] = self._bisect_mirror(t)
-        return self._mirror[t]
+        chart and surface time, so the packets of a basis share it."""
+        positions = _MIRROR_POSITIONS.setdefault(self.chart, {})
+        if t not in positions:
+            positions[t] = self._bisect_mirror(t)
+        return positions[t]
 
     def _bisect_mirror(self, t: float) -> float:
         ur, vr = self.chart.u_map.range, self.chart.v_map.range

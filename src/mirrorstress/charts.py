@@ -172,6 +172,8 @@ class ChartMap:
 
     @property
     def range(self) -> Interval:
+        """The declared range, or for a map built without one, the limits
+        of fn probed toward the domain ends."""
         if self._range is None:
             mid = self._interior_point()
             a = _probe_limit(self.fn, self.domain, self.domain.lo, mid)
@@ -179,6 +181,20 @@ class ChartMap:
             lo, hi = (a, b) if self.monotone_sign > 0 else (b, a)
             self._range = Interval(lo, hi)
         return self._range
+
+    def image(self, interval: Interval) -> Interval:
+        """fn over ``interval``, an interval inside the domain: fn at each
+        end strictly inside the domain, the range's own end at each end
+        the interval shares with the domain (swapped when decreasing)."""
+        up = self.monotone_sign > 0
+        ends = []
+        for x, edge, low in ((interval.lo, self.domain.lo, True),
+                             (interval.hi, self.domain.hi, False)):
+            if (x <= edge) if low else (x >= edge):
+                ends.append(self.range.lo if low == up else self.range.hi)
+            else:
+                ends.append(lead_value(self.fn(x)))
+        return Interval(min(ends), max(ends))
 
     # ---------- inversion ----------
 
@@ -342,9 +358,10 @@ def identity_map(label: str = "id") -> ChartMap:
 
 def compose_maps(outer: ChartMap, inner: ChartMap,
                  label: Optional[str] = None) -> ChartMap:
-    """outer(inner(x)) with exact derivatives and chained inverses."""
-    domain = inner.domain.intersect(_preimage_interval(inner, outer.domain))
-    if domain.empty:
+    """outer(inner(x)) with exact derivatives, chained inverses and the
+    exact range: outer's image of the part of inner's range it covers."""
+    covered = inner.range.intersect(outer.domain)
+    if covered.empty:
         raise CoverageError(
             f"composition {outer.label}({inner.label}) has empty domain")
 
@@ -361,32 +378,17 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
             return _i(_o(z))
 
     return ChartMap(
-        fn, dfn, domain=domain, inverse_fn=inverse_fn,
+        fn, dfn, domain=inner.inverse_map().image(covered),
+        inverse_fn=inverse_fn,
         monotone_sign=outer.monotone_sign * inner.monotone_sign,
         label=label or f"{outer.label}*{inner.label}",
+        range_hint=outer.image(covered),
     )
 
 
-def _preimage_interval(m: ChartMap, target: Interval) -> Interval:
-    """x-interval on which m(x) lands inside ``target`` (m monotone)."""
-    rng = m.range
-    ends = []
-    for val in (target.lo, target.hi):
-        if math.isinf(val) or not rng.contains(val):
-            # target end beyond the map's reach: domain end on that side
-            past_hi = val >= rng.hi
-            if m.monotone_sign > 0:
-                ends.append(m.domain.hi if past_hi else m.domain.lo)
-            else:
-                ends.append(m.domain.lo if past_hi else m.domain.hi)
-        else:
-            ends.append(m.invert(val))
-    return Interval(min(ends), max(ends))
-
-
 def invert_map(m: ChartMap, target: float, bracket=None) -> float:
-    """Monotone inversion: closed form when registered, else bracketed
-    bisection refined by Newton steps (1e-12 relative)."""
+    """Monotone inversion: closed form when the map carries one, else
+    bracketed bisection refined by Newton steps (1e-12 relative)."""
     return m.invert(target, bracket=bracket)
 
 

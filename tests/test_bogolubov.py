@@ -16,6 +16,7 @@ from mirrorstress.bogolubov import (
     QuadReport,
     _adaptive_gk,
     _Conjugate,
+    _unit_packet,
     _UnitPacket,
     compute_coefficients,
     critical_packet_width,
@@ -49,10 +50,15 @@ def test_frequencies_must_increase():
         ModeBasis(MINK, frequencies=np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         ModeBasis(MINK, frequencies=np.array([-1.0, 0.5]))
-    # 1e3 is finite, but its support radius overflows a double
-    for width in (0.0, math.nan, math.inf, 1e3):
+    # 1e3 is finite, but its support radius overflows a double; the
+    # tables of 0.75, 1 and 1e-300 would need 1.5e6, 2e8 and 3e300 cells,
+    # and at 72 the top frequency node overflows
+    built = _unit_packet.cache_info().misses
+    for width in (0.0, math.nan, math.inf, 1e3, 0.75, 1.0, 72.0, 1e-300):
         with pytest.raises(ValueError, match="packet_width"):
             ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=width)
+    ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=0.5)
+    assert _unit_packet.cache_info().misses == built  # no table was built
 
 
 # ---------- normalization and overlaps ----------
@@ -366,6 +372,16 @@ def test_mirror_position_is_bisected_once_per_surface_time(monkeypatch):
         p.support(0.0)
         p.substitution(2.0)
     assert calls == [0.0, 2.0]
+    # the packets of every basis on one chart share it: a whole matrix on
+    # a 64-column basis bisects once more, for its fresh chart
+    hat = hatted_chart_for_stationary_mirror(1.0)
+    wide = ModeBasis(hat, boundary="dirichlet_half_line",
+                     frequencies=np.geomspace(0.5, 8.0, 64),
+                     packet_width=0.25)
+    row = ModeBasis(hat, boundary="dirichlet_half_line",
+                    frequencies=np.array([2.0]), packet_width=0.25)
+    compute_coefficients(wide, row, t=2.0)
+    assert calls == [0.0, 2.0, 2.0]
 
 
 def test_dirichlet_norm_grows_to_one_with_surface_time():

@@ -5,14 +5,20 @@ import math
 import pytest
 
 from mirrorstress.charts import (
+    ChartMap,
+    ConformalChart,
     CoverageError,
+    Interval,
     MonotonicityError,
+    compose_maps,
     convert_point,
     get_chart,
+    identity_map,
     point_from_timespace,
+    rindler_chart,
     timespace,
 )
-from mirrorstress.jets import lead_value, seed
+from mirrorstress.jets import jexp, jlog, lead_value, seed
 from mirrorstress.trajectories import (
     Trajectory,
     asymptotes,
@@ -125,11 +131,15 @@ def test_round_trip_through_chart():
         assert close(u0, u1) and close(v0, v1)
 
 
+def test_hyperbola_in_rindler_covers_both_null_lines():
+    bar = to_chart(uniformly_accelerated_mirror(1.0), rindler_chart())
+    assert bar.U.range == Interval(-math.inf, math.inf)
+    assert bar.V.range == Interval(-math.inf, math.inf)
+
+
 def test_trajectory_outside_coverage():
     # mirror at z0 left of the wedge for all time never enters a chart
     # whose u-coverage is (0, inf) -- flip the wedge by hand
-    from mirrorstress.charts import ChartMap, ConformalChart, Interval
-    from mirrorstress.jets import jexp, jlog
     left_u = ChartMap(fn=jexp, dfn=jexp, inverse_fn=jlog, monotone_sign=1,
                       label="left-u", range_hint=Interval(0.0, math.inf))
     left_v = ChartMap(fn=lambda x: -jexp(-x), dfn=lambda x: jexp(-x),
@@ -148,12 +158,23 @@ def test_asymptotes_stationary_in_rindler():
         asym = asymptotes(bar)
         assert asym.past_null_asymptote is not None
         assert asym.future_null_asymptote is not None
-        assert close(asym.past_null_asymptote, math.log(a / 2.0), 1e-7)
-        assert close(asym.future_null_asymptote, -math.log(a / 2.0), 1e-7)
+        assert close(asym.past_null_asymptote, math.log(a / 2.0), 1e-15)
+        assert close(asym.future_null_asymptote, -math.log(a / 2.0), 1e-15)
 
 
 def test_no_asymptotes_in_minkowski():
     asym = asymptotes(stationary_mirror(1.0))
+    assert asym.past_null_asymptote is None
+    assert asym.future_null_asymptote is None
+
+
+def test_asymptotes_hyperbola():
+    # U -> 0 as t -> +inf and V -> 0 as t -> -inf: the horizons u = v = 0
+    asym = asymptotes(uniformly_accelerated_mirror(1.0))
+    assert asym.past_null_asymptote == 0.0
+    assert asym.future_null_asymptote == 0.0
+    # in the wedge chart both null coordinates run over the whole line
+    asym = asymptotes(to_chart(uniformly_accelerated_mirror(1.0), RIND))
     assert asym.past_null_asymptote is None
     assert asym.future_null_asymptote is None
 
@@ -180,32 +201,59 @@ def test_reflection_constraint_along_worldline():
             assert abs(lead_value(refl.p(ub)) - lead_value(refl.q(vb))) < 1e-10
 
 
-def test_numeric_reflection_matches_closed_form():
-    a = 1.0
+def stationary_reflection_in_rindler(a):
+    """Oracle: p(x) = log(2 - a e^-x) - log a, on floats or jets."""
+    return lambda x: jlog(2.0 - a * jexp(-x)) - math.log(a)
+
+
+def reflections_of_stationary_in_rindler(a):
+    """p composed from the closed-form inverse of U, and from U stripped
+    of it, which inverts numerically."""
     bar = to_chart(stationary_mirror(1.0 / a), RIND)
-    numeric_traj = Trajectory(U=bar.U, V=bar.V, domain=bar.domain,
-                              label="no-closed-form", chart="rindler")
-    p_num = reflection_map(numeric_traj).p
-    p_closed = reflection_map(bar).p
-    lo = math.log(a / 2.0)
-    for k in range(1, 1001):
-        ub = lo + 0.01 + 8.0 * k / 1000.0
-        a_val = lead_value(p_num(ub))
-        b_val = lead_value(p_closed(ub))
-        assert abs(a_val - b_val) <= 1e-10 * max(1.0, abs(b_val))
+    forward_u = ChartMap(fn=bar.U.fn, dfn=bar.U.dfn, domain=bar.U.domain,
+                         monotone_sign=1, label="U-forward",
+                         range_hint=bar.U.range)
+    numeric_traj = Trajectory(U=forward_u, V=bar.V, domain=bar.domain,
+                              label="numeric-inverse", chart="rindler")
+    return reflection_map(bar).p, reflection_map(numeric_traj).p
+
+
+def test_numeric_reflection_matches_closed_form():
+    for a in (0.5, 1.0, 2.0):
+        oracle = stationary_reflection_in_rindler(a)
+        lo = math.log(a / 2.0)
+        for p in reflections_of_stationary_in_rindler(a):
+            for k in range(1, 1001):
+                ub = lo + 0.01 + 8.0 * k / 1000.0
+                want = oracle(ub)
+                got = lead_value(p(ub))
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_numeric_reflection_jets_match_closed_form():
-    bar = to_chart(stationary_mirror(1.0), RIND)
-    numeric_traj = Trajectory(U=bar.U, V=bar.V, domain=bar.domain,
-                              label="no-closed-form", chart="rindler")
-    p_num = reflection_map(numeric_traj).p
-    p_closed = reflection_map(bar).p
-    for ub in (-0.5, 0.0, 1.0, 3.0):
-        jn = p_num(seed(ub))
-        jc = p_closed(seed(ub))
-        for x, y in zip(jn.as_tuple(), jc.as_tuple()):
-            assert close(x, y, 1e-9)
+    oracle = stationary_reflection_in_rindler(1.0)
+    for p in reflections_of_stationary_in_rindler(1.0):
+        for ub in (-0.5, 0.0, 1.0, 3.0):
+            for x, y in zip(p(seed(ub)).as_tuple(),
+                            oracle(seed(ub)).as_tuple()):
+                assert close(x, y, 1e-9)
+
+
+def test_stationary_reflection_in_minkowski_is_a_shift():
+    for z0 in (0.3, 1.0, 2.5):
+        refl = reflection_map(stationary_mirror(z0))
+        assert refl.validity_domain == Interval(-math.inf, math.inf)
+        for u in (-7.0, -0.4, 0.0, 1.3, 50.0):
+            assert close(lead_value(refl.p(u)), u + 2.0 * z0, 1e-15)
+            assert close(refl.p.invert(u + 2.0 * z0), u, 1e-15)
+
+
+def test_hyperbola_reflection_inverse_range_is_exact():
+    # the inverse of p = -1/(a^2 u) maps (0, inf) onto (-inf, 0) exactly
+    for a in (0.5, 1.0, 3.0):
+        p = reflection_map(uniformly_accelerated_mirror(a)).p
+        assert compose_maps(p.inverse_map(), identity_map()).range \
+            == Interval(-math.inf, 0.0)
 
 
 def test_hyperbola_reflection_is_moebius():
@@ -225,7 +273,6 @@ def test_reflection_requires_monotone_u():
 
 
 def ChartMapWiggle():
-    from mirrorstress.charts import ChartMap
     from mirrorstress.jets import jsinh
     return ChartMap(fn=lambda t: 2.0 * jsinh(t) * 0.0 + t * t * t - t,
                     monotone_sign=1, label="wiggle-U")

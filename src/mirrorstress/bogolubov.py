@@ -512,8 +512,10 @@ class _TravelingPacket:
         return (x_of_s, dx_of_s, s_of_x, (-r, r))
 
 
-# mirror position per surface time, per chart held weakly
+# mirror position per surface time, per chart held weakly; a chart's
+# memo starts afresh once it holds _MIRROR_TIMES surface times
 _MIRROR_POSITIONS = weakref.WeakKeyDictionary()
+_MIRROR_TIMES = 16
 
 
 class _StandingPacket:
@@ -556,10 +558,14 @@ class _StandingPacket:
     def _mirror_position(self, t: float) -> float:
         """x with x*(t, x) = 0, by bisection on cv - cu; memoized per
         chart and surface time, so the packets of a basis share it."""
-        positions = _MIRROR_POSITIONS.setdefault(self.chart, {})
-        if t not in positions:
-            positions[t] = self._bisect_mirror(t)
-        return positions[t]
+        positions = _MIRROR_POSITIONS.get(self.chart, {})
+        x = positions.get(t)
+        if x is None:
+            if len(positions) >= _MIRROR_TIMES:
+                positions = {}
+            x = positions[t] = self._bisect_mirror(t)
+            _MIRROR_POSITIONS[self.chart] = positions
+        return x
 
     def _bisect_mirror(self, t: float) -> float:
         ur, vr = self.chart.u_map.range, self.chart.v_map.range

@@ -40,6 +40,7 @@ __all__ = [
     "jcosh",
     "jtanh",
     "jatanh",
+    "jasinh",
     "jsqrt",
     "jpow",
     "lead_value",
@@ -422,6 +423,22 @@ def jatanh(x):
     return math.atanh(x)
 
 
+def jasinh(x):
+    if x.__class__ is float:
+        return math.asinh(x)
+    if isinstance(x, Jet3):
+        y = x.value
+        r = 1.0 / jsqrt(1.0 + y * y)
+        r2 = r * r
+        return compose((jasinh(y), r, -(y * (r2 * r)),
+                        (2.0 * (y * y) - 1.0) * (r2 * (r2 * r))), x)
+    if isinstance(x, Jet1):
+        return Jet1(jasinh(x.value), x.d1 / jsqrt(1.0 + x.value * x.value))
+    if x.__class__ is _ndarray:
+        return np.arcsinh(x)
+    return math.asinh(x)
+
+
 def jpow(x, p: float):
     if x.__class__ is float and x > 0.0:
         return math.pow(x, p)
@@ -455,6 +472,7 @@ _ELEMENTARY = {
     "cosh": jcosh,
     "tanh": jtanh,
     "atanh": jatanh,
+    "asinh": jasinh,
     "sqrt": jsqrt,
 }
 

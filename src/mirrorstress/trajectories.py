@@ -23,7 +23,7 @@ from .charts import (
     get_chart,
     identity_map,
 )
-from .jets import jsqrt, lead_value
+from .jets import jasinh, jcosh, jexp, lead_value
 
 __all__ = [
     "Trajectory",
@@ -108,16 +108,27 @@ def hyperbola_constant(a: float) -> float:
 
 
 def uniformly_accelerated_mirror(a: float) -> Trajectory:
-    """Mirror on the hyperbola z^2 - t^2 = 1/a^2 (uniform acceleration a)."""
+    """Mirror on the hyperbola z^2 - t^2 = 1/a^2 (uniform acceleration a).
+
+    With w = asinh(a t), U = -e^{-w}/a and V = e^{w}/a.  Neither cancels,
+    as t - sqrt(t^2 + 1/a^2) does for large t and t + sqrt(t^2 + 1/a^2)
+    for large -t, so p = V o U^-1 = -1/(a^2 u) keeps full precision out
+    to both horizons.
+    """
     c = hyperbola_constant(a)
+    s = math.sqrt(c)
+
+    def w(t):
+        return jasinh(t / s)
+
     return Trajectory(
-        U=ChartMap(fn=lambda t: t - jsqrt(t * t + c),
-                   dfn=lambda t: 1.0 - t / jsqrt(t * t + c),
+        U=ChartMap(fn=lambda t: -s * jexp(-w(t)),
+                   dfn=lambda t: jexp(-w(t)) / jcosh(w(t)),
                    inverse_fn=lambda u: (u * u - c) / (2.0 * u),
                    monotone_sign=1, label="U",
                    range_hint=Interval(-math.inf, 0.0)),
-        V=ChartMap(fn=lambda t: t + jsqrt(t * t + c),
-                   dfn=lambda t: 1.0 + t / jsqrt(t * t + c),
+        V=ChartMap(fn=lambda t: s * jexp(w(t)),
+                   dfn=lambda t: jexp(w(t)) / jcosh(w(t)),
                    inverse_fn=lambda v: (v * v - c) / (2.0 * v),
                    monotone_sign=1, label="V",
                    range_hint=Interval(0.0, math.inf)),

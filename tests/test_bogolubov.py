@@ -12,6 +12,8 @@ from mirrorstress.bogolubov import (
     _G7_WEIGHTS,
     _K15_NODES,
     _K15_WEIGHTS,
+    _MIRROR_POSITIONS,
+    _MIRROR_TIMES,
     ModeBasis,
     QuadReport,
     _adaptive_gk,
@@ -382,6 +384,10 @@ def test_mirror_position_is_bisected_once_per_surface_time(monkeypatch):
                     frequencies=np.array([2.0]), packet_width=0.25)
     compute_coefficients(wide, row, t=2.0)
     assert calls == [0.0, 2.0, 2.0]
+    # a chart's memo stays bounded however many surface times it sees
+    for k in range(40):
+        row.packet(0)._mirror_position(2.0 + 0.25 * k)
+    assert 0 < len(_MIRROR_POSITIONS[hat]) <= _MIRROR_TIMES
 
 
 def test_dirichlet_norm_grows_to_one_with_surface_time():

@@ -22,6 +22,7 @@ from mirrorstress.jets import (
     compose,
     constant,
     elementary,
+    jasinh,
     jatanh,
     jcosh,
     jexp,
@@ -206,6 +207,7 @@ ELEMENTARY_CASES = [
     (jcosh, math.cosh, [-2.0, -0.3, 0.0, 1.1], lambda x: math.inf),
     (jtanh, math.tanh, [-1.5, 0.0, 0.4, 2.5], lambda x: math.inf),
     (jatanh, math.atanh, [-0.8, 0.0, 0.35, 0.9], lambda x: 1.0 - abs(x)),
+    (jasinh, math.asinh, [-30.0, -0.7, 0.0, 0.5, 4.0], lambda x: math.inf),
     (jsqrt, math.sqrt, [0.3, 1.0, 7.0], lambda x: x),
 ]
 

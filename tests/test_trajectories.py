@@ -28,6 +28,7 @@ from mirrorstress.trajectories import (
     trajectory_from_name,
     uniformly_accelerated_mirror,
 )
+from mirrorstress.vacuum_stress import schwarzian_derivative
 
 RIND = get_chart("rindler")
 MINK = get_chart("minkowski")
@@ -71,7 +72,8 @@ def test_hyperbola_values():
 def test_hyperbola_product_general_acceleration():
     a = 2.5
     m = uniformly_accelerated_mirror(a)
-    for t in (-1.0, 0.0, 0.3, 5.0):
+    # far out, where t - sqrt(t^2 + 1/a^2) or t + sqrt(...) would cancel
+    for t in (-1e8, -1e4, -1.0, 0.0, 0.3, 5.0, 1e4, 1e8):
         u, v = m.position(t)
         assert close(u * v, -1.0 / a**2)
 
@@ -257,11 +259,17 @@ def test_hyperbola_reflection_inverse_range_is_exact():
 
 
 def test_hyperbola_reflection_is_moebius():
-    m = uniformly_accelerated_mirror(1.3)
-    refl = reflection_map(m)
-    c = 1.0 / 1.3**2
-    for u in (-5.0, -1.0, -0.2):
-        assert close(lead_value(refl.p(u)), -c / u)
+    # p(u) = -c/u out to both horizons.  Its Schwarzian is a difference of
+    # two terms of size 6/u^2, so double rounding leaves about 1e-15/u^2:
+    # -8.0 at u = -1e-8 for a = 1.3 even when p is written as -c/u
+    for a in (0.5, 1.0, 1.3, 3.0):
+        p = reflection_map(uniformly_accelerated_mirror(a)).p
+        c = 1.0 / a**2
+        for u in (-1e8, -1e4, -5.0, -1.0, -0.2, -1e-3, -1e-8):
+            assert close(lead_value(p(u)), -c / u, 1e-14)
+            assert abs(schwarzian_derivative(p, u)) * u * u <= 1e-14
+            if abs(u) >= 0.2:
+                assert abs(schwarzian_derivative(p, u)) <= 1e-10
 
 
 def test_reflection_requires_monotone_u():

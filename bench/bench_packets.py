@@ -5,10 +5,10 @@
 
 The kernel cases run twice: with the Chebyshev tables (``table``) and
 with the exact node sums patched in as the kernel (``exact``), so one run
-gives before and after on one machine.  The 1 x 255 matrix runs on the
-tables only; compare it across commits by running this file against each
-commit's source.  The file is named bench_* so the test suite does not
-collect it.
+gives before and after on one machine.  The 1 x 255 matrix, the table
+read and the cold start run on the tables only; compare them across
+commits by running this file against each commit's source.  The file is
+named bench_* so the test suite does not collect it.
 """
 
 import math
@@ -18,9 +18,11 @@ import pytest
 
 from mirrorstress.bogolubov import (
     ModeBasis,
+    _unit_packet,
     _UnitPacket,
     compute_coefficients,
     critical_packet_width,
+    kg_inner_product,
 )
 from mirrorstress.charts import get_chart
 
@@ -54,6 +56,26 @@ def test_wave(benchmark, kernel):
     coord = rng.uniform(-core.radius, core.radius, 960)
     core.wave(coord)
     benchmark(core.wave, coord)
+
+
+def test_table(benchmark):
+    """One 960-point read of the sigma = 0.04 table, every panel filled
+    before timing: the gather, recurrence and contraction alone."""
+    unit = _unit_packet(0.04)
+    unit.table(unit._mids)
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-unit.radius, unit.radius, 960)
+    benchmark(unit.table, z)
+
+
+def test_cold_start(benchmark):
+    """The first self-pairing of a packet of the default width 0.5, with
+    its table built afresh: the panels it reads are filled on the way."""
+    def pair_cold():
+        packet = ModeBasis(get_chart("minkowski")).packet(0)
+        return kg_inner_product(packet, packet)
+
+    benchmark.pedantic(pair_cold, setup=_unit_packet.cache_clear, rounds=3)
 
 
 def test_compute_coefficients_thermal(benchmark, kernel):

@@ -26,7 +26,12 @@ A packet is a Gauss-Legendre sum over log-frequency nodes.  Every packet
 of width sigma is a dilation U(w_c c) of one unit packet, so all of them
 are evaluated from one table of U and U' per width: piecewise Chebyshev
 series filled lazily from the exact node sum, which agree with it to
-rounding level (a few 1e-15 of the peak).
+rounding level (a few 1e-15 of the peak).  Panels share their width, so a
+fill splits each phase by angle addition into a panel-midpoint factor and
+a factor common to every panel, and needs one cos/sin per node and panel,
+not per node and point.  A read contracts each point's Chebyshev basis
+with its panel's coefficients by one stacked matrix product, whose sums
+do not depend on how many points are read together.
 
 This module is a verification companion: the stress pipeline never calls
 into it.
@@ -337,6 +342,11 @@ class _UnitPacket:
     held as piecewise Chebyshev series on [-R, R], each panel filled on
     first use from the exact node sum (``exact``), in fixed blocks of
     panels, so a value never depends on the order panels were filled in.
+    The fill takes cos/sin of Omega_n (m_p + h t_j) by angle addition from
+    cos/sin(Omega_n m_p) per panel midpoint and cos/sin(Omega_n h t_j),
+    shared by all panels; a read is one stacked (1, 17) @ (17, 4) matrix
+    product per point.  Once every panel is filled, reads stop looking
+    for unfilled ones.
     """
 
     def __init__(self, sigma: float):
@@ -355,6 +365,7 @@ class _UnitPacket:
         self._mids = (np.arange(n_cells) - 0.5 * (n_cells - 1)) * width
         self._coef = np.zeros((n_cells, _CHEB_N, 4))
         self._filled = np.zeros(n_cells, bool)
+        self._complete = False
         self._block = max(1, _FILL_ELEMENTS // (_CHEB_N * len(offsets)))
 
     def exact(self, z):
@@ -366,24 +377,42 @@ class _UnitPacket:
         return np.concatenate([cos, sin], axis=1)
 
     def _fill(self, blocks):
+        """Fill the panels of ``blocks`` from the exact node sum, with
+        cos Omega (m + h t) = cos Omega m cos Omega h t - sin Omega m
+        sin Omega h t and sin likewise: the (N, 17 x 2) products of
+        cos/sin(Omega_n h t_j) with ``rhs`` are built once per call, and
+        a block adds cos/sin(Omega_n m_p) at its midpoints by four
+        matrix products."""
         n_cells = len(self._mids)
+        local = np.multiply.outer(self.omegas, self._half_width * _CHEB_POINTS)
+        rhs = self.rhs[:, None, :]
+        cos_t = (np.cos(local)[:, :, None] * rhs).reshape(len(rhs), -1)
+        sin_t = (np.sin(local)[:, :, None] * rhs).reshape(len(rhs), -1)
         for b in blocks:
             cells = slice(b * self._block, min((b + 1) * self._block, n_cells))
-            z = self._mids[cells, None] + self._half_width * _CHEB_POINTS
-            values = self.exact(z.ravel()).reshape(z.shape + (4,))
+            ph = np.multiply.outer(self._mids[cells], self.omegas)
+            cos_m = np.cos(ph)
+            sin_m = np.sin(ph, out=ph)
+            cos = cos_m @ cos_t - sin_m @ sin_t
+            sin = sin_m @ cos_t + cos_m @ sin_t
+            values = np.concatenate([cos.reshape(-1, _CHEB_N, 2),
+                                     sin.reshape(-1, _CHEB_N, 2)], axis=2)
             self._coef[cells] = _CHEB_FROM_VALUES @ values
             self._filled[cells] = True
+        self._complete = bool(self._filled.all())
 
     def table(self, z):
         """``exact`` from the Chebyshev tables: a panel gather, the
-        Chebyshev recurrence in the panel-local t and one contraction.
-        Panels not yet filled are filled first.  ``z`` must lie within
-        the radius, up to rounding."""
+        Chebyshev recurrence in the panel-local t and one stacked matrix
+        product per point, (1, 17) @ (17, 4), whose sums do not depend on
+        the batch size.  Panels not yet filled are filled first.  ``z``
+        must lie within the radius, up to rounding."""
         cell = np.minimum((z * self._inv_width + self._offset).astype(np.intp),
                           len(self._mids) - 1)
-        missing = cell[~self._filled[cell]]
-        if missing.size:
-            self._fill(np.unique(missing // self._block))
+        if not self._complete:
+            missing = cell[~self._filled[cell]]
+            if missing.size:
+                self._fill(np.unique(missing // self._block))
         cheb = np.empty((_CHEB_N, len(z)))
         cheb[0] = 1.0
         cheb[1] = (z - self._mids[cell]) * (1.0 / self._half_width)
@@ -391,12 +420,19 @@ class _UnitPacket:
         for k in range(2, _CHEB_N):
             np.multiply(t2, cheb[k - 1], out=cheb[k])
             cheb[k] -= cheb[k - 2]
-        return np.einsum("kn,nkc->nc", cheb, self._coef.take(cell, axis=0))
+        cheb = np.ascontiguousarray(cheb.T)[:, None, :]
+        return np.matmul(cheb, self._coef.take(cell, axis=0))[:, 0]
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_packet(sigma: float) -> _UnitPacket:
     return _UnitPacket(sigma)
+
+
+def _index(mask):
+    """``mask`` as an index, a full slice where every point is set: the
+    gathers and scatters it indexes are then views and slice copies."""
+    return slice(None) if mask.all() else mask
 
 
 class _PacketCore:
@@ -430,6 +466,7 @@ class _PacketCore:
             omega_c, radius = np.take(omega_c, owner), np.take(radius, owner)
         live = np.abs(coord) <= radius
         if live.any():
+            live = _index(live)
             if owner is not None:
                 omega_c = omega_c[live]
             sums = self.unit.table(omega_c * coord[live])
@@ -469,6 +506,7 @@ class _TravelingPacket:
         vals = np.zeros(xs.shape, dtype=complex)
         dts = np.zeros(xs.shape, dtype=complex)
         if inside.any():
+            inside = _index(inside)
             c = self.map.inverse_fn(w[inside])
             v, dv = self.core.wave(c, None if owner is None
                                    else owner[inside])
@@ -540,12 +578,14 @@ class _StandingPacket:
         vals = np.zeros(xs.shape, dtype=complex)
         dts = np.zeros(xs.shape, dtype=complex)
         if inside.any():
+            inside = _index(inside)
             cu = self.chart.u_map.inverse_fn(u[inside])
             cv = self.chart.v_map.inverse_fn(v[inside])
             right = cv > cu  # the state lives on the mirror's right, x* > 0
-            cu, cv = cu[right], cv[right]
             live = np.zeros(xs.shape, bool)
             live[inside] = right
+            live, right = _index(live), _index(right)
+            cu, cv = cu[right], cv[right]
             own = None if owner is None else owner[live]
             fu, dfu = self.core.wave(cu, own)
             fv, dfv = self.core.wave(cv, own)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mirrorstress.bogolubov import (
+    _CHEB_FROM_VALUES,
     _CHEB_N,
+    _CHEB_POINTS,
     _FILL_ELEMENTS,
     _G7_IDX,
     _G7_WEIGHTS,
@@ -17,6 +19,7 @@ from mirrorstress.bogolubov import (
     ModeBasis,
     QuadReport,
     _adaptive_gk,
+    _blocks,
     _Conjugate,
     _unit_packet,
     _UnitPacket,
@@ -343,6 +346,47 @@ def test_table_values_do_not_depend_on_fill_order():
     assert not first._filled.all()
     everywhere = np.linspace(-first.radius, first.radius, 5001)
     assert np.array_equal(second.table(everywhere), first.table(everywhere))
+
+
+@pytest.mark.parametrize("sigma", KERNEL_WIDTHS)
+def test_table_rows_do_not_depend_on_batch_size(sigma):
+    # a matrix entry is bit for bit its single pairing only if a point's
+    # table row is the same in every batch it is evaluated in
+    unit = _unit_packet(sigma)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-unit.radius, unit.radius, 5001)
+    points = slice(2000, 2960)
+    wave = unit.table(z[points])
+    assert np.array_equal(unit.table(z)[points], wave)
+    for n in (1, 3, 31, 43, 100):
+        for start in (0, (len(wave) - n) // 2, len(wave) - n):
+            batch = slice(start, start + n)
+            assert np.array_equal(unit.table(z[points][batch]), wave[batch])
+
+
+def direct_fill(unit, cells):
+    """The panels' Chebyshev coefficients from the exact node sum at every
+    panel point, one fill block at a time."""
+    z = unit._mids[cells, None] + unit._half_width * _CHEB_POINTS
+    return np.concatenate([
+        _CHEB_FROM_VALUES @ unit.exact(z[s].ravel()).reshape(z[s].shape + (4,))
+        for s in _blocks(len(z), unit._block)])
+
+
+@pytest.mark.parametrize("sigma", KERNEL_WIDTHS + [0.5])
+def test_table_fill_matches_direct_node_sum(sigma):
+    unit = _UnitPacket(sigma)
+    n_blocks = -(-len(unit._mids) // unit._block)
+    blocks = np.arange(n_blocks)
+    if sigma == 0.5:  # 11,559 one-panel blocks: the first, middle, last 20
+        middle = n_blocks // 2 - 10
+        blocks = np.r_[:20, middle:middle + 20, n_blocks - 20:n_blocks]
+    unit._fill(blocks)
+    cells = np.flatnonzero(unit._filled)
+    assert len(cells) == min(len(unit._mids), 60 * unit._block)
+    want = direct_fill(unit, cells)
+    peak = np.abs(want).max()
+    assert np.abs(unit._coef[cells] - want).max() <= 1e-14 * peak
 
 
 # ---------- Dirichlet packets ----------

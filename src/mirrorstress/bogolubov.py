@@ -403,10 +403,10 @@ class _UnitPacket:
 
     def table(self, z):
         """``exact`` from the Chebyshev tables: a panel gather, the
-        Chebyshev recurrence in the panel-local t and one stacked matrix
-        product per point, (1, 17) @ (17, 4), whose sums do not depend on
-        the batch size.  Panels not yet filled are filled first.  ``z``
-        must lie within the radius, up to rounding."""
+        Chebyshev basis in the panel-local t by doubling steps and one
+        stacked matrix product per point, (1, 17) @ (17, 4), whose sums do
+        not depend on the batch size.  Panels not yet filled are filled
+        first.  ``z`` must lie within the radius, up to rounding."""
         cell = np.minimum((z * self._inv_width + self._offset).astype(np.intp),
                           len(self._mids) - 1)
         if not self._complete:
@@ -416,10 +416,14 @@ class _UnitPacket:
         cheb = np.empty((_CHEB_N, len(z)))
         cheb[0] = 1.0
         cheb[1] = (z - self._mids[cell]) * (1.0 / self._half_width)
-        t2 = 2.0 * cheb[1]
-        for k in range(2, _CHEB_N):
-            np.multiply(t2, cheb[k - 1], out=cheb[k])
-            cheb[k] -= cheb[k - 2]
+        # T_{m+j} = 2 T_m T_j - T_{m-j}: rows m+1 .. 2m in one step; the
+        # degree, 16, is a power of two, reached in four steps
+        m = 1
+        while m < _CHEB_N - 1:
+            rows = cheb[m + 1:2 * m + 1]
+            np.multiply(2.0 * cheb[m], cheb[1:m + 1], out=rows)
+            rows -= cheb[m - 1::-1]
+            m *= 2
         cheb = np.ascontiguousarray(cheb.T)[:, None, :]
         return np.matmul(cheb, self._coef.take(cell, axis=0))[:, 0]
 

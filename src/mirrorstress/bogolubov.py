@@ -333,6 +333,14 @@ def _unit_layout(sigma):
     return radius, offsets, weights, omegas, width, math.ceil(cells)
 
 
+def _unit_values(cos, sin):
+    """(Re U, Im U, Re U', Im U') from the sums of cos(Omega_n z) and
+    sin(Omega_n z) against [coeffs, coeffs Omega] on the last axis:
+    U = C0 - i S0 and U' = -S1 - i C1."""
+    return np.stack([cos[..., 0], -sin[..., 0], -sin[..., 1], -cos[..., 1]],
+                    axis=-1)
+
+
 class _UnitPacket:
     """The packet of width sigma at unit centre frequency, tabulated.
 
@@ -369,12 +377,13 @@ class _UnitPacket:
         self._block = max(1, _FILL_ELEMENTS // (_CHEB_N * len(offsets)))
 
     def exact(self, z):
-        """Sums of cos(Omega_n z) and sin(Omega_n z) against the columns
-        [coeffs, coeffs Omega]: an (n, 4) array (C0, C1, S0, S1)."""
+        """U(z) = sum_n coeffs_n e^{-i Omega_n z} and its derivative U'(z)
+        as the node sum: an (n, 4) array of their real and imaginary
+        parts, which ``.view(complex)`` reads as (U, U')."""
         ph = np.multiply.outer(z, self.omegas)
         cos = np.cos(ph) @ self.rhs
         sin = np.sin(ph, out=ph) @ self.rhs
-        return np.concatenate([cos, sin], axis=1)
+        return _unit_values(cos, sin)
 
     def _fill(self, blocks):
         """Fill the panels of ``blocks`` from the exact node sum, with
@@ -395,8 +404,8 @@ class _UnitPacket:
             sin_m = np.sin(ph, out=ph)
             cos = cos_m @ cos_t - sin_m @ sin_t
             sin = sin_m @ cos_t + cos_m @ sin_t
-            values = np.concatenate([cos.reshape(-1, _CHEB_N, 2),
-                                     sin.reshape(-1, _CHEB_N, 2)], axis=2)
+            values = _unit_values(cos.reshape(-1, _CHEB_N, 2),
+                                  sin.reshape(-1, _CHEB_N, 2))
             self._coef[cells] = _CHEB_FROM_VALUES @ values
             self._filled[cells] = True
         self._complete = bool(self._filled.all())
@@ -409,10 +418,8 @@ class _UnitPacket:
         first.  ``z`` must lie within the radius, up to rounding."""
         cell = np.minimum((z * self._inv_width + self._offset).astype(np.intp),
                           len(self._mids) - 1)
-        if not self._complete:
-            missing = cell[~self._filled[cell]]
-            if missing.size:
-                self._fill(np.unique(missing // self._block))
+        if not (self._complete or self._filled[cell].all()):
+            self._fill(np.unique(cell[~self._filled[cell]] // self._block))
         cheb = np.empty((_CHEB_N, len(z)))
         cheb[0] = 1.0
         cheb[1] = (z - self._mids[cell]) * (1.0 / self._half_width)
@@ -457,9 +464,8 @@ class _PacketCore:
     def wave(self, coord, owner=None):
         """Sum over the frequency nodes of e^{-i w c} and its c-derivative.
 
-        With z = w_c c, C = cos(Omega z) and S = sin(Omega z) summed
-        against [coeffs, coeffs Omega] (``_UnitPacket.table``), the value
-        is C0 - i S0 and the derivative w_c (-S1 - i C1).  For a stack,
+        With z = w_c c and U the unit packet (``_UnitPacket.table``), the
+        value is U(z) and the derivative w_c U'(z).  For a stack,
         ``owner`` indexes the packet of each point: there z =
         w_c[owner] c, and the point is live if |c| <= radius[owner]."""
         coord = np.asarray(coord, dtype=float)
@@ -473,12 +479,9 @@ class _PacketCore:
             live = _index(live)
             if owner is not None:
                 omega_c = omega_c[live]
-            sums = self.unit.table(omega_c * coord[live])
-            scale = self.norm * omega_c
-            vals.real[live] = self.norm * sums[:, 0]
-            vals.imag[live] = -self.norm * sums[:, 2]
-            dvals.real[live] = -scale * sums[:, 3]
-            dvals.imag[live] = -scale * sums[:, 1]
+            unit = self.unit.table(omega_c * coord[live]).view(complex)
+            vals[live] = self.norm * unit[:, 0]
+            dvals[live] = (self.norm * omega_c) * unit[:, 1]
         return vals, dvals
 
 
@@ -785,8 +788,11 @@ def _pair_row(stack, supports, g, t, tol, window=None, substitution=None):
         v2, d2 = g.evaluate(t, xs)
         v1, d1 = stack.evaluate(t, xs, col)
         out = np.empty((2, len(xs)), dtype=complex)
-        out[0] = 1j * (np.conj(v1) * d2 - np.conj(d1) * v2)
-        out[1] = 1j * (v1 * d2 - d1 * v2)
+        np.multiply(np.conj(v1), d2, out=out[0])
+        out[0] -= np.conj(d1) * v2
+        np.multiply(v1, d2, out=out[1])
+        out[1] -= d1 * v2
+        out *= 1j
         if substitution is not None:
             out *= flip[col] * substitution[1](ss)
         return out

@@ -442,8 +442,18 @@ def _unit_packet(sigma: float) -> _UnitPacket:
 
 def _index(mask):
     """``mask`` as an index, a full slice where every point is set: the
-    gathers and scatters it indexes are then views and slice copies."""
+    gathers it indexes are then views, and ``_spread`` scatters nothing."""
     return slice(None) if mask.all() else mask
+
+
+def _spread(values, index, shape):
+    """A complex array of ``shape`` holding ``values`` at ``index`` and
+    zeros elsewhere: ``values`` itself where the index is a full slice."""
+    if isinstance(index, slice):
+        return values
+    out = np.zeros(shape, dtype=complex)
+    out[index] = values
+    return out
 
 
 class _PacketCore:
@@ -469,20 +479,19 @@ class _PacketCore:
         ``owner`` indexes the packet of each point: there z =
         w_c[owner] c, and the point is live if |c| <= radius[owner]."""
         coord = np.asarray(coord, dtype=float)
-        vals = np.zeros(coord.shape, dtype=complex)
-        dvals = np.zeros(coord.shape, dtype=complex)
         omega_c, radius = self.omega_c, self.radius
         if owner is not None:
             omega_c, radius = np.take(omega_c, owner), np.take(radius, owner)
         live = np.abs(coord) <= radius
-        if live.any():
-            live = _index(live)
-            if owner is not None:
-                omega_c = omega_c[live]
-            unit = self.unit.table(omega_c * coord[live]).view(complex)
-            vals[live] = self.norm * unit[:, 0]
-            dvals[live] = (self.norm * omega_c) * unit[:, 1]
-        return vals, dvals
+        if not live.any():
+            return (np.zeros(coord.shape, dtype=complex),
+                    np.zeros(coord.shape, dtype=complex))
+        live = _index(live)
+        if owner is not None:
+            omega_c = omega_c[live]
+        unit = self.unit.table(omega_c * coord[live]).view(complex)
+        return (_spread(self.norm * unit[:, 0], live, coord.shape),
+                _spread((self.norm * omega_c) * unit[:, 1], live, coord.shape))
 
 
 class _TravelingPacket:
@@ -510,17 +519,15 @@ class _TravelingPacket:
         w = self._base_coord(t, xs)
         rng = self.map.range
         inside = (w > rng.lo) & (w < rng.hi)
-        vals = np.zeros(xs.shape, dtype=complex)
-        dts = np.zeros(xs.shape, dtype=complex)
-        if inside.any():
-            inside = _index(inside)
-            c = self.map.inverse_fn(w[inside])
-            v, dv = self.core.wave(c, None if owner is None
-                                   else owner[inside])
-            vals[inside] = v
-            # d/dt = (dc/dw) f'(c); dw/dt = 1 on constant-t surfaces
-            dts[inside] = dv / self.map.dfn(c)
-        return vals, dts
+        if not inside.any():
+            return (np.zeros(xs.shape, dtype=complex),
+                    np.zeros(xs.shape, dtype=complex))
+        inside = _index(inside)
+        c = self.map.inverse_fn(w[inside])
+        v, dv = self.core.wave(c, None if owner is None else owner[inside])
+        # d/dt = (dc/dw) f'(c); dw/dt = 1 on constant-t surfaces
+        return (_spread(v, inside, xs.shape),
+                _spread(dv / self.map.dfn(c), inside, xs.shape))
 
     def support(self, t: float):
         r = self.core.radius
@@ -582,25 +589,25 @@ class _StandingPacket:
         v = t + xs
         ur, vr = self.chart.u_map.range, self.chart.v_map.range
         inside = (u > ur.lo) & (u < ur.hi) & (v > vr.lo) & (v < vr.hi)
-        vals = np.zeros(xs.shape, dtype=complex)
-        dts = np.zeros(xs.shape, dtype=complex)
-        if inside.any():
-            inside = _index(inside)
-            cu = self.chart.u_map.inverse_fn(u[inside])
-            cv = self.chart.v_map.inverse_fn(v[inside])
-            right = cv > cu  # the state lives on the mirror's right, x* > 0
-            live = np.zeros(xs.shape, bool)
-            live[inside] = right
-            live, right = _index(live), _index(right)
-            cu, cv = cu[right], cv[right]
-            own = None if owner is None else owner[live]
-            fu, dfu = self.core.wave(cu, own)
-            fv, dfv = self.core.wave(cv, own)
-            # mode = (e^{-i w u*} - e^{-i w v*}) / 2i per frequency node
-            vals[live] = (fu - fv) / 2j
-            dts[live] = (dfu / self.chart.u_map.dfn(cu)
-                         - dfv / self.chart.v_map.dfn(cv)) / 2j
-        return vals, dts
+        if not inside.any():
+            return (np.zeros(xs.shape, dtype=complex),
+                    np.zeros(xs.shape, dtype=complex))
+        inside = _index(inside)
+        cu = self.chart.u_map.inverse_fn(u[inside])
+        cv = self.chart.v_map.inverse_fn(v[inside])
+        right = cv > cu  # the state lives on the mirror's right, x* > 0
+        live = np.zeros(xs.shape, bool)
+        live[inside] = right
+        live, right = _index(live), _index(right)
+        cu, cv = cu[right], cv[right]
+        own = None if owner is None else owner[live]
+        fu, dfu = self.core.wave(cu, own)
+        fv, dfv = self.core.wave(cv, own)
+        # mode = (e^{-i w u*} - e^{-i w v*}) / 2i per frequency node
+        return (_spread((fu - fv) / 2j, live, xs.shape),
+                _spread((dfu / self.chart.u_map.dfn(cu)
+                         - dfv / self.chart.v_map.dfn(cv)) / 2j,
+                        live, xs.shape))
 
     def _mirror_position(self, t: float) -> float:
         """x with x*(t, x) = 0, by bisection on cv - cu; memoized per

@@ -482,11 +482,7 @@ class _PacketCore:
         omega_c, radius = self.omega_c, self.radius
         if owner is not None:
             omega_c, radius = np.take(omega_c, owner), np.take(radius, owner)
-        live = np.abs(coord) <= radius
-        if not live.any():
-            return (np.zeros(coord.shape, dtype=complex),
-                    np.zeros(coord.shape, dtype=complex))
-        live = _index(live)
+        live = _index(np.abs(coord) <= radius)
         if owner is not None:
             omega_c = omega_c[live]
         unit = self.unit.table(omega_c * coord[live]).view(complex)
@@ -518,11 +514,7 @@ class _TravelingPacket:
         xs = np.asarray(xs, dtype=float)
         w = self._base_coord(t, xs)
         rng = self.map.range
-        inside = (w > rng.lo) & (w < rng.hi)
-        if not inside.any():
-            return (np.zeros(xs.shape, dtype=complex),
-                    np.zeros(xs.shape, dtype=complex))
-        inside = _index(inside)
+        inside = _index((w > rng.lo) & (w < rng.hi))
         c = self.map.inverse_fn(w[inside])
         v, dv = self.core.wave(c, None if owner is None else owner[inside])
         # d/dt = (dc/dw) f'(c); dw/dt = 1 on constant-t surfaces
@@ -588,11 +580,8 @@ class _StandingPacket:
         u = t - xs
         v = t + xs
         ur, vr = self.chart.u_map.range, self.chart.v_map.range
-        inside = (u > ur.lo) & (u < ur.hi) & (v > vr.lo) & (v < vr.hi)
-        if not inside.any():
-            return (np.zeros(xs.shape, dtype=complex),
-                    np.zeros(xs.shape, dtype=complex))
-        inside = _index(inside)
+        inside = _index((u > ur.lo) & (u < ur.hi)
+                        & (v > vr.lo) & (v < vr.hi))
         cu = self.chart.u_map.inverse_fn(u[inside])
         cv = self.chart.v_map.inverse_fn(v[inside])
         right = cv > cu  # the state lives on the mirror's right, x* > 0

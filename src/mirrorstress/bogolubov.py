@@ -431,6 +431,8 @@ class _UnitPacket:
             np.multiply(2.0 * cheb[m], cheb[1:m + 1], out=rows)
             rows -= cheb[m - 1::-1]
             m *= 2
+        # one layout whatever the batch size: each point's basis reaches
+        # BLAS with unit stride, for a lone point as for many
         cheb = np.ascontiguousarray(cheb.T)[:, None, :]
         return np.matmul(cheb, self._coef.take(cell, axis=0))[:, 0]
 

@@ -386,26 +386,39 @@ class _UnitPacket:
         return _unit_values(cos, sin)
 
     def _fill(self, blocks):
-        """Fill the panels of ``blocks`` from the exact node sum, with
-        cos Omega (m + h t) = cos Omega m cos Omega h t - sin Omega m
-        sin Omega h t and sin likewise: the (N, 17 x 2) products of
-        cos/sin(Omega_n h t_j) with ``rhs`` are built once per call, and
-        a block adds cos/sin(Omega_n m_p) at its midpoints by four
-        matrix products."""
+        """Fill the panels of the distinct ``blocks`` from the exact node
+        sum, with cos Omega (m + h t) = cos Omega m cos Omega h t -
+        sin Omega m sin Omega h t and sin likewise.  Per chunk of nodes
+        the (chunk, 17 x 2) products of cos/sin(Omega_n h t_j) with
+        ``rhs`` are built once, and every block adds cos/sin(Omega_n m_p)
+        at its midpoints by four matrix products.  A chunk's products
+        stay within the fill budget, so they stay in cache while the
+        blocks read them; the cos and sin sums of a block add up in its
+        ``_coef`` cells until the Chebyshev transform."""
         n_cells = len(self._mids)
-        local = np.multiply.outer(self.omegas, self._half_width * _CHEB_POINTS)
-        rhs = self.rhs[:, None, :]
-        cos_t = (np.cos(local)[:, :, None] * rhs).reshape(len(rhs), -1)
-        sin_t = (np.sin(local)[:, :, None] * rhs).reshape(len(rhs), -1)
-        for b in blocks:
-            cells = slice(b * self._block, min((b + 1) * self._block, n_cells))
-            ph = np.multiply.outer(self._mids[cells], self.omegas)
-            cos_m = np.cos(ph)
-            sin_m = np.sin(ph, out=ph)
-            cos = cos_m @ cos_t - sin_m @ sin_t
-            sin = sin_m @ cos_t + cos_m @ sin_t
-            values = _unit_values(cos.reshape(-1, _CHEB_N, 2),
-                                  sin.reshape(-1, _CHEB_N, 2))
+        spans = [slice(b * self._block, min((b + 1) * self._block, n_cells))
+                 for b in blocks]
+        for cells in spans:
+            self._coef[cells] = 0.0
+        chunk = _FILL_ELEMENTS // (4 * _CHEB_N)
+        for nodes in _blocks(len(self.omegas), chunk):
+            omegas = self.omegas[nodes]
+            local = np.multiply.outer(omegas, self._half_width * _CHEB_POINTS)
+            rhs = self.rhs[nodes, None, :]
+            cos_t = (np.cos(local)[:, :, None] * rhs).reshape(len(rhs), -1)
+            sin_t = (np.sin(local)[:, :, None] * rhs).reshape(len(rhs), -1)
+            for cells in spans:
+                ph = np.multiply.outer(self._mids[cells], omegas)
+                cos_m = np.cos(ph)
+                sin_m = np.sin(ph, out=ph)
+                sums = self._coef[cells]
+                sums[..., :2] += (cos_m @ cos_t - sin_m @ sin_t).reshape(
+                    -1, _CHEB_N, 2)
+                sums[..., 2:] += (sin_m @ cos_t + cos_m @ sin_t).reshape(
+                    -1, _CHEB_N, 2)
+        for cells in spans:
+            sums = self._coef[cells]
+            values = _unit_values(sums[..., :2], sums[..., 2:])
             self._coef[cells] = _CHEB_FROM_VALUES @ values
             self._filled[cells] = True
         self._complete = bool(self._filled.all())

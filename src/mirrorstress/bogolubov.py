@@ -29,9 +29,10 @@ series filled lazily from the exact node sum, which agree with it to
 rounding level (a few 1e-15 of the peak).  Panels share their width, so a
 fill splits each phase by angle addition into a panel-midpoint factor and
 a factor common to every panel, and needs one cos/sin per node and panel,
-not per node and point.  A read contracts each point's Chebyshev basis
-with its panel's coefficients by one stacked matrix product, whose sums
-do not depend on how many points are read together.
+not per node and point; it takes the nodes in chunks whose shared factors
+stay in cache.  A read contracts each point's Chebyshev basis with its
+panel's coefficients by one stacked matrix product, whose sums do not
+depend on how many points are read together.
 
 This module is a verification companion: the stress pipeline never calls
 into it.

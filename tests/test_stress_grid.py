@@ -22,6 +22,7 @@ from mirrorstress.charts import (
 from mirrorstress.scenarios import build_scenario
 from mirrorstress.vacuum_stress import (
     INV_48PI,
+    STATUS_NAMES,
     SingularRayError,
     StateRegionError,
     VacuumSpec,
@@ -61,21 +62,33 @@ WINDOWS = [
 ]
 
 
+# the error point evaluation raises for each status code of the grid
+STATUS_ERRORS = {
+    "region": StateRegionError,
+    "sector_ray": SingularRayError,
+    "coverage": CoverageError,
+    "float_range": CoverageError,
+}
+
+
 def _point_values(state, chart, c1, c2, frame):
-    """Point evaluation, or None where it raises a documented error."""
+    """Point evaluation: its values, each exactly a float, or the class of
+    the documented error it raises."""
     try:
         s = expectation_stress(state, chart, Point(c1, c2, chart.name))
+        values = (s.t_uu, s.t_vv, s.t_uv)
         if frame == "orthonormal":
             o = to_orthonormal_frame(s)
-            return o.energy_density, o.pressure, o.flux
-        return s.t_uu, s.t_vv, s.t_uv
-    except (StateRegionError, SingularRayError, CoverageError):
-        return None
+            values = (o.energy_density, o.pressure, o.flux)
+    except (StateRegionError, SingularRayError, CoverageError) as e:
+        return type(e)
+    assert all(type(x) is float for x in (s.t_uu, s.t_vv, s.t_uv, *values))
+    return values
 
 
 def _assert_grid_matches_points(state, chart, c1, c2, frame):
-    """Flags equal, values within 1e-13 (floor 1/(48 pi)); returns the
-    number of flagged points."""
+    """Flags name the point's error, values within 1e-13 (floor
+    1/(48 pi)); returns the number of flagged points."""
     grid = expectation_stress_grid(state, chart, c1, c2)
     status, values = grid.status, (grid.t_uu, grid.t_vv, grid.t_uv)
     if frame == "orthonormal":
@@ -85,11 +98,13 @@ def _assert_grid_matches_points(state, chart, c1, c2, frame):
     for i, x in enumerate(c1.tolist()):
         for j, y in enumerate(c2.tolist()):
             want = _point_values(state, chart, x, y, frame)
-            assert (status[i, j] != 0) == (want is None), (x, y, status[i, j])
-            if want is None:
+            if status[i, j] != 0:
+                assert want is STATUS_ERRORS[STATUS_NAMES[status[i, j]]], \
+                    (x, y, status[i, j], want)
                 flagged += 1
                 assert all(np.isnan(v[i, j]) for v in values)
                 continue
+            assert isinstance(want, tuple), (x, y, want)
             for got, w in zip(values, want):
                 assert abs(got[i, j] - w) <= 1e-13 * max(abs(w), INV_48PI)
     return flagged

@@ -400,6 +400,23 @@ def test_component_functions_accept_jets():
     assert abs(t11.d1.value) < 1e-16
 
 
+@pytest.mark.parametrize("scenario,c1,error", [
+    # u = -2 is the sector ray of the a = 1 mirror in the Rindler vacuum
+    ("mirror_in_rindler_vacuum", -2.0, SingularRayError),
+    # u = 0 bounds the accelerated mirror's only sector, u > 0 lies past it
+    ("accelerated_mirror_minkowski", 0.0, SingularRayError),
+    ("accelerated_mirror_minkowski", 0.5, CoverageError),
+])
+def test_component_functions_raise_off_the_sectors(scenario, c1, error):
+    sc = build_scenario(scenario, {"a": 1.0})
+    t11f, t22f, t12f, _ = stress_component_functions(sc.state, MINK)
+    for f in (t11f, t22f, t12f):
+        for a1, a2 in ((c1, 3.0),
+                       (Jet1(Jet1(c1, 1.0), 0.0), Jet1(Jet1(3.0, 0.0), 1.0))):
+            with pytest.raises(error):
+                f(a1, a2)
+
+
 # ---------- trace anomaly ----------
 
 def test_anomaly_flat_charts_both_terms_tiny():

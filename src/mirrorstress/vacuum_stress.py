@@ -249,17 +249,6 @@ def _mixed_log_derivative(chart: ConformalChart, cu, cv):
     return jlog(chart.factor(a1, a2)).d1.d1
 
 
-def stress_component_functions(state: VacuumSpec, observe_chart):
-    """(t11, t22, t12, factor) as jet-generic functions of observe-chart
-    null coordinates.
-
-    The callables assume their arguments already lie in the state's
-    region; :func:`expectation_stress` performs the per-point checks.
-    """
-    observe = get_chart(observe_chart)
-    return _build_components(state, observe)
-
-
 @functools.lru_cache(maxsize=64)
 def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
                     side: str) -> ChartMap:
@@ -273,90 +262,96 @@ def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
                         label=f"{state_chart.name}.{side}({observe.name})")
 
 
-def _sector_component(gov: ConformalChart, observe: ConformalChart,
-                      side: str):
-    """T_11 (or T_22) of the ``gov``-chart vacuum, expressed in observe
-    coordinates, as a jet-generic function of (c1, c2)."""
-    m_own = _transition_map(gov, observe, side)
-    m_other = _transition_map(gov, observe, "v" if side == "u" else "u")
-
-    def component(c1, c2):
-        own, other = (c1, c2) if side == "u" else (c2, c1)
-        xi = m_own(own)
-        eta = m_other(other)
-        jac = m_own.dfn(own)
-        if side == "u":
-            f = _theta_F(gov, xi, eta, "u")
-        else:
-            f = _theta_F(gov, eta, xi, "v")
-        return INV_24PI * ((jac * jac) * f)
-
-    return component
-
-
-def _sector_cross(gov: ConformalChart, observe: ConformalChart):
+def _gov_components(gov: ConformalChart, observe: ConformalChart):
+    """(t11, t22, t12) of the ``gov``-chart vacuum, expressed in observe
+    coordinates, as jet-generic functions of (c1, c2)."""
     m_u = _transition_map(gov, observe, "u")
     m_v = _transition_map(gov, observe, "v")
 
-    def cross(c1, c2):
+    def t11(c1, c2):
+        xi, eta, jac = m_u(c1), m_v(c2), m_u.dfn(c1)
+        return INV_24PI * ((jac * jac) * _theta_F(gov, xi, eta, "u"))
+
+    def t22(c1, c2):
+        xi, eta, jac = m_v(c2), m_u(c1), m_v.dfn(c2)
+        return INV_24PI * ((jac * jac) * _theta_F(gov, eta, xi, "v"))
+
+    def t12(c1, c2):
         xi, eta = m_u(c1), m_v(c2)
         jac = m_u.dfn(c1) * m_v.dfn(c2)
         return INV_24PI * (jac * _mixed_log_derivative(gov, xi, eta))
 
-    return cross
+    return t11, t22, t12
 
 
-def _gov_components(gov: ConformalChart, observe: ConformalChart):
-    """(t11, t22, t12) of the ``gov``-chart vacuum in observe coordinates."""
-    return (_sector_component(gov, observe, "u"),
-            _sector_component(gov, observe, "v"),
-            _sector_cross(gov, observe))
-
-
-def _build_components(state: VacuumSpec, observe: ConformalChart):
-    if state.boundary == "full_line":
-        return (*_gov_components(state.chart, observe), observe.factor)
-
-    # Dirichlet state: right-movers split into reflected / not-yet-reflected
-    mirror = state.chart
-    ambient = state.ambient_chart
-    refl = state.reflected_u_range
-
-    def pick_sector(c1) -> ConformalChart:
-        u = lead_value(observe.u_map(c1))
-        if refl is not None and refl.contains(u):
-            return mirror
-        if refl is not None and (u == refl.lo or u == refl.hi):
-            raise SingularRayError(
-                f"sector boundary ray u={u} is excluded (half-open sectors)")
-        if ambient is not None and ambient.u_map.range.contains(u):
-            return ambient
-        raise CoverageError(f"base u={u} outside the state's coverage")
-
-    # left-movers keep their labels (identity relabeling), so the mirror
-    # and ambient charts assign the same T_22; dispatching every component
-    # on the u-sector keeps all evaluations inside chart coverage
-    per_gov = {gov.name: _gov_components(gov, observe)
-               for gov in filter(None, (mirror, ambient))}
-
-    def t11(c1, c2):
-        return per_gov[pick_sector(c1).name][0](c1, c2)
-
-    def t22(c1, c2):
-        return per_gov[pick_sector(c1).name][1](c1, c2)
-
-    def t12(c1, c2):
-        return per_gov[pick_sector(c1).name][2](c1, c2)
-
-    return t11, t22, t12, observe.factor
-
-
-# ---------- per-point status ----------
+# ---------- mirror sectors ----------
 
 def _inside(interval: Interval, x):
     """Open-interval membership of a float, or of each entry of an array."""
     return (interval.lo < x) & (x < interval.hi)
 
+
+def _sectors(state: VacuumSpec, u):
+    """(governing chart, selector) pairs for base u.
+
+    A selector is a bool for a float u, or a bool array for an array u,
+    and is true exactly where its chart governs and covers u.  A full-line
+    state has one sector.  A mirror state has the reflected right-movers
+    of the mirror chart and the never-reflected ones of the ambient
+    chart; the sectors are half-open, so the ray between them lies in
+    neither.  Every component, T_22 too, comes from the u-sector's chart:
+    left-movers keep their labels, so both charts give the same T_22, and
+    this keeps every evaluation inside chart coverage.
+    """
+    chart, refl, ambient = (state.chart, state.reflected_u_range,
+                            state.ambient_chart)
+    if state.boundary == "full_line":
+        return [(chart, _inside(chart.u_map.range, u))]
+    sectors = [] if refl is None else [(chart, _inside(refl, u))]
+    if ambient is not None:
+        sel = _inside(ambient.u_map.range, u)
+        if refl is not None:
+            sel = sel & ((u < refl.lo) | (refl.hi < u))
+        sectors.append((ambient, sel))
+    return sectors
+
+
+def _governing_chart(state: VacuumSpec, u: float) -> ConformalChart:
+    """The chart governing a float base u; raises SingularRayError on the
+    sector ray and CoverageError outside every sector."""
+    for gov, sel in _sectors(state, u):
+        if sel:
+            return gov
+    refl = state.reflected_u_range
+    if refl is not None and (u == refl.lo or u == refl.hi):
+        raise SingularRayError(
+            f"sector boundary ray u={u} is excluded (half-open sectors)")
+    raise CoverageError(f"base u={u} outside the state's coverage")
+
+
+def stress_component_functions(state: VacuumSpec, observe_chart):
+    """(t11, t22, t12, factor) as jet-generic functions of observe-chart
+    null coordinates.
+
+    The callables assume their arguments already lie in the state's
+    region; :func:`expectation_stress` performs the per-point checks.
+    Each component evaluates the chart governing its c1 and raises
+    SingularRayError on the sector ray, CoverageError outside every
+    sector.
+    """
+    observe = get_chart(observe_chart)
+
+    def component(k):
+        def evaluate(c1, c2):
+            u = lead_value(observe.u_map(c1))
+            return _gov_components(_governing_chart(state, u), observe)[k](
+                c1, c2)
+        return evaluate
+
+    return component(0), component(1), component(2), observe.factor
+
+
+# ---------- per-point status ----------
 
 def _finite(x):
     return abs(x) < math.inf  # False for inf and NaN alike
@@ -385,25 +380,17 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
                      & _inside(observe.v_map.domain, c2))
     u, v = observe.u_map.fn(c1), observe.v_map.fn(c2)
     yield FLOAT_RANGE, _finite(u) & _finite(v)
-    if state.boundary == "full_line":
-        yield COVERAGE, (_inside(state.chart.u_map.range, u)
-                         & _inside(state.chart.v_map.range, v))
-        yield COVERAGE, _transitions_ok(state.chart, observe, c1, c2, u, v)
-        return
     if state.region_predicate is not None:
         yield REGION, state.region_predicate(u, v)
     yield COVERAGE, _inside(state.chart.v_map.range, v)
-    refl, ambient = state.reflected_u_range, state.ambient_chart
-    in_mirror = refl is not None and _inside(refl, u)
+    refl = state.reflected_u_range
     if refl is not None:
         # the sectors are half-open: the ray between them is excluded
         yield SECTOR_RAY, (u != refl.lo) & (u != refl.hi)
-    in_ambient = ambient is not None and _inside(ambient.u_map.range, u)
-    yield COVERAGE, in_mirror | in_ambient
-    yield COVERAGE, np.where(
-        in_mirror, _transitions_ok(state.chart, observe, c1, c2, u, v),
-        ambient is not None
-        and _transitions_ok(ambient, observe, c1, c2, u, v))
+    ok = False
+    for gov, sel in _sectors(state, u):
+        ok = ok | (sel & _transitions_ok(gov, observe, c1, c2, u, v))
+    yield COVERAGE, ok
 
 
 def _point_status(state: VacuumSpec, observe: ConformalChart,
@@ -476,11 +463,10 @@ def expectation_stress(state: VacuumSpec, observe_chart, p: Point
     q = p if p.chart == observe.name else convert_point(p, observe)
     status = _point_status(state, observe, q.c1, q.c2)
     if status == OK:
-        t11f, t22f, t12f, _ = _build_components(state, observe)
+        gov = _governing_chart(state, observe.u_map.fn(q.c1))
         try:
-            t11 = lead_value(t11f(q.c1, q.c2))
-            t22 = lead_value(t22f(q.c1, q.c2))
-            t12 = lead_value(t12f(q.c1, q.c2))
+            t11, t22, t12 = (lead_value(f(q.c1, q.c2))
+                             for f in _gov_components(gov, observe))
         except (ArithmeticError, JetDomainError):
             status = FLOAT_RANGE
         else:
@@ -509,15 +495,7 @@ def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
     col, row = c1[:, None], c2[None, :]
     with np.errstate(all="ignore"):
         # the governing chart of a point depends on its c1 alone
-        if state.boundary == "full_line":
-            sectors = [(state.chart, np.ones(len(c1), bool))]
-        else:
-            refl = state.reflected_u_range
-            in_mirror = np.zeros(len(c1), bool) if refl is None \
-                else _inside(refl, observe.u_map.fn(c1))
-            sectors = [(gov, rows) for gov, rows in (
-                (state.chart, in_mirror), (state.ambient_chart, ~in_mirror))
-                if gov is not None]
+        sectors = _sectors(state, observe.u_map.fn(c1))
         for gov, _ in sectors:
             if gov.name != observe.name and (
                     gov.u_map.inverse_fn is None
@@ -626,10 +604,18 @@ def check_conservation(state: VacuumSpec, observe_chart, region, n: int,
 
     Residuals are |d1 T_22 + d2 T_12 + (d2 C / C) T_12| and the mirror
     image with 1 <-> 2, every derivative taken by nesting jets through the
-    full evaluation pipeline.
+    full evaluation pipeline.  ``region`` is (c1_lo, c1_hi, c2_lo, c2_hi)
+    with finite lo < hi on each axis, and n >= 1 (n = 1 takes the centre
+    point); anything else raises ValueError.  A region that comes within
+    ``margin`` of a singular ray raises MarginError.
     """
     observe = get_chart(observe_chart)
     c1_lo, c1_hi, c2_lo, c2_hi = region
+    if not (n >= 1 and -math.inf < c1_lo < c1_hi < math.inf
+            and -math.inf < c2_lo < c2_hi < math.inf):
+        raise ValueError(
+            f"conservation needs n >= 1 and finite lo < hi on each axis of "
+            f"the region, got n={n}, region={region}")
     rays_u, rays_v = _singular_rays(state, observe)
     for ray in rays_u:
         if c1_lo - margin < ray < c1_hi + margin:
@@ -639,18 +625,20 @@ def check_conservation(state: VacuumSpec, observe_chart, region, n: int,
         if c2_lo - margin < ray < c2_hi + margin:
             raise MarginError(
                 f"region touches singular ray c2={ray} (margin {margin})")
-    t11f, t22f, t12f, cf = _build_components(state, observe)
     max_u = max_v = 0.0
     for i in range(n):
         x = c1_lo + (c1_hi - c1_lo) * (i / (n - 1) if n > 1 else 0.5)
+        # the governing chart of a point depends on its c1 alone
+        gov = _governing_chart(state, observe.u_map(x))
+        t11f, t22f, t12f = _gov_components(gov, observe)
+        a1 = Jet1(Jet1(x, 1.0), 0.0)   # inner jet in c1
         for j in range(n):
             y = c2_lo + (c2_hi - c2_lo) * (j / (n - 1) if n > 1 else 0.5)
-            a1 = Jet1(Jet1(x, 1.0), 0.0)   # inner jet in c1
             a2 = Jet1(Jet1(y, 0.0), 1.0)   # outer jet in c2
             t11 = t11f(a1, a2)
             t22 = t22f(a1, a2)
             t12 = t12f(a1, a2)
-            c = cf(a1, a2)
+            c = observe.factor(a1, a2)
             c00 = c.value.value
             t12_00 = t12.value.value
             res_v = abs(t22.value.d1 + t12.d1.value

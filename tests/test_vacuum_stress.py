@@ -382,6 +382,33 @@ def test_conservation_margin_guard():
         check_conservation(sc.state, MINK, (-2.0005, 1.0, 0.5, 2.0), 4)
 
 
+@pytest.mark.parametrize("region,n", [
+    # reversed c1 axis across the sector ray c1 = -2: it passed the margin
+    # guard and returned a residual of 4.7e-17
+    ((1.0, -2.0005, 0.5, 2.0), 4),
+    ((-1.0, 1.0, 2.0, 0.5), 4),
+    ((-1.0, -1.0, 0.5, 2.0), 4),
+    ((-1.0, math.inf, 0.5, 2.0), 4),
+    ((-1.0, 1.0, math.nan, 2.0), 4),
+    # no points: the residual was a passing 0.0
+    ((-1.0, 1.0, 0.5, 2.0), 0),
+    ((-1.0, 1.0, 0.5, 2.0), -3),
+])
+def test_conservation_rejects_empty_or_reversed_grids(region, n):
+    sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
+    with pytest.raises(ValueError, match="n >= 1 and finite lo < hi"):
+        check_conservation(sc.state, MINK, region, n)
+
+
+def test_conservation_single_point_takes_the_centre():
+    sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
+    # the centre (0, 5) is also the middle point of the 3 x 3 grid
+    one = check_conservation(sc.state, MINK, (-1.0, 1.0, 4.0, 6.0), 1)
+    three = check_conservation(sc.state, MINK, (-1.0, 1.0, 4.0, 6.0), 3)
+    assert one.n == 1
+    assert one.max_residual <= three.max_residual < 1e-9
+
+
 def test_component_functions_accept_jets():
     # the public jet-generic surface: derivatives of the observed field
     # straight through transforms and sector dispatch

@@ -164,9 +164,6 @@ class ChartMap:
                 f"{self.label}: argument {v} outside domain {self.domain}")
         return self.fn(x)
 
-    def jet(self, x: float) -> Jet3:
-        return self(seed(x))
-
     def deriv(self, x: float) -> float:
         return lead_value(self.dfn(x))
 
@@ -437,10 +434,6 @@ class ConformalChart:
         self.global_class = global_class
 
     @property
-    def is_flat(self) -> bool:
-        return self.base_factor is None
-
-    @property
     def u_range(self) -> Interval:
         return self.u_map.range
 
@@ -514,10 +507,6 @@ class ConformalChart:
                     f"coverage: requires {tag} in {m.range} "
                     f"(horizon at the boundary)")
         return self.u_map.invert(u), self.v_map.invert(v)
-
-    def contains_base(self, u: float, v: float, margin: float = 0.0) -> bool:
-        return (self.u_map.range.contains(u, margin)
-                and self.v_map.range.contains(v, margin))
 
     def __repr__(self):
         return f"ConformalChart({self.name!r})"

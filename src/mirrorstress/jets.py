@@ -32,8 +32,6 @@ __all__ = [
     "seed",
     "constant",
     "compose",
-    "arith",
-    "elementary",
     "jexp",
     "jlog",
     "jsinh",
@@ -463,39 +461,3 @@ def jpow(x, p: float):
     if x <= 0.0:
         raise JetDomainError("pow", x)
     return math.pow(x, p)
-
-
-_ELEMENTARY = {
-    "exp": jexp,
-    "log": jlog,
-    "sinh": jsinh,
-    "cosh": jcosh,
-    "tanh": jtanh,
-    "atanh": jatanh,
-    "asinh": jasinh,
-    "sqrt": jsqrt,
-}
-
-
-def elementary(a, fn: str):
-    """Apply a named elementary function ('pow' takes (name, exponent))."""
-    if isinstance(fn, tuple) and fn[0] == "pow":
-        return jpow(a, fn[1])
-    try:
-        f = _ELEMENTARY[fn]
-    except KeyError:
-        raise ValueError(f"unknown elementary function {fn!r}") from None
-    return f(a)
-
-
-def arith(a, b, op: str):
-    """Named binary arithmetic, mostly for table-driven tests."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic op {op!r}")

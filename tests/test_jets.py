@@ -18,10 +18,8 @@ from mirrorstress.jets import (
     Jet1,
     Jet3,
     JetDomainError,
-    arith,
     compose,
     constant,
-    elementary,
     jasinh,
     jatanh,
     jcosh,
@@ -120,22 +118,10 @@ def test_self_division_is_one():
         assert jet_close(j / j, (1.0, 0.0, 0.0, 0.0))
 
 
-def test_named_arith_matches_operators():
-    a, b = seed(1.2), jexp(seed(0.4))
-    assert arith(a, b, "add").as_tuple() == (a + b).as_tuple()
-    assert arith(a, b, "sub").as_tuple() == (a - b).as_tuple()
-    assert arith(a, b, "mul").as_tuple() == (a * b).as_tuple()
-    assert arith(a, b, "div").as_tuple() == (a / b).as_tuple()
-    with pytest.raises(ValueError):
-        arith(a, b, "mod")
-
-
 def test_division_by_zero_value_raises():
     z = seed(0.0)
     with pytest.raises(JetDomainError):
         seed(1.0) / z
-    with pytest.raises(JetDomainError):
-        arith(seed(1.0), z, "div")
 
 
 @given(
@@ -298,22 +284,13 @@ def test_pow_tower():
     assert close(jm.d1, fd1(g, x), 1e-8)
 
 
-def test_named_elementary_dispatch():
-    j = seed(0.5)
-    assert elementary(j, "exp").as_tuple() == jexp(j).as_tuple()
-    assert elementary(j, ("pow", 1.5)).as_tuple() == jpow(j, 1.5).as_tuple()
-    with pytest.raises(ValueError):
-        elementary(j, "erf")
-
-
-@pytest.mark.parametrize("fn,bad", [
-    ("log", 0.0), ("log", -1.0), ("sqrt", -4.0), ("atanh", 1.0),
-    ("atanh", -1.3),
-])
-def test_domain_errors(fn, bad):
+@pytest.mark.parametrize("jf,bad", [
+    (jlog, 0.0), (jlog, -1.0), (jsqrt, -4.0), (jatanh, 1.0), (jatanh, -1.3),
+], ids=lambda c: c.__name__[1:] if callable(c) else None)
+def test_domain_errors(jf, bad):
     with pytest.raises(JetDomainError) as err:
-        elementary(seed(bad), fn)
-    assert err.value.fn == fn
+        jf(seed(bad))
+    assert err.value.fn == jf.__name__[1:]
     assert err.value.value == bad
 
 

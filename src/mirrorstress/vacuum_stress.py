@@ -343,9 +343,8 @@ def stress_component_functions(state: VacuumSpec, observe_chart):
 
     def component(k):
         def evaluate(c1, c2):
-            u = lead_value(observe.u_map(c1))
-            return _gov_components(_governing_chart(state, u), observe)[k](
-                c1, c2)
+            gov = _governing_chart(state, lead_value(observe.u_map(c1)))
+            return _gov_components(gov, observe)[k](c1, c2)
         return evaluate
 
     return component(0), component(1), component(2), observe.factor

@@ -27,7 +27,6 @@ from .charts import (
     convert_point,
     get_chart,
     identity_map,
-    invert_map,
     minkowski_chart,
     point_from_timespace,
     register_chart,
@@ -44,7 +43,6 @@ from .trajectories import (
     reflection_map,
     stationary_mirror,
     to_chart,
-    trajectory_from_name,
     uniformly_accelerated_mirror,
 )
 from .vacuum_stress import (
@@ -89,12 +87,12 @@ __all__ = [
     "jlog", "seed",
     "ChartMap", "ConformalChart", "CoverageError", "Interval", "Point",
     "compose_charts", "compose_maps", "convert_point", "get_chart",
-    "identity_map", "invert_map", "minkowski_chart", "point_from_timespace",
+    "identity_map", "minkowski_chart", "point_from_timespace",
     "register_chart", "registered_charts", "rindler_chart",
     "synthetic_curved_chart", "timespace",
     "Asymptotes", "ReflectionMap", "Trajectory", "asymptotes",
     "reflection_map", "stationary_mirror", "to_chart",
-    "trajectory_from_name", "uniformly_accelerated_mirror",
+    "uniformly_accelerated_mirror",
     "INV_24PI", "INV_48PI", "ConservationReport", "F_composition",
     "F_functional", "OrthonormalStress", "StressGrid", "StressSample",
     "VacuumSpec", "anomaly_check", "check_conservation",

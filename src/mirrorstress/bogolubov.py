@@ -228,7 +228,6 @@ class ModeBasis:
     frequencies: np.ndarray = field(default_factory=default_frequencies)
     packet_width: float = 0.5
     sector: str = "u"
-    label: str = ""
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -746,14 +745,14 @@ def _s_interval(window, substitution, s_win):
     return a, b, (1.0 if increasing else -1.0)
 
 
-def _pair_row(stack, supports, g, t, tol, window=None, substitution=None):
+def _pair_row(stack, supports, g, t, tol):
     """Pair the row mode ``g`` with m column modes f_k and with their
     conjugates, all in one lockstep quadrature (``_adaptive_gk``).
 
     ``stack.evaluate(t, xs, owner)`` evaluates f_k at the points owned
     by column k, and ``supports[k]`` is the support of f_k.  Entry k is
-    integrated over the intersection of its support with g's (or over
-    ``window``), in the substitution of g, else of the stack, else in x.
+    integrated over the intersection of its support with g's, in the
+    substitution of g, else of the stack, else in x.
     At every node g and the owning column are each evaluated once, and
     both components, (f_k, g) and (f_k*, g), are formed from those values.
 
@@ -765,15 +764,11 @@ def _pair_row(stack, supports, g, t, tol, window=None, substitution=None):
     a, b, flip = np.zeros(m), np.zeros(m), np.ones(m)
     live = np.zeros(m, bool)
     s2 = g.support(t)
-    if substitution is None:
-        substitution = g.substitution(t) or stack.substitution(t)
+    substitution = g.substitution(t) or stack.substitution(t)
     if substitution is not None:
-        s_win = substitution[3] if len(substitution) > 3 else (-math.inf,
-                                                               math.inf)
-        s_lo, s_hi = (np.broadcast_to(w, m) for w in s_win)
+        s_lo, s_hi = (np.broadcast_to(w, m) for w in substitution[3])
     for k, s1 in enumerate(supports):
-        win = window if window is not None else (max(s1[0], s2[0]),
-                                                 min(s1[1], s2[1]))
+        win = (max(s1[0], s2[0]), min(s1[1], s2[1]))
         if not win[0] < win[1]:
             continue
         if substitution is None:
@@ -823,12 +818,11 @@ def _pair_row(stack, supports, g, t, tol, window=None, substitution=None):
 
 
 def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
-                     window: Optional[tuple] = None, substitution=None,
                      full_output: bool = False):
     """i Int (m1* d_t m2 - d_t m1* m2) dx over a t = const base surface.
 
-    The window defaults to the intersection of the packet supports; the
-    substitution to whichever mode prefers a non-linear one.
+    The window is the intersection of the packet supports; the
+    substitution is whichever mode prefers a non-linear one.
 
     This is a row of one in the engine of ``compute_coefficients``: mode1
     and its conjugate are paired with mode2 on one adaptive grid, so the
@@ -836,7 +830,7 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
     ``_Conjugate(f)`` reproduces its beta entry (up to sign).
     """
     values, errors, truncs, n_evals = _pair_row(
-        mode1, [mode1.support(t)], mode2, t, tol, window, substitution)
+        mode1, [mode1.support(t)], mode2, t, tol)
     report = QuadReport(complex(values[0, 0]), float(errors[0, 0]),
                         float(truncs[0, 0]), bool(truncs[0, 0] > tol),
                         int(n_evals[0]))

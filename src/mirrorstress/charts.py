@@ -8,8 +8,9 @@ Ricci scalar are all evaluated through order-3 jets, so chart derivatives
 are exact wherever the maps are exact.
 
 Charts are immutable after construction and safe to share across threads;
-the one mutable piece, the last root a numeric inverse found, is replaced
-whole in one assignment.
+two pieces are filled in lazily, each whole in one assignment: a map's
+range, which ``ChartMap.range`` probes when none was declared, and the
+last root a numeric inverse found.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "Point",
     "identity_map",
     "compose_maps",
-    "invert_map",
     "compose_charts",
     "minkowski_chart",
     "rindler_chart",
@@ -66,8 +66,8 @@ class Interval:
     lo: float = -math.inf
     hi: float = math.inf
 
-    def contains(self, x: float, margin: float = 0.0) -> bool:
-        return self.lo + margin < x < self.hi - margin
+    def contains(self, x: float) -> bool:
+        return self.lo < x < self.hi
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
@@ -195,23 +195,16 @@ class ChartMap:
 
     # ---------- inversion ----------
 
-    def invert(self, target: float, bracket=None) -> float:
-        """x with |fn(x) - target| <= 1e-12 max(1, |target|)."""
-        if self.inverse_fn is not None:
-            if not self.range.contains(target):
-                raise NoRootError(
-                    f"{self.label}: target {target} outside range {self.range}")
-            return lead_value(self.inverse_fn(target))
-        return self._invert_numeric(target, bracket)
-
-    def _invert_numeric(self, target: float, bracket=None) -> float:
+    def invert(self, target: float) -> float:
+        """x with |fn(x) - target| <= 1e-12 max(1, |target|), in closed form
+        when the map carries one, else by bisection polished by Newton."""
         rng = self.range
         if not rng.contains(target):
             raise NoRootError(
                 f"{self.label}: target {target} outside range {rng}")
-        if bracket is None:
-            bracket = self._bracket(target)
-        a, b = bracket
+        if self.inverse_fn is not None:
+            return lead_value(self.inverse_fn(target))
+        a, b = self._bracket(target)
         fa = lead_value(self.fn(a)) - target
         fb = lead_value(self.fn(b)) - target
         if fa == 0.0:
@@ -381,12 +374,6 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
         label=label or f"{outer.label}*{inner.label}",
         range_hint=outer.image(covered),
     )
-
-
-def invert_map(m: ChartMap, target: float, bracket=None) -> float:
-    """Monotone inversion: closed form when the map carries one, else
-    bracketed bisection refined by Newton steps (1e-12 relative)."""
-    return m.invert(target, bracket=bracket)
 
 
 # ---------- points ----------

@@ -34,7 +34,6 @@ __all__ = [
     "to_chart",
     "asymptotes",
     "reflection_map",
-    "trajectory_from_name",
 ]
 
 
@@ -200,7 +199,8 @@ def reflection_map(traj: Trajectory) -> ReflectionMap:
                          validity_domain=p.domain)
 
 
-def _check_increasing(m: ChartMap, domain: Interval, samples: int = 33):
+def _check_increasing(m: ChartMap, domain: Interval):
+    samples = 33
     lo = domain.lo if math.isfinite(domain.lo) else -10.0
     hi = domain.hi if math.isfinite(domain.hi) else 10.0
     width = hi - lo
@@ -210,20 +210,3 @@ def _check_increasing(m: ChartMap, domain: Interval, samples: int = 33):
             raise MonotonicityError(
                 f"{m.label}: derivative not positive at {x}")
 
-
-# ---------- registry ----------
-
-def trajectory_from_name(name: str) -> Trajectory:
-    """Build from a spec string: 'stationary:z0=1' or 'hyperbola:a=2'."""
-    kind, _, rest = name.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            params[key.strip()] = float(val)
-    if kind == "stationary":
-        return stationary_mirror(params.get("z0", 1.0))
-    if kind == "hyperbola":
-        return uniformly_accelerated_mirror(params.get("a", 1.0))
-    raise ValueError(f"unknown trajectory {name!r}; "
-                     f"use 'stationary:z0=...' or 'hyperbola:a=...'")

@@ -80,6 +80,9 @@ INV_48PI = 1.0 / (48.0 * _PI)
 
 _QUANTIZABLE = ("full_plane", "half_line")
 
+# clearance a conservation region or a CLI grid keeps from singular rays
+MARGIN = 1e-3
+
 # per-point status codes, in the order the point checks apply
 OK, REGION, SECTOR_RAY, COVERAGE, FLOAT_RANGE = range(5)
 STATUS_NAMES = ("ok", "region", "sector_ray", "coverage", "float_range")
@@ -206,6 +209,10 @@ def schwarzian_derivative(m, x: float) -> float:
     j = m(seed(x))
     if lead_value(j.d1) == 0.0:
         raise SingularRayError(f"schwarzian: m'({x}) = 0")
+    return _schwarzian_of_jet(j)
+
+
+def _schwarzian_of_jet(j: Jet3) -> float:
     r = j.d2 / j.d1
     return lead_value(j.d3 / j.d1 - 1.5 * (r * r))
 
@@ -218,9 +225,7 @@ def F_composition(p_map: ChartMap, base_F: float, x_bar: float) -> float:
     pprime = lead_value(j.d1)
     if pprime == 0.0:
         raise SingularRayError(f"F composition: p'({x_bar}) = 0")
-    r = j.d2 / j.d1
-    schw = lead_value(j.d3 / j.d1 - 1.5 * (r * r))
-    return (base_F - schw) / (pprime * pprime)
+    return (base_F - _schwarzian_of_jet(j)) / (pprime * pprime)
 
 
 # ---------- stress of a chart vacuum, jet-generic ----------
@@ -597,8 +602,8 @@ def _singular_rays(state: VacuumSpec, observe: ConformalChart):
     return rays_u, rays_v
 
 
-def check_conservation(state: VacuumSpec, observe_chart, region, n: int,
-                       margin: float = 1e-3) -> ConservationReport:
+def check_conservation(state: VacuumSpec, observe_chart, region,
+                       n: int) -> ConservationReport:
     """Max residual of the null conservation equations on an n-by-n grid.
 
     Residuals are |d1 T_22 + d2 T_12 + (d2 C / C) T_12| and the mirror
@@ -606,7 +611,7 @@ def check_conservation(state: VacuumSpec, observe_chart, region, n: int,
     full evaluation pipeline.  ``region`` is (c1_lo, c1_hi, c2_lo, c2_hi)
     with finite lo < hi on each axis, and n >= 1 (n = 1 takes the centre
     point); anything else raises ValueError.  A region that comes within
-    ``margin`` of a singular ray raises MarginError.
+    ``MARGIN`` of a singular ray raises MarginError.
     """
     observe = get_chart(observe_chart)
     c1_lo, c1_hi, c2_lo, c2_hi = region
@@ -617,13 +622,13 @@ def check_conservation(state: VacuumSpec, observe_chart, region, n: int,
             f"the region, got n={n}, region={region}")
     rays_u, rays_v = _singular_rays(state, observe)
     for ray in rays_u:
-        if c1_lo - margin < ray < c1_hi + margin:
+        if c1_lo - MARGIN < ray < c1_hi + MARGIN:
             raise MarginError(
-                f"region touches singular ray c1={ray} (margin {margin})")
+                f"region touches singular ray c1={ray} (margin {MARGIN})")
     for ray in rays_v:
-        if c2_lo - margin < ray < c2_hi + margin:
+        if c2_lo - MARGIN < ray < c2_hi + MARGIN:
             raise MarginError(
-                f"region touches singular ray c2={ray} (margin {margin})")
+                f"region touches singular ray c2={ray} (margin {MARGIN})")
     max_u = max_v = 0.0
     for i in range(n):
         x = c1_lo + (c1_hi - c1_lo) * (i / (n - 1) if n > 1 else 0.5)

@@ -17,7 +17,6 @@ from mirrorstress.charts import (
     convert_point,
     get_chart,
     identity_map,
-    invert_map,
     minkowski_chart,
     point_from_timespace,
     rindler_chart,
@@ -184,7 +183,7 @@ def assert_close2(a, b):
 # ---------- inversion ----------
 
 def test_invert_closed_form():
-    assert close(invert_map(RIND.u_map, -1.0), 0.0)
+    assert close(RIND.u_map.invert(-1.0), 0.0)
 
 
 def test_invert_numeric_reflection_style_map():
@@ -195,11 +194,11 @@ def test_invert_numeric_reflection_style_map():
         label="p",
         range_hint=Interval(-math.inf, math.log(2.0)),
     )
-    assert close(invert_map(p, 0.0), 0.0)
+    assert close(p.invert(0.0), 0.0)
     # closed-form inverse oracle: f(y) = -log(2 - exp(y))
     for target in (-3.0, -0.4, 0.0, 0.3, 0.65):
         expected = -math.log(2.0 - math.exp(target))
-        assert close(invert_map(p, target), expected)
+        assert close(p.invert(target), expected)
 
 
 def test_invert_cubic_vs_bisection_oracle():
@@ -216,12 +215,12 @@ def test_invert_cubic_vs_bisection_oracle():
         return 0.5 * (a + b)
 
     for target in (-20.0, -1.0, 0.0, 1.0, 5.5, 40.0):
-        assert close(invert_map(cubic, target), bisect_oracle(target), 1e-12)
+        assert close(cubic.invert(target), bisect_oracle(target), 1e-12)
 
 
 def test_invert_out_of_range():
     with pytest.raises(NoRootError):
-        invert_map(RIND.v_map, -2.0)  # range is (0, inf)
+        RIND.v_map.invert(-2.0)  # range is (0, inf)
 
 
 def test_inverse_map_jets_match_closed_form():
@@ -263,7 +262,7 @@ def test_numeric_inverse_roots_agree_across_threads():
                  range_hint=Interval(-math.inf, math.log(2.0)))
     numeric = p.inverse_map()
     targets = [-2.0 + 0.1 * k for k in range(26)]
-    want = [invert_map(p, y) for y in targets]
+    want = [p.invert(y) for y in targets]
     wrong = []
     start = threading.Barrier(6, timeout=60.0)
 

@@ -425,12 +425,20 @@ def test_check_passes_and_exports(tmp_path, capsys):
     assert all(n > 0 for row in payload["n_evaluations"] for n in row)
 
 
-def test_check_injected_fault_exits_four(capsys):
-    code = run_cli("check", "--inject-fault")
-    assert code == 4
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_check_tolerance_override(capsys):
-    code = run_cli("check", "--override", "composition_identity=1e-16")
-    assert code == 4
+@pytest.mark.parametrize("override, want", [
+    ("composition_identity=1e-16", 4),
+    # a misspelt name is refused, not ignored, and nothing is exported
+    ("composition_identiy=1e-16", 1),
+])
+def test_check_tolerance_override(tmp_path, capsys, override, want):
+    bog = tmp_path / "bog.json"
+    code = run_cli("check", "--override", override,
+                   "--bogolubov-json", str(bog))
+    assert code == want
+    captured = capsys.readouterr()
+    if want == 4:
+        assert "FAIL" in captured.out
+        assert bog.exists()
+    else:
+        assert "composition_identiy" in captured.err
+        assert not bog.exists()

@@ -25,7 +25,6 @@ from mirrorstress.trajectories import (
     reflection_map,
     stationary_mirror,
     to_chart,
-    trajectory_from_name,
     uniformly_accelerated_mirror,
 )
 from mirrorstress.vacuum_stress import schwarzian_derivative
@@ -284,15 +283,3 @@ def ChartMapWiggle():
     from mirrorstress.jets import jsinh
     return ChartMap(fn=lambda t: 2.0 * jsinh(t) * 0.0 + t * t * t - t,
                     monotone_sign=1, label="wiggle-U")
-
-
-# ---------- registry ----------
-
-def test_trajectory_from_name():
-    m = trajectory_from_name("stationary:z0=0.25")
-    assert m.position(0.0) == (-0.25, 0.25)
-    h = trajectory_from_name("hyperbola:a=2")
-    u, v = h.position(0.0)
-    assert close(u * v, -0.25)
-    with pytest.raises(ValueError):
-        trajectory_from_name("orbit:r=1")

@@ -570,10 +570,10 @@ def test_point_evaluation_inverts_each_target_once(monkeypatch):
     targets = []
     invert = ChartMap.invert
 
-    def counting(m, target, bracket=None):
+    def counting(m, target):
         if m.inverse_fn is None:
             targets.append(target)
-        return invert(m, target, bracket)
+        return invert(m, target)
 
     monkeypatch.setattr(ChartMap, "invert", counting)
     state = _derived_mirror_state()

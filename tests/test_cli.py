@@ -425,20 +425,24 @@ def test_check_passes_and_exports(tmp_path, capsys):
     assert all(n > 0 for row in payload["n_evaluations"] for n in row)
 
 
-@pytest.mark.parametrize("override, want", [
-    ("composition_identity=1e-16", 4),
-    # a misspelt name is refused, not ignored, and nothing is exported
-    ("composition_identiy=1e-16", 1),
-])
-def test_check_tolerance_override(tmp_path, capsys, override, want):
+def test_check_tolerance_override(tmp_path, capsys):
     bog = tmp_path / "bog.json"
-    code = run_cli("check", "--override", override,
+    code = run_cli("check", "--override", "composition_identity=1e-16",
                    "--bogolubov-json", str(bog))
-    assert code == want
-    captured = capsys.readouterr()
-    if want == 4:
-        assert "FAIL" in captured.out
-        assert bog.exists()
-    else:
-        assert "composition_identiy" in captured.err
-        assert not bog.exists()
+    assert code == 4
+    assert "FAIL" in capsys.readouterr().out
+    assert bog.exists()
+
+
+def test_check_unknown_override_exits_one(tmp_path, capsys):
+    # a misspelt name is refused, not ignored, even beside a known one,
+    # and nothing is exported
+    bog = tmp_path / "bog.json"
+    code = run_cli("check", "--override", "composition_identity=1.0",
+                   "--override", "composition_identiy=1e-16",
+                   "--bogolubov-json", str(bog))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "composition_identiy" in err
+    assert "composition_identity," not in err
+    assert not bog.exists()

@@ -28,6 +28,7 @@ from mirrorstress.trajectories import (
 from mirrorstress.vacuum_stress import (
     INV_24PI,
     INV_48PI,
+    MARGIN,
     F_composition,
     F_functional,
     MarginError,
@@ -380,6 +381,18 @@ def test_conservation_margin_guard():
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
     with pytest.raises(MarginError):
         check_conservation(sc.state, MINK, (-2.0005, 1.0, 0.5, 2.0), 4)
+
+
+def test_conservation_margin_is_the_module_constant():
+    # the sector ray is c1 = -2: a region edge inside MARGIN of it is
+    # refused, one just outside is evaluated
+    sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
+    with pytest.raises(MarginError, match=f"margin {MARGIN}"):
+        check_conservation(sc.state, MINK,
+                           (-2.0 + 0.5 * MARGIN, 1.0, 0.5, 2.0), 4)
+    rep = check_conservation(sc.state, MINK,
+                             (-2.0 + 2.0 * MARGIN, 1.0, 0.5, 2.0), 4)
+    assert rep.max_residual < 1e-9
 
 
 @pytest.mark.parametrize("region,n", [

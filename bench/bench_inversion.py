@@ -10,8 +10,10 @@ through ``ChartMap._auto_dfn``.  The layers, from the bottom: one numeric
 ``invert``, ``_auto_dfn`` on a float, an order-3 seed and a nested
 first-order seed, ``expectation_stress`` on a sequence of distinct points,
 and one 10 x 10 ``check_conservation`` (whose rows of ten points share a
-c1 value).  Compare commits by running this file against each commit's
-source.
+c1 value); then ``ConformalChart.factor`` of the derived chart on nested
+first-order seeds, and a 10 x 10 ``check_conservation`` of each built-in
+scenario on its invariant-suite region.  Compare commits by running this
+file against each commit's source.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from mirrorstress.charts import (
     identity_map,
 )
 from mirrorstress.jets import Jet1, jexp, jlog, seed
+from mirrorstress.scenarios import build_scenario
 from mirrorstress.vacuum_stress import (
     VacuumSpec,
     check_conservation,
@@ -38,6 +41,13 @@ RIND = get_chart("rindler")
 LOG_HALF = math.log(0.5)
 # the conservation region of the CLI's invariant suite for this state
 REGION = (LOG_HALF + 0.05, LOG_HALF + 4.0, 1.0, 3.0)
+# the suite's (observe chart, region) of each built-in scenario at a = 1
+SCENARIO_REGIONS = {
+    "rindler_vacuum": ("rindler", (-2.0, 2.0, -2.0, 2.0)),
+    "mirror_in_rindler_vacuum": ("rindler", REGION),
+    "accelerated_mirror_minkowski": ("minkowski", (-4.0, -0.5, 2.5, 5.0)),
+    "minkowski_vacuum_rindler_observer": ("rindler", (-2.0, 2.0, -2.0, 2.0)),
+}
 
 
 def derived_relabel():
@@ -84,4 +94,20 @@ def test_check_conservation(benchmark):
     state = derived_state()
     check_conservation(state, RIND, REGION, 1)
     benchmark.pedantic(check_conservation, args=(state, RIND, REGION, 10),
+                       rounds=10, warmup_rounds=1)
+
+
+def test_factor_nested_jet1(benchmark):
+    chart = derived_state().chart
+    a1, a2 = Jet1(Jet1(0.2, 1.0), 0.0), Jet1(Jet1(1.5, 0.0), 1.0)
+    benchmark(chart.factor, a1, a2)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_REGIONS))
+def test_check_conservation_scenario(benchmark, name):
+    chart_name, region = SCENARIO_REGIONS[name]
+    state = build_scenario(name, {"a": 1.0}).state
+    chart = get_chart(chart_name)
+    check_conservation(state, chart, region, 1)
+    benchmark.pedantic(check_conservation, args=(state, chart, region, 10),
                        rounds=10, warmup_rounds=1)

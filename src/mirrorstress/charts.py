@@ -158,11 +158,14 @@ class ChartMap:
     def __call__(self, x):
         """fn with a domain check; array arguments are not checked (grid
         evaluation masks points outside the domain itself)."""
+        self._check_domain(x)
+        return self.fn(x)
+
+    def _check_domain(self, x):
         v = lead_value(x)
         if v.__class__ is not np.ndarray and not self.domain.contains(v):
             raise CoverageError(
                 f"{self.label}: argument {v} outside domain {self.domain}")
-        return self.fn(x)
 
     def deriv(self, x: float) -> float:
         return lead_value(self.dfn(x))
@@ -294,9 +297,9 @@ class ChartMap:
         if self.inverse_fn is not None:
             inv_fn = self.inverse_fn
         else:
-            # the (target, root) cell, shared by inv_fn and inv_dfn: the
-            # components of one stress point evaluate a transition five
-            # times at one float.  It is replaced by a single tuple
+            # the (target, root) cell, shared by inv_fn and inv_dfn: a
+            # stress point evaluates a transition and its derivative at
+            # one float.  It is replaced by a single tuple
             # assignment, so a thread reads a consistent pair or misses.
             cell = [(None, None)]
 
@@ -349,7 +352,9 @@ def identity_map(label: str = "id") -> ChartMap:
 def compose_maps(outer: ChartMap, inner: ChartMap,
                  label: Optional[str] = None) -> ChartMap:
     """outer(inner(x)) with exact derivatives, chained inverses and the
-    exact range: outer's image of the part of inner's range it covers."""
+    exact range: outer's image of the part of inner's range it covers.
+    The derivative evaluates inner once: a forward-only inner's value is
+    the value slot of the tangent pass that gives its derivative."""
     covered = inner.range.intersect(outer.domain)
     if covered.empty:
         raise CoverageError(
@@ -358,9 +363,13 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
     def fn(x):
         return outer.fn(inner.fn(x))
 
-    def dfn(x):
-        y = inner.fn(x)
-        return outer.dfn(y) * inner.dfn(x)
+    if inner.dfn == inner._auto_dfn:
+        def dfn(x):
+            j = inner.fn(Jet1(x, 1.0))
+            return outer.dfn(j.value) * j.d1
+    else:
+        def dfn(x):
+            return outer.dfn(inner.fn(x)) * inner.dfn(x)
 
     inverse_fn = None
     if outer.inverse_fn is not None and inner.inverse_fn is not None:
@@ -433,9 +442,13 @@ class ConformalChart:
     def factor(self, cu, cv):
         """Conformal factor at chart coords; floats, arrays or jets in each
         slot.  The domain and positivity checks apply to scalar points;
-        grid evaluation masks array points itself."""
-        bu = self.u_map(cu)
-        bv = self.v_map(cv)
+        grid evaluation masks array points itself.  The maps themselves
+        are evaluated only for ``base_factor``, at the base point."""
+        if self.base_factor is None:
+            self.u_map._check_domain(cu)
+            self.v_map._check_domain(cv)
+        else:
+            bu, bv = self.u_map(cu), self.v_map(cv)
         c = self.u_map.dfn(cu) * self.v_map.dfn(cv)
         if self.base_factor is not None:
             lu, lv = lead_value(bu), lead_value(bv)

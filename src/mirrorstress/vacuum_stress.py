@@ -267,26 +267,23 @@ def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
                         label=f"{state_chart.name}.{side}({observe.name})")
 
 
-def _gov_components(gov: ConformalChart, observe: ConformalChart):
-    """(t11, t22, t12) of the ``gov``-chart vacuum, expressed in observe
-    coordinates, as jet-generic functions of (c1, c2)."""
+def _gov_components(gov: ConformalChart, observe: ConformalChart,
+                    ks=(0, 1, 2)):
+    """Components ``ks`` of (t11, t22, t12) of the ``gov``-chart vacuum,
+    expressed in observe coordinates, as one jet-generic function of
+    (c1, c2) returning their tuple.  It evaluates the transitions into
+    ``gov`` coordinates and their Jacobians once for all of them."""
     m_u = _transition_map(gov, observe, "u")
     m_v = _transition_map(gov, observe, "v")
 
-    def t11(c1, c2):
-        xi, eta, jac = m_u(c1), m_v(c2), m_u.dfn(c1)
-        return INV_24PI * ((jac * jac) * _theta_F(gov, xi, eta, "u"))
+    def evaluate(c1, c2):
+        xi, eta, ju, jv = m_u(c1), m_v(c2), m_u.dfn(c1), m_v.dfn(c2)
+        return tuple(INV_24PI * (
+            (ju * ju) * _theta_F(gov, xi, eta, "u") if k == 0 else
+            (jv * jv) * _theta_F(gov, xi, eta, "v") if k == 1 else
+            (ju * jv) * _mixed_log_derivative(gov, xi, eta)) for k in ks)
 
-    def t22(c1, c2):
-        xi, eta, jac = m_v(c2), m_u(c1), m_v.dfn(c2)
-        return INV_24PI * ((jac * jac) * _theta_F(gov, eta, xi, "v"))
-
-    def t12(c1, c2):
-        xi, eta = m_u(c1), m_v(c2)
-        jac = m_u.dfn(c1) * m_v.dfn(c2)
-        return INV_24PI * (jac * _mixed_log_derivative(gov, xi, eta))
-
-    return t11, t22, t12
+    return evaluate
 
 
 # ---------- mirror sectors ----------
@@ -349,7 +346,7 @@ def stress_component_functions(state: VacuumSpec, observe_chart):
     def component(k):
         def evaluate(c1, c2):
             gov = _governing_chart(state, lead_value(observe.u_map(c1)))
-            return _gov_components(gov, observe)[k](c1, c2)
+            return _gov_components(gov, observe, (k,))(c1, c2)[0]
         return evaluate
 
     return component(0), component(1), component(2), observe.factor
@@ -469,8 +466,8 @@ def expectation_stress(state: VacuumSpec, observe_chart, p: Point
     if status == OK:
         gov = _governing_chart(state, observe.u_map.fn(q.c1))
         try:
-            t11, t22, t12 = (lead_value(f(q.c1, q.c2))
-                             for f in _gov_components(gov, observe))
+            t11, t22, t12 = (lead_value(t) for t in
+                             _gov_components(gov, observe)(q.c1, q.c2))
         except (ArithmeticError, JetDomainError):
             status = FLOAT_RANGE
         else:
@@ -513,8 +510,9 @@ def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
         values = np.full((3, len(c1), len(c2)), np.nan)
         for gov, rows in sectors:
             if rows.any():
-                for k, f in enumerate(_gov_components(gov, observe)):
-                    values[k, rows] = f(col[rows], row)
+                comps = _gov_components(gov, observe)(col[rows], row)
+                for k, t in enumerate(comps):
+                    values[k, rows] = t
         status[(status == OK) & ~_finite(values).all(axis=0)] = FLOAT_RANGE
         values[:, status != OK] = np.nan
     return StressGrid(values[0], values[1], values[2], status, c1, c2,
@@ -634,14 +632,12 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
         x = c1_lo + (c1_hi - c1_lo) * (i / (n - 1) if n > 1 else 0.5)
         # the governing chart of a point depends on its c1 alone
         gov = _governing_chart(state, observe.u_map(x))
-        t11f, t22f, t12f = _gov_components(gov, observe)
+        components = _gov_components(gov, observe)
         a1 = Jet1(Jet1(x, 1.0), 0.0)   # inner jet in c1
         for j in range(n):
             y = c2_lo + (c2_hi - c2_lo) * (j / (n - 1) if n > 1 else 0.5)
             a2 = Jet1(Jet1(y, 0.0), 1.0)   # outer jet in c2
-            t11 = t11f(a1, a2)
-            t22 = t22f(a1, a2)
-            t12 = t12f(a1, a2)
+            t11, t22, t12 = components(a1, a2)
             c = observe.factor(a1, a2)
             c00 = c.value.value
             t12_00 = t12.value.value

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from mirrorstress.bogolubov import expected_number, row_normalization
+from mirrorstress.bogolubov import row_normalization
 from mirrorstress.charts import (
     ChartMap,
     Point,

@@ -25,7 +25,6 @@ from mirrorstress.bogolubov import (
     _UnitPacket,
     compute_coefficients,
     critical_packet_width,
-    default_frequencies,
     expected_number,
     kg_inner_product,
     row_normalization,

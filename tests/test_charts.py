@@ -9,11 +9,13 @@ import pytest
 
 from mirrorstress.charts import (
     ChartMap,
+    ConformalChart,
     CoverageError,
     Interval,
     NoRootError,
     Point,
     compose_charts,
+    compose_maps,
     convert_point,
     get_chart,
     identity_map,
@@ -23,7 +25,7 @@ from mirrorstress.charts import (
     synthetic_curved_chart,
     timespace,
 )
-from mirrorstress.jets import jexp, jlog, lead_value, seed
+from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
 
 
 def close(a, b, tol=1e-12):
@@ -329,3 +331,79 @@ def test_registry_contains_builtins():
     assert get_chart("rindler").name == "rindler"
     with pytest.raises(ValueError):
         get_chart("nonexistent")
+
+
+# ---------- map evaluations skipped ----------
+
+def _counting(fn, calls):
+    """fn, appending each argument it is called with to ``calls``."""
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+    return counted
+
+
+def _leaves(j):
+    """Coefficients of a (possibly nested) jet, depth first."""
+    if isinstance(j, (Jet1, Jet3)):
+        parts = (j.value, j.d1) if isinstance(j, Jet1) else j.as_tuple()
+        return [x for part in parts for x in _leaves(part)]
+    return [j]
+
+
+def _same_bits(a, b):
+    a, b = _leaves(a), _leaves(b)
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) and type(x) is type(y) for x, y in zip(a, b))
+
+
+def test_factor_without_base_factor_evaluates_no_map():
+    calls = []
+    u_map = ChartMap(fn=_counting(lambda x: -jexp(-x), calls),
+                     dfn=lambda x: jexp(-x), monotone_sign=1,
+                     domain=Interval(-5.0, 5.0), label="counted-u")
+    v_map = ChartMap(fn=_counting(jexp, calls), dfn=jexp, monotone_sign=1,
+                     label="counted-v")
+    chart = ConformalChart("counted", u_map, v_map)
+    for cu, cv in ((0.3, 1.1), (seed(0.3), 1.1),
+                   (Jet1(Jet1(0.3, 1.0), 0.0), Jet1(Jet1(1.1, 0.0), 1.0)),
+                   (np.array([0.3, 0.4]), np.array([1.1, 1.2]))):
+        want = RIND.factor(cu, cv)
+        assert _same_bits(chart.factor(cu, cv), want)
+    assert calls == []
+    # the scalar domain check still applies, with the map's own message
+    for cu in (6.0, seed(6.0), Jet1(Jet1(6.0, 1.0), 0.0)):
+        with pytest.raises(CoverageError) as got:
+            chart.factor(cu, 1.1)
+        with pytest.raises(CoverageError) as want:
+            u_map(cu)
+        assert str(got.value) == str(want.value) \
+            == "counted-u: argument 6.0 outside domain (-5.0, 5.0)"
+    assert calls == []
+
+
+def test_factor_with_base_factor_checks_its_domain():
+    with pytest.raises(CoverageError, match=r"base point \(-1.0, 0.5\) "
+                       r"outside the factor's domain"):
+        CURVED.factor(-1.0, 0.5)
+    with pytest.raises(CoverageError, match="outside the factor's domain"):
+        CURVED.factor(Jet1(Jet1(-1.0, 1.0), 0.0), Jet1(Jet1(0.5, 0.0), 1.0))
+    assert CURVED.conformal_factor(0.5, 1.0) == 2.25
+
+
+def test_composite_derivative_passes_once_through_forward_only_inner():
+    calls = []
+    inner = ChartMap(fn=_counting(lambda x: -jlog(2.0 - jexp(x)), calls),
+                     domain=Interval(-math.inf, math.log(2.0)),
+                     label="forward-only")
+    composite = compose_maps(RIND.u_map, inner)
+    x = 0.2
+    for arg in (x, np.array([-1.2, -0.2, 0.5]), Jet1(x, 0.7), seed(x),
+                Jet3(x, 0.7, -0.3, 0.2), Jet1(Jet1(x, 1.0), 0.0),
+                Jet1(Jet1(x, 0.0), 1.0)):
+        calls.clear()
+        got = composite.dfn(arg)
+        assert len(calls) == 1
+        # the two-pass value: inner's value, then its derivative
+        want = RIND.u_map.dfn(inner.fn(arg)) * inner._auto_dfn(arg)
+        assert _same_bits(got, want)

@@ -6,13 +6,15 @@ import random
 import numpy as np
 import pytest
 
+from mirrorstress import charts, trajectories
+from mirrorstress import vacuum_stress as vs
 from mirrorstress.charts import (
     ChartMap,
     CoverageError,
     Interval,
     Point,
     compose_charts,
-    convert_point,
+    compose_maps,
     get_chart,
     identity_map,
     synthetic_curved_chart,
@@ -23,7 +25,6 @@ from mirrorstress.trajectories import (
     reflection_map,
     stationary_mirror,
     to_chart,
-    uniformly_accelerated_mirror,
 )
 from mirrorstress.vacuum_stress import (
     INV_24PI,
@@ -39,6 +40,8 @@ from mirrorstress.vacuum_stress import (
     anomaly_check,
     check_conservation,
     expectation_stress,
+    expectation_stress_grid,
+    orthonormal_grid,
     schwarzian_derivative,
     stress_component_functions,
     theta_components,
@@ -578,8 +581,8 @@ def test_auto_derivative_matches_jet3_seeded_reference():
 
 
 def test_point_evaluation_inverts_each_target_once(monkeypatch):
-    # the five u-transition evaluations of a point (fn and dfn in T_11
-    # and T_12, fn in T_22) share one numeric root
+    # the u-transition's value and derivative at a point share one
+    # numeric root
     targets = []
     invert = ChartMap.invert
 
@@ -593,3 +596,139 @@ def test_point_evaluation_inverts_each_target_once(monkeypatch):
     for c1 in (0.3, 1.1):
         expectation_stress(state, RIND, Point(c1, 2.5, "rindler"))
     assert targets == [-math.exp(-0.3), -math.exp(-1.1)]
+
+
+# ---------- parity with per-component evaluation ----------
+
+def _reference_gov_components(gov, observe):
+    """(t11, t22, t12) as three closures, each evaluating its own
+    transitions and Jacobians: the evaluation the single evaluator
+    replaced, kept as its reference."""
+    m_u = vs._transition_map(gov, observe, "u")
+    m_v = vs._transition_map(gov, observe, "v")
+
+    def t11(c1, c2):
+        xi, eta, jac = m_u(c1), m_v(c2), m_u.dfn(c1)
+        return INV_24PI * ((jac * jac) * vs._theta_F(gov, xi, eta, "u"))
+
+    def t22(c1, c2):
+        xi, eta, jac = m_v(c2), m_u(c1), m_v.dfn(c2)
+        return INV_24PI * ((jac * jac) * vs._theta_F(gov, eta, xi, "v"))
+
+    def t12(c1, c2):
+        xi, eta = m_u(c1), m_v(c2)
+        jac = m_u.dfn(c1) * m_v.dfn(c2)
+        return INV_24PI * (jac * vs._mixed_log_derivative(gov, xi, eta))
+
+    return t11, t22, t12
+
+
+def _two_pass_compose_maps(outer, inner, label=None):
+    """compose_maps with a derivative that evaluates inner's value and
+    inner's derivative in two passes: the reference for the one-pass
+    derivative over a forward-only inner map."""
+    m = compose_maps(outer, inner, label)
+
+    def dfn(x):
+        y = inner.fn(x)
+        return outer.dfn(y) * inner.dfn(x)
+
+    m.dfn = dfn
+    return m
+
+
+def _install_reference(mp):
+    """Route the stress engine through the reference evaluation."""
+    def gov_components(gov, observe, ks=(0, 1, 2)):
+        closures = _reference_gov_components(gov, observe)
+        return lambda c1, c2: tuple(closures[k](c1, c2) for k in ks)
+
+    for module in (charts, vs, trajectories):
+        mp.setattr(module, "compose_maps", _two_pass_compose_maps)
+    mp.setattr(vs, "_gov_components", gov_components)
+
+
+_EDGE = math.log(0.5)  # sector boundary u = -2 of the a = 1 mirror
+
+# (state, observe chart, conservation box clear of the singular rays);
+# "hatted" is the state's own chart
+PARITY_CASES = [
+    ("rindler_vacuum", "rindler", (-3.0, 3.0, -3.0, 3.0)),
+    ("rindler_vacuum", "minkowski", (-4.0, -0.1, 0.1, 4.0)),
+    ("minkowski_vacuum_rindler_observer", "rindler", (-3.0, 3.0, -3.0, 3.0)),
+    ("minkowski_vacuum_rindler_observer", "minkowski",
+     (-3.0, 3.0, -3.0, 3.0)),
+    ("mirror_in_rindler_vacuum", "rindler",
+     (_EDGE + 0.05, _EDGE + 4.0, -_EDGE + 0.05, -_EDGE + 3.0)),
+    ("mirror_in_rindler_vacuum", "minkowski", (-1.95, 2.0, 4.5, 8.0)),
+    ("mirror_in_rindler_vacuum", "hatted", (-1.0, 1.0, 1.2, 3.0)),
+    ("accelerated_mirror_minkowski", "minkowski", (-4.0, -0.5, 2.5, 5.0)),
+    ("accelerated_mirror_minkowski", "hatted", (0.2, 1.0, 1.2, 3.0)),
+    ("derived", "rindler", (_EDGE + 0.05, _EDGE + 4.0, 1.0, 3.0)),
+]
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and text of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the error is part of the compared output
+        return type(exc), str(exc)
+
+
+def _array_key(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _parity_outputs(name, chart_name, box):
+    """Every output of the stress engine for one case, in a form that
+    compares exactly: point and grid evaluation over the box widened past
+    the singular rays, the orthonormal frame of each, a conservation
+    report, and each component function on nested first-order seeds."""
+    state = _derived_mirror_state() if name == "derived" \
+        else build_scenario(name, {"a": 1.0}).state
+    chart = state.chart if chart_name == "hatted" else get_chart(chart_name)
+    lo1, hi1, lo2, hi2 = box
+    w1, w2 = 0.3 * (hi1 - lo1), 0.3 * (hi2 - lo2)
+    c1 = np.linspace(lo1 - w1, hi1 + w1, 9)
+    c2 = np.linspace(lo2 - w2, hi2 + w2, 7)
+    out = []
+    for x in c1[::2].tolist():
+        for y in c2[::2].tolist():
+            s = _outcome(expectation_stress, state, chart,
+                         Point(x, y, chart.name))
+            out += [s, _outcome(to_orthonormal_frame, s)
+                    if isinstance(s, vs.StressSample) else None]
+    g = _outcome(expectation_stress_grid, state, chart, c1, c2)
+    if isinstance(g, vs.StressGrid):
+        status, o = orthonormal_grid(g)
+        out += [_array_key(a) for a in (g.t_uu, g.t_vv, g.t_uv, g.status,
+                                         status, o.energy_density,
+                                         o.pressure, o.flux)]
+    else:
+        out.append(g)
+    out.append(_outcome(check_conservation, state, chart, box, 4))
+    functions = stress_component_functions(state, chart)
+    for x, y in ((lo1, lo2), (0.5 * (lo1 + hi1), hi2)):
+        for f in functions:
+            out.append(_leaves(f(x, y)))
+            out.append(_leaves(f(Jet1(Jet1(x, 1.0), 0.0),
+                                 Jet1(Jet1(y, 0.0), 1.0))))
+    return out
+
+
+@pytest.mark.parametrize("name,chart_name,box", PARITY_CASES)
+def test_single_pass_evaluation_matches_reference_bit_for_bit(
+        monkeypatch, name, chart_name, box):
+    # the transition maps are cached per chart pair: each side builds its
+    # own, the reference's with two-pass composite derivatives
+    vs._transition_map.cache_clear()
+    got = _parity_outputs(name, chart_name, box)
+    with monkeypatch.context() as mp:
+        _install_reference(mp)
+        vs._transition_map.cache_clear()
+        want = _parity_outputs(name, chart_name, box)
+    vs._transition_map.cache_clear()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w

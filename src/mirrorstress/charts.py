@@ -354,7 +354,8 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
     """outer(inner(x)) with exact derivatives, chained inverses and the
     exact range: outer's image of the part of inner's range it covers.
     The derivative evaluates inner once: a forward-only inner's value is
-    the value slot of the tangent pass that gives its derivative."""
+    the value slot of the tangent pass that gives its derivative, inner(x)
+    to the bit unless inner divides (a jet quotient takes a reciprocal)."""
     covered = inner.range.intersect(outer.domain)
     if covered.empty:
         raise CoverageError(

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from mirrorstress import charts, trajectories
+from mirrorstress import charts
 from mirrorstress import vacuum_stress as vs
 from mirrorstress.charts import (
     ChartMap,
@@ -643,7 +643,7 @@ def _install_reference(mp):
         closures = _reference_gov_components(gov, observe)
         return lambda c1, c2: tuple(closures[k](c1, c2) for k in ks)
 
-    for module in (charts, vs, trajectories):
+    for module in (charts, vs):
         mp.setattr(module, "compose_maps", _two_pass_compose_maps)
     mp.setattr(vs, "_gov_components", gov_components)
 

@@ -355,7 +355,8 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
     exact range: outer's image of the part of inner's range it covers.
     The derivative evaluates inner once: a forward-only inner's value is
     the value slot of the tangent pass that gives its derivative, inner(x)
-    to the bit unless inner divides (a jet quotient takes a reciprocal)."""
+    to the bit unless inner divides: a jet quotient multiplies by the
+    reciprocal, which can put the slot 1 ulp from inner(x)."""
     covered = inner.range.intersect(outer.domain)
     if covered.empty:
         raise CoverageError(
@@ -448,10 +449,10 @@ class ConformalChart:
         if self.base_factor is None:
             self.u_map._check_domain(cu)
             self.v_map._check_domain(cv)
+            c = self.u_map.dfn(cu) * self.v_map.dfn(cv)
         else:
             bu, bv = self.u_map(cu), self.v_map(cv)
-        c = self.u_map.dfn(cu) * self.v_map.dfn(cv)
-        if self.base_factor is not None:
+            c = self.u_map.dfn(cu) * self.v_map.dfn(cv)
             lu, lv = lead_value(bu), lead_value(bv)
             if self.base_domain is not None \
                     and lu.__class__ is not np.ndarray \

@@ -267,21 +267,19 @@ def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
                         label=f"{state_chart.name}.{side}({observe.name})")
 
 
-def _gov_components(gov: ConformalChart, observe: ConformalChart,
-                    ks=(0, 1, 2)):
-    """Components ``ks`` of (t11, t22, t12) of the ``gov``-chart vacuum,
-    expressed in observe coordinates, as one jet-generic function of
-    (c1, c2) returning their tuple.  It evaluates the transitions into
-    ``gov`` coordinates and their Jacobians once for all of them."""
+def _gov_components(gov: ConformalChart, observe: ConformalChart):
+    """(t11, t22, t12) of the ``gov``-chart vacuum, expressed in observe
+    coordinates, as one jet-generic function of (c1, c2) returning all
+    three.  It evaluates the transitions into ``gov`` coordinates and
+    their Jacobians once for the three components."""
     m_u = _transition_map(gov, observe, "u")
     m_v = _transition_map(gov, observe, "v")
 
     def evaluate(c1, c2):
         xi, eta, ju, jv = m_u(c1), m_v(c2), m_u.dfn(c1), m_v.dfn(c2)
-        return tuple(INV_24PI * (
-            (ju * ju) * _theta_F(gov, xi, eta, "u") if k == 0 else
-            (jv * jv) * _theta_F(gov, xi, eta, "v") if k == 1 else
-            (ju * jv) * _mixed_log_derivative(gov, xi, eta)) for k in ks)
+        return (INV_24PI * ((ju * ju) * _theta_F(gov, xi, eta, "u")),
+                INV_24PI * ((jv * jv) * _theta_F(gov, xi, eta, "v")),
+                INV_24PI * ((ju * jv) * _mixed_log_derivative(gov, xi, eta)))
 
     return evaluate
 
@@ -337,16 +335,16 @@ def stress_component_functions(state: VacuumSpec, observe_chart):
 
     The callables assume their arguments already lie in the state's
     region; :func:`expectation_stress` performs the per-point checks.
-    Each component evaluates the chart governing its c1 and raises
-    SingularRayError on the sector ray, CoverageError outside every
-    sector.
+    Each callable evaluates all three components in the chart governing
+    its c1 and returns its own; it raises SingularRayError on the sector
+    ray, CoverageError outside every sector.
     """
     observe = get_chart(observe_chart)
 
     def component(k):
         def evaluate(c1, c2):
             gov = _governing_chart(state, lead_value(observe.u_map(c1)))
-            return _gov_components(gov, observe, (k,))(c1, c2)[0]
+            return _gov_components(gov, observe)(c1, c2)[k]
         return evaluate
 
     return component(0), component(1), component(2), observe.factor

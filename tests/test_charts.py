@@ -27,6 +27,8 @@ from mirrorstress.charts import (
 )
 from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
 
+from jet_leaves import leaves
+
 
 def close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
@@ -343,16 +345,8 @@ def _counting(fn, calls):
     return counted
 
 
-def _leaves(j):
-    """Coefficients of a (possibly nested) jet, depth first."""
-    if isinstance(j, (Jet1, Jet3)):
-        parts = (j.value, j.d1) if isinstance(j, Jet1) else j.as_tuple()
-        return [x for part in parts for x in _leaves(part)]
-    return [j]
-
-
 def _same_bits(a, b):
-    a, b = _leaves(a), _leaves(b)
+    a, b = leaves(a), leaves(b)
     return len(a) == len(b) and all(
         np.array_equal(x, y) and type(x) is type(y) for x, y in zip(a, b))
 
@@ -393,17 +387,31 @@ def test_factor_with_base_factor_checks_its_domain():
 
 def test_composite_derivative_passes_once_through_forward_only_inner():
     calls = []
-    inner = ChartMap(fn=_counting(lambda x: -jlog(2.0 - jexp(x)), calls),
-                     domain=Interval(-math.inf, math.log(2.0)),
-                     label="forward-only")
-    composite = compose_maps(RIND.u_map, inner)
     x = 0.2
-    for arg in (x, np.array([-1.2, -0.2, 0.5]), Jet1(x, 0.7), seed(x),
-                Jet3(x, 0.7, -0.3, 0.2), Jet1(Jet1(x, 1.0), 0.0),
-                Jet1(Jet1(x, 0.0), 1.0)):
-        calls.clear()
-        got = composite.dfn(arg)
-        assert len(calls) == 1
-        # the two-pass value: inner's value, then its derivative
-        want = RIND.u_map.dfn(inner.fn(arg)) * inner._auto_dfn(arg)
-        assert _same_bits(got, want)
+    xs = np.linspace(-1.2, 0.5, 401)
+    # (inner, ulps of the tangent pass's value slot from inner(x), ulps of
+    # the derivative from the two-pass value): jet functions, - and *
+    # keep inner(x) to the bit; a quotient multiplies by the reciprocal,
+    # and outer's derivative e^(-y) at y < 3 turns 1 ulp of y into about 3
+    for f, slot_ulps, ulps in ((lambda x: -jlog(2.0 - jexp(x)), 0, 0),
+                               (lambda x: 3.0 / (jexp(x) + 1.0), 1, 8)):
+        inner = ChartMap(fn=_counting(f, calls),
+                         domain=Interval(-math.inf, math.log(2.0)),
+                         label="forward-only")
+        composite = compose_maps(RIND.u_map, inner)
+        slot, value = inner.fn(Jet1(xs, 1.0)).value, inner.fn(xs)
+        assert np.all(np.abs(slot - value) <= slot_ulps * np.spacing(value))
+        for arg in (x, xs, Jet1(x, 0.7), seed(x), Jet3(x, 0.7, -0.3, 0.2),
+                    Jet1(Jet1(x, 1.0), 0.0), Jet1(Jet1(x, 0.0), 1.0)):
+            calls.clear()
+            got = composite.dfn(arg)
+            assert len(calls) == 1
+            # the two-pass value: inner's value, then its derivative
+            want = RIND.u_map.dfn(inner.fn(arg)) * inner._auto_dfn(arg)
+            got, want = leaves(got), leaves(want)
+            assert len(got) == len(want)
+            scale = max(np.max(np.abs(w)) for w in want)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                assert np.all(np.abs(g - w)
+                              <= ulps * np.finfo(float).eps * scale)

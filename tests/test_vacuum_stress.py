@@ -49,6 +49,8 @@ from mirrorstress.vacuum_stress import (
     transform_stress,
 )
 
+from jet_leaves import leaves
+
 RIND = get_chart("rindler")
 MINK = get_chart("minkowski")
 
@@ -510,14 +512,6 @@ def _derived_mirror_state():
                       region_predicate=lambda u, v: v - u > 2.0)
 
 
-def _leaves(j):
-    """Float coefficients of a (possibly nested) jet, depth first."""
-    if isinstance(j, (Jet1, Jet3)):
-        parts = (j.value, j.d1) if isinstance(j, Jet1) else j.as_tuple()
-        return [x for part in parts for x in _leaves(part)]
-    return [j]
-
-
 def test_numeric_inverse_keeps_inner_derivatives():
     # the derived u-map's inverse against the hatted closed form
     # log(u + 2), on seeds whose coefficients are jets themselves
@@ -530,7 +524,7 @@ def test_numeric_inverse_keeps_inner_derivatives():
                     Jet1(Jet1(y, 0.4), Jet1(1.0, -0.3)),
                     Jet3(seed(y), 0.5, 0.1, 0.2),
                     Jet3(Jet3(y, 1.0, 0.0, 0.0), 0.0, 1.0, 0.0)):
-            got, want = _leaves(numeric(arg)), _leaves(closed(arg))
+            got, want = leaves(numeric(arg)), leaves(closed(arg))
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 # worst measured 1.4e-13, in a third-order coefficient
@@ -573,7 +567,7 @@ def test_auto_derivative_matches_jet3_seeded_reference():
             args += [x, seed(x), Jet3(x, 0.7, -0.3, 0.2),
                      Jet1(Jet1(x, 1.0), 0.0), Jet1(Jet1(x, 0.0), 1.0)]
         for arg in args:
-            got, want = _leaves(m.dfn(arg)), _leaves(_jet3_seeded_dfn(m, arg))
+            got, want = leaves(m.dfn(arg)), leaves(_jet3_seeded_dfn(m, arg))
             assert len(got) == len(want)
             scale = max(np.max(np.abs(w)) for w in want)
             for g, w in zip(got, want):
@@ -639,9 +633,9 @@ def _two_pass_compose_maps(outer, inner, label=None):
 
 def _install_reference(mp):
     """Route the stress engine through the reference evaluation."""
-    def gov_components(gov, observe, ks=(0, 1, 2)):
+    def gov_components(gov, observe):
         closures = _reference_gov_components(gov, observe)
-        return lambda c1, c2: tuple(closures[k](c1, c2) for k in ks)
+        return lambda c1, c2: tuple(f(c1, c2) for f in closures)
 
     for module in (charts, vs):
         mp.setattr(module, "compose_maps", _two_pass_compose_maps)
@@ -711,9 +705,9 @@ def _parity_outputs(name, chart_name, box):
     functions = stress_component_functions(state, chart)
     for x, y in ((lo1, lo2), (0.5 * (lo1 + hi1), hi2)):
         for f in functions:
-            out.append(_leaves(f(x, y)))
-            out.append(_leaves(f(Jet1(Jet1(x, 1.0), 0.0),
-                                 Jet1(Jet1(y, 0.0), 1.0))))
+            out.append(leaves(f(x, y)))
+            out.append(leaves(f(Jet1(Jet1(x, 1.0), 0.0),
+                                Jet1(Jet1(y, 0.0), 1.0))))
     return out
 
 

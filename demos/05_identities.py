@@ -32,7 +32,7 @@ for name, chart, region in [
     ("rindler_vacuum", rind, (-2.0, 2.0, -2.0, 2.0)),
     ("mirror_in_rindler_vacuum", rind,
      (math.log(0.5) + 0.05, math.log(0.5) + 4.0, 1.0, 3.0)),
-    ("mirror_in_rindler_vacuum", mink, (-1.95, 3.0, 0.2, 4.0)),
+    ("mirror_in_rindler_vacuum", mink, (-1.95, 3.0, 5.2, 9.0)),
     ("accelerated_mirror_minkowski", mink, (-4.0, -0.5, 2.5, 5.0)),
 ]:
     sc = build_scenario(name, {"a": 1.0})

@@ -66,8 +66,10 @@ class Interval:
     lo: float = -math.inf
     hi: float = math.inf
 
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
+    def contains(self, x):
+        """Open-interval membership of a float, or of each entry of an
+        array."""
+        return (self.lo < x) & (x < self.hi)
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))

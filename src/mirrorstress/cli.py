@@ -183,19 +183,15 @@ def _build_run_config(args) -> RunConfig:
 
 def _coverage_interval(state, observe, side: str):
     """Observe-chart coordinate interval reachable by the state, as
-    (lo, hi) with infinities where unconstrained."""
+    (lo, hi) with infinities where unconstrained: for u the hull of the
+    state's sectors, each within its chart's coverage; for v the state
+    chart's v range."""
     o_map = observe.u_map if side == "u" else observe.v_map
-    if state.boundary == "full_line":
-        charts = [state.chart]
-    else:
-        charts = [c for c in (state.chart, state.ambient_chart)
-                  if c is not None]
-    base_lo = min((c.u_map if side == "u" else c.v_map).range.lo
-                  for c in charts)
-    base_hi = max((c.u_map if side == "u" else c.v_map).range.hi
-                  for c in charts)
+    ranges = ([rng.intersect(gov.u_map.range) for gov, rng in state.sectors]
+              if side == "u" else [state.chart.v_map.range])
     rng = o_map.range
-    lo_b, hi_b = max(base_lo, rng.lo), min(base_hi, rng.hi)
+    lo_b = max(min(r.lo for r in ranges), rng.lo)
+    hi_b = min(max(r.hi for r in ranges), rng.hi)
     lo = o_map.invert(lo_b) if lo_b > rng.lo else -math.inf
     hi = o_map.invert(hi_b) if hi_b < rng.hi else math.inf
     return lo, hi

@@ -70,7 +70,6 @@ __all__ = [
     "orthonormal_grid",
     "check_conservation",
     "anomaly_check",
-    "stress_component_functions",
 ]
 
 # single shared source for all physical constants
@@ -112,7 +111,15 @@ class VacuumSpec:
     'dirichlet_half_line' for a mirror state; the latter carries the
     ambient vacuum used for never-reflected right-movers, the base-u
     interval governed by the mirror chart, and the predicate selecting
-    the mirror's side.
+    the mirror's side, applied to base (u, v) as floats or as arrays.
+
+    ``sectors`` is the state's table of (governing chart, base-u
+    ``Interval``) pairs, derived once from the fields above.  A full-line
+    state has one pair, its chart over the chart's u range.  A mirror
+    state has the mirror chart over ``reflected_u_range``, then the
+    ambient chart over each non-empty piece of its u range outside that
+    interval.  The intervals are open and disjoint, so the rays between
+    them lie in none.
     """
 
     chart: ConformalChart
@@ -133,6 +140,21 @@ class VacuumSpec:
                 and self.chart.global_class != "half_line":
             raise StateError(
                 "half-line vacua require a mirror-adapted (half_line) chart")
+
+    @functools.cached_property
+    def sectors(self) -> list:
+        if self.boundary == "full_line":
+            return [(self.chart, self.chart.u_map.range)]
+        refl, table = self.reflected_u_range, []
+        if refl is not None:
+            table.append((self.chart, refl))
+        if self.ambient_chart is not None:
+            rng = self.ambient_chart.u_map.range
+            pieces = [rng] if refl is None else [
+                Interval(rng.lo, min(rng.hi, refl.lo)),
+                Interval(max(rng.lo, refl.hi), rng.hi)]
+            table += [(self.ambient_chart, p) for p in pieces if not p.empty]
+        return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,68 +308,17 @@ def _gov_components(gov: ConformalChart, observe: ConformalChart):
 
 # ---------- mirror sectors ----------
 
-def _inside(interval: Interval, x):
-    """Open-interval membership of a float, or of each entry of an array."""
-    return (interval.lo < x) & (x < interval.hi)
-
-
 def _sectors(state: VacuumSpec, u):
-    """(governing chart, selector) pairs for base u.
+    """(governing chart, selector) pairs for base u, one per entry of
+    ``state.sectors``.
 
     A selector is a bool for a float u, or a bool array for an array u,
-    and is true exactly where its chart governs and covers u.  A full-line
-    state has one sector.  A mirror state has the reflected right-movers
-    of the mirror chart and the never-reflected ones of the ambient
-    chart; the sectors are half-open, so the ray between them lies in
-    neither.  Every component, T_22 too, comes from the u-sector's chart:
-    left-movers keep their labels, so both charts give the same T_22, and
-    this keeps every evaluation inside chart coverage.
+    and is true exactly where its sector holds u.  Every component, T_22
+    too, comes from the u-sector's chart: left-movers keep their labels,
+    so both charts of a mirror state give the same T_22, and this keeps
+    every evaluation inside chart coverage.
     """
-    chart, refl, ambient = (state.chart, state.reflected_u_range,
-                            state.ambient_chart)
-    if state.boundary == "full_line":
-        return [(chart, _inside(chart.u_map.range, u))]
-    sectors = [] if refl is None else [(chart, _inside(refl, u))]
-    if ambient is not None:
-        sel = _inside(ambient.u_map.range, u)
-        if refl is not None:
-            sel = sel & ((u < refl.lo) | (refl.hi < u))
-        sectors.append((ambient, sel))
-    return sectors
-
-
-def _governing_chart(state: VacuumSpec, u: float) -> ConformalChart:
-    """The chart governing a float base u; raises SingularRayError on the
-    sector ray and CoverageError outside every sector."""
-    for gov, sel in _sectors(state, u):
-        if sel:
-            return gov
-    refl = state.reflected_u_range
-    if refl is not None and (u == refl.lo or u == refl.hi):
-        raise SingularRayError(
-            f"sector boundary ray u={u} is excluded (half-open sectors)")
-    raise CoverageError(f"base u={u} outside the state's coverage")
-
-
-def stress_component_functions(state: VacuumSpec, observe_chart):
-    """(t11, t22, t12, factor) as jet-generic functions of observe-chart
-    null coordinates.
-
-    The callables assume their arguments already lie in the state's
-    region; :func:`expectation_stress` performs the per-point checks.
-    Each callable evaluates all three components in the chart governing
-    its c1 and returns its own; it raises SingularRayError on the sector
-    ray, CoverageError outside every sector.
-    """
-    observe = get_chart(observe_chart)
-
-    def component(k):
-        def evaluate(c1, c2):
-            gov = _governing_chart(state, lead_value(observe.u_map(c1)))
-            return _gov_components(gov, observe)(c1, c2)[k]
-        return evaluate
-
-    return component(0), component(1), component(2), observe.factor
+    return [(gov, rng.contains(u)) for gov, rng in state.sectors]
 
 
 # ---------- per-point status ----------
@@ -360,8 +331,8 @@ def _transitions_ok(gov: ConformalChart, observe: ConformalChart,
                     c1, c2, u, v):
     """Points inside the domains of the maps from observe to ``gov``
     coordinates and of ``gov``'s factor."""
-    ok = (_inside(_transition_map(gov, observe, "u").domain, c1)
-          & _inside(_transition_map(gov, observe, "v").domain, c2))
+    ok = (_transition_map(gov, observe, "u").domain.contains(c1)
+          & _transition_map(gov, observe, "v").domain.contains(c2))
     if gov.base_domain is not None:
         ok = ok & gov.base_domain(u, v)
     return ok
@@ -375,13 +346,13 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
     ``status``.  A scalar caller stops at the first failure, so each
     check may assume the earlier ones passed.
     """
-    yield COVERAGE, (_inside(observe.u_map.domain, c1)
-                     & _inside(observe.v_map.domain, c2))
+    yield COVERAGE, (observe.u_map.domain.contains(c1)
+                     & observe.v_map.domain.contains(c2))
     u, v = observe.u_map.fn(c1), observe.v_map.fn(c2)
     yield FLOAT_RANGE, _finite(u) & _finite(v)
     if state.region_predicate is not None:
         yield REGION, state.region_predicate(u, v)
-    yield COVERAGE, _inside(state.chart.v_map.range, v)
+    yield COVERAGE, state.chart.v_map.range.contains(v)
     refl = state.reflected_u_range
     if refl is not None:
         # the sectors are half-open: the ray between them is excluded
@@ -403,6 +374,16 @@ def _point_status(state: VacuumSpec, observe: ConformalChart,
     except (ArithmeticError, JetDomainError):
         return FLOAT_RANGE
     return OK
+
+
+def _grid_status(state: VacuumSpec, observe: ConformalChart, c1, c2):
+    """Status code of every point of the grid c1 x c2 (1-d arrays), shape
+    (len(c1), len(c2)).  Call it under ``np.errstate(all="ignore")``: a
+    check that overflows yields inf or NaN, which fails it."""
+    status = np.zeros((len(c1), len(c2)), dtype=np.int8)
+    for code, ok in _point_checks(state, observe, c1[:, None], c2[None, :]):
+        status[(status == OK) & np.logical_not(ok)] = code
+    return status
 
 
 def _point_error(status: int, state: str, observe: ConformalChart,
@@ -462,7 +443,9 @@ def expectation_stress(state: VacuumSpec, observe_chart, p: Point
     q = p if p.chart == observe.name else convert_point(p, observe)
     status = _point_status(state, observe, q.c1, q.c2)
     if status == OK:
-        gov = _governing_chart(state, observe.u_map.fn(q.c1))
+        # the point checks found exactly one sector's selector true
+        gov = next(gov for gov, sel in
+                   _sectors(state, observe.u_map.fn(q.c1)) if sel)
         try:
             t11, t22, t12 = (lead_value(t) for t in
                              _gov_components(gov, observe)(q.c1, q.c2))
@@ -502,9 +485,7 @@ def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
                 raise StateError(
                     f"grid evaluation needs closed-form inverse maps; "
                     f"chart '{gov.name}' inverts numerically")
-        status = np.zeros((len(c1), len(c2)), dtype=np.int8)
-        for code, ok in _point_checks(state, observe, col, row):
-            status[(status == OK) & np.logical_not(ok)] = code
+        status = _grid_status(state, observe, c1, c2)
         values = np.full((3, len(c1), len(c2)), np.nan)
         for gov, rows in sectors:
             if rows.any():
@@ -571,31 +552,19 @@ def anomaly_check(state: VacuumSpec, p: Point) -> float:
 
 def _singular_rays(state: VacuumSpec, observe: ConformalChart):
     """Observe-chart coordinate values of rays where the state's stress
-    (or the chart itself) is singular."""
-    rays_u, rays_v = [], []
+    (or the chart itself) is singular: the finite ends of the state's
+    sectors in u, of its chart's coverage in v, and of the observe
+    chart's domains."""
+    def rays(o_map, base_ends):
+        return ([o_map.invert(e) for e in base_ends
+                 if math.isfinite(e) and o_map.range.contains(e)]
+                + [e for e in (o_map.domain.lo, o_map.domain.hi)
+                   if math.isfinite(e)])
 
-    def add(rays, own_map, base_value):
-        if math.isfinite(base_value) and own_map.range.contains(base_value):
-            rays.append(own_map.invert(base_value))
-
-    if state.boundary == "full_line":
-        for end in (state.chart.u_map.range.lo, state.chart.u_map.range.hi):
-            add(rays_u, observe.u_map, end)
-        for end in (state.chart.v_map.range.lo, state.chart.v_map.range.hi):
-            add(rays_v, observe.v_map, end)
-    else:
-        # the u-direction is singular only on the sector boundary; the
-        # v-direction on the mirror chart's coverage edge
-        if state.reflected_u_range is not None:
-            for end in (state.reflected_u_range.lo,
-                        state.reflected_u_range.hi):
-                add(rays_u, observe.u_map, end)
-        for end in (state.chart.v_map.range.lo, state.chart.v_map.range.hi):
-            add(rays_v, observe.v_map, end)
-    for dom, rays in ((observe.u_map.domain, rays_u),
-                      (observe.v_map.domain, rays_v)):
-        rays.extend(e for e in (dom.lo, dom.hi) if math.isfinite(e))
-    return rays_u, rays_v
+    v_range = state.chart.v_map.range
+    return (rays(observe.u_map, [e for _, rng in state.sectors
+                                 for e in (rng.lo, rng.hi)]),
+            rays(observe.v_map, (v_range.lo, v_range.hi)))
 
 
 def check_conservation(state: VacuumSpec, observe_chart, region,
@@ -605,9 +574,15 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
     Residuals are |d1 T_22 + d2 T_12 + (d2 C / C) T_12| and the mirror
     image with 1 <-> 2, every derivative taken by nesting jets through the
     full evaluation pipeline.  ``region`` is (c1_lo, c1_hi, c2_lo, c2_hi)
-    with finite lo < hi on each axis, and n >= 1 (n = 1 takes the centre
-    point); anything else raises ValueError.  A region that comes within
-    ``MARGIN`` of a singular ray raises MarginError.
+    and n >= 1 (n = 1 takes the centre point).  Errors, in the order they
+    are checked:
+
+    - ValueError unless n >= 1 and each axis has finite lo < hi;
+    - MarginError for a region within ``MARGIN`` of a singular ray;
+    - for a grid point where the state has no stress value, the error
+      :func:`expectation_stress` raises there (StateRegionError,
+      SingularRayError or CoverageError), for the first such point in
+      row-major order.
     """
     observe = get_chart(observe_chart)
     c1_lo, c1_hi, c2_lo, c2_hi = region
@@ -625,24 +600,36 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
         if c2_lo - MARGIN < ray < c2_hi + MARGIN:
             raise MarginError(
                 f"region touches singular ray c2={ray} (margin {MARGIN})")
-    max_u = max_v = 0.0
-    for i in range(n):
-        x = c1_lo + (c1_hi - c1_lo) * (i / (n - 1) if n > 1 else 0.5)
+
+    def axis(lo, hi):
+        return [lo + (hi - lo) * (i / (n - 1) if n > 1 else 0.5)
+                for i in range(n)]
+
+    xs, ys = axis(c1_lo, c1_hi), axis(c2_lo, c2_hi)
+    with np.errstate(all="ignore"):
+        status = _grid_status(state, observe, np.array(xs), np.array(ys))
         # the governing chart of a point depends on its c1 alone
-        gov = _governing_chart(state, observe.u_map(x))
+        sectors = _sectors(state, observe.u_map.fn(np.array(xs)))
+    bad = np.flatnonzero(status)
+    if bad.size:
+        i, j = divmod(int(bad[0]), n)
+        raise _point_error(int(status[i, j]), state.label, observe,
+                           Point(xs[i], ys[j], observe.name))
+    max_u = max_v = 0.0
+    for gov, rows in sectors:
         components = _gov_components(gov, observe)
-        a1 = Jet1(Jet1(x, 1.0), 0.0)   # inner jet in c1
-        for j in range(n):
-            y = c2_lo + (c2_hi - c2_lo) * (j / (n - 1) if n > 1 else 0.5)
-            a2 = Jet1(Jet1(y, 0.0), 1.0)   # outer jet in c2
-            t11, t22, t12 = components(a1, a2)
-            c = observe.factor(a1, a2)
-            c00 = c.value.value
-            t12_00 = t12.value.value
-            res_v = abs(t22.value.d1 + t12.d1.value
-                        + c.d1.value / c00 * t12_00)
-            res_u = abs(t11.d1.value + t12.value.d1
-                        + c.value.d1 / c00 * t12_00)
-            max_v = max(max_v, res_v)
-            max_u = max(max_u, res_u)
+        for i in np.flatnonzero(rows).tolist():
+            a1 = Jet1(Jet1(xs[i], 1.0), 0.0)   # inner jet in c1
+            for y in ys:
+                a2 = Jet1(Jet1(y, 0.0), 1.0)   # outer jet in c2
+                t11, t22, t12 = components(a1, a2)
+                c = observe.factor(a1, a2)
+                c00 = c.value.value
+                t12_00 = t12.value.value
+                res_v = abs(t22.value.d1 + t12.d1.value
+                            + c.d1.value / c00 * t12_00)
+                res_u = abs(t11.d1.value + t12.value.d1
+                            + c.value.d1 / c00 * t12_00)
+                max_v = max(max_v, res_v)
+                max_u = max(max_u, res_u)
     return ConservationReport(max(max_u, max_v), max_u, max_v, n, tuple(region))

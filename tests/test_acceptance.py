@@ -176,7 +176,7 @@ def test_criterion_06_conservation():
         details.append(f"{name}={rep.max_residual:.1e}")
     # the mirror field in the inertial chart as well
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
-    rep = check_conservation(sc.state, MINK, (-1.95, 3.0, 0.2, 4.0), 50)
+    rep = check_conservation(sc.state, MINK, (-1.95, 3.0, 5.2, 9.0), 50)
     worst = max(worst, rep.max_residual)
     details.append(f"mirror@minkowski={rep.max_residual:.1e}")
     verdict(6, worst < 1e-9,

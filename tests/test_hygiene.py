@@ -1,5 +1,5 @@
 """Every name a module imports is used: an AST scan of the package, the
-tests and the per-layer benchmark harnesses.  A name listed in the
+tests, the demos and the per-layer benchmark harnesses.  A name listed in the
 module's ``__all__`` counts as used (a re-export)."""
 
 import ast
@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(path for top in ("src", "tests", "bench")
+FILES = sorted(path for top in ("src", "tests", "demos", "bench")
                for path in (ROOT / top).rglob("*.py"))
 
 

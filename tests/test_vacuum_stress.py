@@ -20,7 +20,8 @@ from mirrorstress.charts import (
     synthetic_curved_chart,
 )
 from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
-from mirrorstress.scenarios import build_scenario
+from mirrorstress.cli import _coverage_interval
+from mirrorstress.scenarios import SCENARIO_NAMES, build_scenario
 from mirrorstress.trajectories import (
     reflection_map,
     stationary_mirror,
@@ -43,7 +44,6 @@ from mirrorstress.vacuum_stress import (
     expectation_stress_grid,
     orthonormal_grid,
     schwarzian_derivative,
-    stress_component_functions,
     theta_components,
     to_orthonormal_frame,
     transform_stress,
@@ -57,6 +57,12 @@ MINK = get_chart("minkowski")
 
 def close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def governing_chart(state, observe, c1):
+    """The chart of the state's sector holding the base u of c1."""
+    u = observe.u_map.fn(c1)
+    return next(gov for gov, rng in state.sectors if rng.contains(u))
 
 
 def rindler_state():
@@ -261,8 +267,9 @@ def test_mirror_state_in_minkowski_chart():
 
 def test_mirror_state_sector_boundary_is_excluded():
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
-    with pytest.raises(SingularRayError):
-        expectation_stress(sc.state, MINK, Point(-2.0, 1.0, "minkowski"))
+    for v in (1.0, 3.0):
+        with pytest.raises(SingularRayError):
+            expectation_stress(sc.state, MINK, Point(-2.0, v, "minkowski"))
 
 
 def test_mirror_state_wrong_side_rejected():
@@ -366,14 +373,15 @@ def test_conservation_rindler_vacuum():
 
 def test_conservation_mirror_state_minkowski():
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
-    rep = check_conservation(sc.state, MINK, (-1.95, 3.0, 0.2, 4.0), 12)
+    # v - u > 2 on the whole region: no point lies behind the mirror
+    rep = check_conservation(sc.state, MINK, (-1.95, 3.0, 5.2, 9.0), 12)
     assert rep.max_residual < 1e-9
 
 
 def test_conservation_mirror_state_rindler():
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
     lo = math.log(0.5) + 0.05
-    rep = check_conservation(sc.state, RIND, (lo, lo + 4.0, -2.0, 2.0), 12)
+    rep = check_conservation(sc.state, RIND, (lo, lo + 4.0, 1.0, 3.0), 12)
     assert rep.max_residual < 1e-9
     # oracle: the closed forms depend on one coordinate each, so their
     # cross derivatives vanish identically
@@ -396,7 +404,7 @@ def test_conservation_margin_is_the_module_constant():
         check_conservation(sc.state, MINK,
                            (-2.0 + 0.5 * MARGIN, 1.0, 0.5, 2.0), 4)
     rep = check_conservation(sc.state, MINK,
-                             (-2.0 + 2.0 * MARGIN, 1.0, 0.5, 2.0), 4)
+                             (-2.0 + 2.0 * MARGIN, 1.0, 3.5, 5.0), 4)
     assert rep.max_residual < 1e-9
 
 
@@ -428,14 +436,12 @@ def test_conservation_single_point_takes_the_centre():
 
 
 def test_component_functions_accept_jets():
-    # the public jet-generic surface: derivatives of the observed field
-    # straight through transforms and sector dispatch
-    from mirrorstress.jets import Jet1
-    from mirrorstress.vacuum_stress import stress_component_functions
+    # derivatives of the observed field straight through the transforms
+    # of the governing chart
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
-    t11f, t22f, t12f, cf = stress_component_functions(sc.state, MINK)
     u, v = -1.2, 2.5
-    t11 = t11f(Jet1(Jet1(u, 1.0), 0.0), Jet1(Jet1(v, 0.0), 1.0))
+    components = vs._gov_components(governing_chart(sc.state, MINK, u), MINK)
+    t11, _, _ = components(Jet1(Jet1(u, 1.0), 0.0), Jet1(Jet1(v, 0.0), 1.0))
     # value matches the closed form; du derivative matches its analytic
     # derivative; dv derivative vanishes (outgoing sector)
     want = -INV_48PI / (2.0 + u) ** 2
@@ -445,21 +451,118 @@ def test_component_functions_accept_jets():
     assert abs(t11.d1.value) < 1e-16
 
 
-@pytest.mark.parametrize("scenario,c1,error", [
-    # u = -2 is the sector ray of the a = 1 mirror in the Rindler vacuum
-    ("mirror_in_rindler_vacuum", -2.0, SingularRayError),
-    # u = 0 bounds the accelerated mirror's only sector, u > 0 lies past it
-    ("accelerated_mirror_minkowski", 0.0, SingularRayError),
-    ("accelerated_mirror_minkowski", 0.5, CoverageError),
+@pytest.mark.parametrize("scenario,region,first", [
+    # v - u <= 2 everywhere: the whole region lies behind the a = 1 mirror
+    ("mirror_in_rindler_vacuum", (2.9, 3.0, 0.2, 0.3), (2.9, 0.2)),
+    # u v >= -1 at the first point: outside the accelerated mirror's side
+    ("accelerated_mirror_minkowski", (-4.0, -0.5, 0.1, 0.2), (-4.0, 0.1)),
 ])
-def test_component_functions_raise_off_the_sectors(scenario, c1, error):
+def test_conservation_refuses_points_outside_the_state(scenario, region,
+                                                       first):
+    # the error of the first failing point in row-major order, class and
+    # text as point evaluation raises it
     sc = build_scenario(scenario, {"a": 1.0})
-    t11f, t22f, t12f, _ = stress_component_functions(sc.state, MINK)
-    for f in (t11f, t22f, t12f):
-        for a1, a2 in ((c1, 3.0),
-                       (Jet1(Jet1(c1, 1.0), 0.0), Jet1(Jet1(3.0, 0.0), 1.0))):
-            with pytest.raises(error):
-                f(a1, a2)
+    want = _outcome(expectation_stress, sc.state, MINK,
+                    Point(*first, "minkowski"))
+    assert want[0] is StateRegionError
+    assert _outcome(check_conservation, sc.state, MINK, region, 3) == want
+
+
+# ---------- the sector table ----------
+
+def test_sector_table_of_each_built_in_state():
+    inf = math.inf
+    for a in (0.5, 1.0, 2.0):
+        states = {name: build_scenario(name, {"a": a}).state
+                  for name in SCENARIO_NAMES}
+        want = {
+            "rindler_vacuum": [("rindler", Interval(-inf, 0.0))],
+            "minkowski_vacuum_rindler_observer": [("minkowski", Interval())],
+            "mirror_in_rindler_vacuum": [
+                (f"hatted:mirror_in_rindler_vacuum:a={a!r}",
+                 Interval(-2.0 / a, inf)),
+                ("rindler", Interval(-inf, -2.0 / a))],
+            "accelerated_mirror_minkowski": [
+                (f"hatted:accelerated_mirror_minkowski:a={a!r}",
+                 Interval(-inf, 0.0))],
+        }
+        for name, state in states.items():
+            assert [(gov.name, rng) for gov, rng in state.sectors] == \
+                want[name]
+
+
+def _reference_singular_rays(state, observe):
+    """The rays as derived from the boundary kind before the sector
+    table, kept as its reference."""
+    rays_u, rays_v = [], []
+
+    def add(rays, own_map, base_value):
+        if math.isfinite(base_value) and own_map.range.contains(base_value):
+            rays.append(own_map.invert(base_value))
+
+    if state.boundary == "full_line":
+        for end in (state.chart.u_map.range.lo, state.chart.u_map.range.hi):
+            add(rays_u, observe.u_map, end)
+        for end in (state.chart.v_map.range.lo, state.chart.v_map.range.hi):
+            add(rays_v, observe.v_map, end)
+    else:
+        if state.reflected_u_range is not None:
+            for end in (state.reflected_u_range.lo,
+                        state.reflected_u_range.hi):
+                add(rays_u, observe.u_map, end)
+        for end in (state.chart.v_map.range.lo, state.chart.v_map.range.hi):
+            add(rays_v, observe.v_map, end)
+    for dom, rays in ((observe.u_map.domain, rays_u),
+                      (observe.v_map.domain, rays_v)):
+        rays.extend(e for e in (dom.lo, dom.hi) if math.isfinite(e))
+    return rays_u, rays_v
+
+
+def _reference_coverage_interval(state, observe, side):
+    """The CLI coverage interval as derived from the boundary kind before
+    the sector table, kept as its reference."""
+    o_map = observe.u_map if side == "u" else observe.v_map
+    if state.boundary == "full_line":
+        charts_ = [state.chart]
+    else:
+        charts_ = [c for c in (state.chart, state.ambient_chart)
+                   if c is not None]
+    base_lo = min((c.u_map if side == "u" else c.v_map).range.lo
+                  for c in charts_)
+    base_hi = max((c.u_map if side == "u" else c.v_map).range.hi
+                  for c in charts_)
+    rng = o_map.range
+    lo_b, hi_b = max(base_lo, rng.lo), min(base_hi, rng.hi)
+    lo = o_map.invert(lo_b) if lo_b > rng.lo else -math.inf
+    hi = o_map.invert(hi_b) if hi_b < rng.hi else math.inf
+    return lo, hi
+
+
+def _ray_sets(rays):
+    return tuple(set(r) for r in rays)
+
+
+def _table_cases():
+    """(state, observe chart) for every built-in state at three
+    accelerations and the derived-chart state, each observed in the
+    inertial, the wedge and its own chart."""
+    states = [build_scenario(name, {"a": a}).state
+              for name in SCENARIO_NAMES for a in (0.5, 1.0, 2.0)]
+    states.append(_derived_mirror_state())
+    return [(state, observe) for state in states
+            for observe in (MINK, RIND, state.chart)]
+
+
+def test_rays_and_coverage_match_the_boundary_derivation():
+    for state, observe in _table_cases():
+        case = (state.label, state.chart.name, observe.name)
+        got = _outcome(vs._singular_rays, state, observe)
+        want = _outcome(_reference_singular_rays, state, observe)
+        assert _ray_sets(got) == _ray_sets(want), case
+        for side in ("u", "v"):
+            assert _outcome(_coverage_interval, state, observe, side) == \
+                _outcome(_reference_coverage_interval, state, observe,
+                         side), (case, side)
 
 
 # ---------- trace anomaly ----------
@@ -535,14 +638,15 @@ def test_numeric_inverse_keeps_inner_derivatives():
 def test_derived_chart_component_jets_match_hatted_state():
     # value, d/dc1 and d/dc2 of every component, through the numeric
     # inverse, against the closed-form hatted chart
-    derived = stress_component_functions(_derived_mirror_state(), RIND)
-    hatted = stress_component_functions(
-        build_scenario("mirror_in_rindler_vacuum", {"a": 1.0}).state, RIND)
+    derived = _derived_mirror_state()
+    hatted = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0}).state
     lo = math.log(0.5)
     for c1, c2 in ((lo + 0.05, 1.0), (lo + 1.3, 2.2), (lo + 3.9, 3.0)):
         a1, a2 = Jet1(Jet1(c1, 1.0), 0.0), Jet1(Jet1(c2, 0.0), 1.0)
-        for f_derived, f_hatted in zip(derived, hatted):
-            got, want = f_derived(a1, a2), f_hatted(a1, a2)
+        pairs = zip(*(vs._gov_components(governing_chart(st, RIND, c1),
+                                         RIND)(a1, a2)
+                      for st in (derived, hatted)))
+        for got, want in pairs:
             for g, w in ((got.value.value, want.value.value),
                          (got.value.d1, want.value.d1),
                          (got.d1.value, want.d1.value)):
@@ -678,7 +782,8 @@ def _parity_outputs(name, chart_name, box):
     """Every output of the stress engine for one case, in a form that
     compares exactly: point and grid evaluation over the box widened past
     the singular rays, the orthonormal frame of each, a conservation
-    report, and each component function on nested first-order seeds."""
+    report, and the components of the governing chart on floats and on
+    nested first-order seeds."""
     state = _derived_mirror_state() if name == "derived" \
         else build_scenario(name, {"a": 1.0}).state
     chart = state.chart if chart_name == "hatted" else get_chart(chart_name)
@@ -702,12 +807,12 @@ def _parity_outputs(name, chart_name, box):
     else:
         out.append(g)
     out.append(_outcome(check_conservation, state, chart, box, 4))
-    functions = stress_component_functions(state, chart)
     for x, y in ((lo1, lo2), (0.5 * (lo1 + hi1), hi2)):
-        for f in functions:
-            out.append(leaves(f(x, y)))
-            out.append(leaves(f(Jet1(Jet1(x, 1.0), 0.0),
-                                Jet1(Jet1(y, 0.0), 1.0))))
+        components = vs._gov_components(governing_chart(state, chart, x),
+                                        chart)
+        for args in ((x, y), (Jet1(Jet1(x, 1.0), 0.0),
+                              Jet1(Jet1(y, 0.0), 1.0))):
+            out += [leaves(t) for t in components(*args)]
     return out
 
 

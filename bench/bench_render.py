@@ -9,7 +9,12 @@ layers: ``_write_csv`` and ``_write_json`` into memory, on rows evaluated
 once, and an in-process ``mirrorstress run`` of each format into a file
 (argument parsing, scenario build, grid evaluation and rendering), on the
 200 x 200 grid and on the 24 x 24 grid of the ``grid`` workload in
-``mirrorbench``, where the fixed cost of a call is a large share.  Only
+``mirrorbench``, where the fixed cost of a call is a large share.  The
+writers and the 200 x 200 run are timed in both frames: in the null
+frame T_uu depends on c1 alone and T_vv on c2 alone, so a block of rows
+holds few distinct values, while nearly every orthonormal value is
+distinct, the case where formatting each distinct value once saves
+least.  Only
 ``_evaluate_rows`` and the two writers' call signatures are used, so the
 file runs unchanged against earlier commits: compare commits by running
 it against each commit's source.
@@ -28,23 +33,26 @@ N_SMALL = 24
 LOG_HALF = math.log(0.5)
 WINDOW = (LOG_HALF + 0.05, LOG_HALF + 4.0, 1.0, 3.0)
 FORMATS = ["csv", "json"]
+FRAMES = ["null", "orthonormal"]
 
 
-def run_argv(fmt, path, n=N):
+def run_argv(fmt, path, n=N, frame="null"):
     c1_min, c1_max, c2_min, c2_max = WINDOW
     return ["run", "--scenario", "mirror_in_rindler_vacuum", "--a", "1",
             "--chart", "rindler",
             "--c1-min", repr(c1_min), "--c1-max", repr(c1_max),
             "--n1", str(n),
             "--c2-min", repr(c2_min), "--c2-max", repr(c2_max),
-            "--n2", str(n), "--format", fmt, "--output", str(path)]
+            "--n2", str(n), "--frame", frame, "--format", fmt,
+            "--output", str(path)]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_write(benchmark, fmt):
+@pytest.mark.parametrize("frame", FRAMES)
+def test_write(benchmark, frame, fmt):
     c1_min, c1_max, c2_min, c2_max = WINDOW
     cfg = cli.RunConfig("mirror_in_rindler_vacuum", 1.0, "rindler",
-                        c1_min, c1_max, N, c2_min, c2_max, N, "null", "-",
+                        c1_min, c1_max, N, c2_min, c2_max, N, frame, "-",
                         fmt)
     scenario = build_scenario(cfg.scenario, {"a": cfg.a})
     chart = cli._resolve_chart(cfg, scenario)
@@ -54,8 +62,9 @@ def test_write(benchmark, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_run(benchmark, tmp_path, fmt):
-    argv = run_argv(fmt, tmp_path / f"grid.{fmt}")
+@pytest.mark.parametrize("frame", FRAMES)
+def test_run(benchmark, tmp_path, frame, fmt):
+    argv = run_argv(fmt, tmp_path / f"grid.{fmt}", frame=frame)
     assert cli.main(argv) == 0
     benchmark(cli.main, argv)
 

@@ -208,9 +208,9 @@ def _resolve_chart(cfg: RunConfig, scenario):
 
 
 def _evaluate_rows(cfg: RunConfig, scenario, chart):
-    """The grid's rows as (table, singular): an (n1 n2, 5) array of c1,
-    c2 and the three stress values, row-major in c1, and a flag per row.
-    The stress values of a singular row are NaN."""
+    """The grid's rows as (c1, c2, values, singular): the two axes, an
+    (n1 n2, 3) array of the three stress values, row-major in c1, and a
+    flag per row.  The stress values of a singular row are NaN."""
     lo1, hi1 = _coverage_interval(scenario.state, chart, "u")
     lo2, hi2 = _coverage_interval(scenario.state, chart, "v")
     if not (cfg.c1_min > lo1 + MARGIN and cfg.c1_max < hi1 - MARGIN):
@@ -230,9 +230,8 @@ def _evaluate_rows(cfg: RunConfig, scenario, chart):
     if cfg.frame == "orthonormal":
         status, o = orthonormal_grid(grid)
         values = (o.energy_density, o.pressure, o.flux)
-    coords = np.meshgrid(c1, c2, indexing="ij")
-    table = np.stack((*coords, *values), axis=-1).reshape(-1, 5)
-    return table, (status != 0).ravel()
+    return (c1, c2, np.stack(values, axis=-1).reshape(-1, 3),
+            (status != 0).ravel())
 
 
 def _columns(cfg: RunConfig):
@@ -243,38 +242,60 @@ def _columns(cfg: RunConfig):
 
 # The writers stream into the output file in blocks of _BLOCK_ROWS rows,
 # so that a run holds its rows as arrays but never the whole rendered
-# document.  Each row is rendered by the %-template of its shape: five
-# values, or the two coordinates of a singular row.  All of them are
-# finite floats, for which '%.16e' gives the bytes of '{:.16e}'.format and
-# '%r' those of the json module.  Blocks are small on purpose: rendered
-# blocks of 1024 rows (100-150 KB strings) made the heap grow over
-# thousands of runs in one process.
+# document.  Each row fills the %s-template of its shape with cell
+# strings: five cells, or the two coordinates of a singular row.  Cells
+# are finite floats, for which '%.16e' gives the bytes of
+# '{:.16e}'.format and '%r' those of the json module.  Formatting follows
+# the number of distinct values, not of cells: each axis is formatted
+# once per run, and each distinct stress value once per block.  Stress
+# values are told apart by their bit patterns, not as floats, so that
+# -0.0 and 0.0 keep their own strings.  Blocks are small on purpose:
+# rendered blocks of 1024 rows (100-150 KB strings) made the heap grow
+# over thousands of runs in one process.
 
 _BLOCK_ROWS = 128
-_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,0\n"
-_CSV_SINGULAR = "%.16e,%.16e,,,,1\n"
+_CSV_CELL = "%.16e"
+_CSV_ROW = "%s,%s,%s,%s,%s,0\n"
+_CSV_SINGULAR = "%s,%s,,,,1\n"
+_JSON_CELL = "%r"
 # a row of json.dump(..., indent=1) at depth two
-_JSON_ROW = "  [\n   %r,\n   %r,\n   %r,\n   %r,\n   %r,\n   0\n  ]"
-_JSON_SINGULAR = ("  [\n   %r,\n   %r,\n   null,\n   null,\n   null,\n"
+_JSON_ROW = "  [\n   %s,\n   %s,\n   %s,\n   %s,\n   %s,\n   0\n  ]"
+_JSON_SINGULAR = ("  [\n   %s,\n   %s,\n   null,\n   null,\n   null,\n"
                   "   1\n  ]")
 
 
-def _write_rows(out, rows, row, singular_row, sep=""):
-    table, singular = rows
-    keep = ~singular[:, None] | (np.arange(5) < 2)  # cells a row prints
-    for k in range(0, len(table), _BLOCK_ROWS):
-        rows_k = slice(k, k + _BLOCK_ROWS)
-        template = sep.join([singular_row if bad else row
-                             for bad in singular[rows_k].tolist()])
-        cells = table[rows_k][keep[rows_k]].tolist()
-        out.write((sep if k else "") + template % tuple(cells))
+def _strings(cell, values):
+    """An object array of the string of each float of values, rendered
+    by one template (none of the strings holds a comma)."""
+    text = ",".join([cell] * len(values)) % tuple(values.tolist())
+    return np.array(text.split(","), dtype=object)
+
+
+def _write_rows(out, rows, cell, row, singular_row, sep=""):
+    c1, c2, values, singular = rows
+    axis1, axis2 = _strings(cell, c1), _strings(cell, c2)
+    for k in range(0, len(singular), _BLOCK_ROWS):
+        bad = singular[k:k + _BLOCK_ROWS]
+        good = ~bad
+        block = np.empty((len(bad), 5), dtype=object)
+        i, j = np.divmod(np.arange(k, k + len(bad)), len(c2))
+        block[:, 0] = axis1[i]
+        block[:, 1] = axis2[j]
+        bits = values[k:k + _BLOCK_ROWS][good].view(np.int64).ravel()
+        distinct, which = np.unique(bits, return_inverse=True)
+        block[good, 2:] = _strings(cell, distinct.view(np.float64))[
+            which].reshape(-1, 3)
+        keep = good[:, None] | (np.arange(5) < 2)  # cells a row prints
+        template = sep.join([singular_row if b else row
+                             for b in bad.tolist()])
+        out.write((sep if k else "") + template % tuple(block[keep].tolist()))
 
 
 def _write_csv(out, cfg: RunConfig, scenario, chart, rows):
     out.write(f"# scenario={cfg.scenario} state={scenario.state.label} "
               f"chart={chart.name} a={cfg.a:g} frame={cfg.frame}\n")
     out.write(",".join(_columns(cfg)) + "\n")
-    _write_rows(out, rows, _CSV_ROW, _CSV_SINGULAR)
+    _write_rows(out, rows, _CSV_CELL, _CSV_ROW, _CSV_SINGULAR)
 
 
 def _write_json(out, cfg: RunConfig, scenario, chart, rows):
@@ -292,7 +313,7 @@ def _write_json(out, cfg: RunConfig, scenario, chart, rows):
     head, _, tail = json.dumps(payload, indent=1, sort_keys=True) \
         .partition('"rows": []')
     out.write(head + '"rows": [\n')
-    _write_rows(out, rows, _JSON_ROW, _JSON_SINGULAR, ",\n")
+    _write_rows(out, rows, _JSON_CELL, _JSON_ROW, _JSON_SINGULAR, ",\n")
     out.write("\n ]" + tail + "\n")
 
 
@@ -309,6 +330,10 @@ def cmd_run(args) -> int:
     except (CoverageError, MarginError) as exc:
         print(f"coverage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"config error: a grid of {cfg.n1} x {cfg.n2} points does "
+              f"not fit in memory", file=sys.stderr)
+        return 1
     write = _write_csv if cfg.format == "csv" else _write_json
     try:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:

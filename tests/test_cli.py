@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +341,25 @@ def test_io_error_exits_three(tmp_path):
     assert code == 3
 
 
+def test_grid_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # the grid is never allocated: _evaluate_rows fails as it would
+    def no_memory(cfg, scenario, chart):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_evaluate_rows", no_memory)
+    out = tmp_path / "x.csv"
+    code = run_cli("run", "--scenario", "rindler_vacuum",
+                   "--chart", "rindler",
+                   "--c1-min", "-1", "--c1-max", "1", "--n1", "30000",
+                   "--c2-min", "-1", "--c2-max", "1", "--n2", "40000",
+                   "--output", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: a grid of 30000 x 40000 points does not fit in "
+        "memory\n")
+    assert not out.exists()
+
+
 def test_deterministic_output(tmp_path):
     args = ("run", "--scenario", "mirror_in_rindler_vacuum",
             "--chart", "rindler",
@@ -446,3 +468,24 @@ def test_check_unknown_override_exits_one(tmp_path, capsys):
     assert "composition_identiy" in err
     assert "composition_identity," not in err
     assert not bog.exists()
+
+
+@pytest.mark.parametrize("argv, code", [(["list-scenarios"], 0),
+                                        (["run", "--no-such-flag"], 1)])
+def test_console_main_exits_with_main_code(monkeypatch, capsys, argv,
+                                           code):
+    monkeypatch.setattr(sys, "argv", ["mirrorstress", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "mirrorstress.cli",
+                           "list-scenarios"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "rindler_vacuum" in proc.stdout

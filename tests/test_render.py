@@ -10,6 +10,7 @@ reference rendering of the same grid.
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from mirrorstress import cli
 from mirrorstress.charts import get_chart
 from mirrorstress.scenarios import build_scenario
 from mirrorstress.vacuum_stress import (
+    OK,
+    REGION,
     STATUS_NAMES,
+    StressGrid,
     expectation_stress_grid,
     orthonormal_grid,
 )
@@ -183,3 +187,49 @@ def test_row_templates_format_as_reference(x):
     # the per-cell formats the templates stand for, at the float extremes
     assert "%.16e" % x == _FMT.format(x)
     assert "%r" % x == json.dumps(x)
+
+
+# the rows of the crafted grid below where a value repeats, with
+# singular rows between the repeats; rows 127 and 128 straddle the first
+# block boundary
+_REPEATED = {120: 1.0 / 3.0, 124: 1.0 / 3.0, 127: -0.0, 128: -0.0,
+             130: 0.0, 255: 5e-324, 256: -1.7976931348623157e308,
+             257: 5e-324}
+_SINGULAR = (121, 122, 123, 126, 129, 131)
+
+
+def _crafted_grid(state, chart, c1, c2):
+    """Null components whose values repeat the way the writer's per-block
+    dedup must get right: 0.0 and -0.0 in one block (equal as floats,
+    not in their strings), a value repeated across a block boundary and
+    singular rows between repeats."""
+    n1, n2 = len(c1), len(c2)
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    t_uu = np.where(i % 2, -0.0, 0.0)  # by c1, as in the null frame
+    t_vv = np.array([0.1, -0.0, 2.5, 0.0, -0.1])[j % 5]  # by c2
+    t_uv = np.where((i + j) % 3, 0.0, -0.0)
+    for k, x in _REPEATED.items():
+        t_uv[k] = x
+    status = np.full(n1 * n2, OK)
+    status[list(_SINGULAR)] = REGION
+    comps = [np.where(status == OK, t, np.nan).reshape(n1, n2)
+             for t in (t_uu, t_vv, t_uv)]
+    return StressGrid(*comps, status.reshape(n1, n2), c1, c2, chart,
+                      state.label)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_distinct_values_keep_their_strings(tmp_path, monkeypatch, fmt):
+    # n2 = 37: c1 lines straddle the 128-row blocks
+    window = ("rindler_vacuum", "minkowski", 1.0, (-4.0, -0.1), 8,
+              (0.1, 4.0), 37)
+    monkeypatch.setattr(cli, "expectation_stress_grid", _crafted_grid)
+    monkeypatch.setattr(sys.modules[__name__], "expectation_stress_grid",
+                        _crafted_grid)
+    cfg = _config(window, "null", fmt)
+    assert cfg.n1 * cfg.n2 > 2 * cli._BLOCK_ROWS
+    path = tmp_path / f"grid.{fmt}"
+    assert cli.main(_argv(cfg, path)) == 0
+    want, status = _reference(cfg)
+    assert path.read_bytes() == want
+    assert (status != OK).sum() == len(_SINGULAR)

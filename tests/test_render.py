@@ -190,8 +190,8 @@ def test_row_templates_format_as_reference(x):
 
 
 # the rows of the crafted grid below where a value repeats, with
-# singular rows between the repeats; rows 127 and 128 straddle the first
-# block boundary
+# singular rows between the repeats; rows 127 and 128, and 255 and 257,
+# lie on either side of a block boundary
 _REPEATED = {120: 1.0 / 3.0, 124: 1.0 / 3.0, 127: -0.0, 128: -0.0,
              130: 0.0, 255: 5e-324, 256: -1.7976931348623157e308,
              257: 5e-324}

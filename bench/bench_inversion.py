@@ -62,7 +62,6 @@ def derived_state():
                            global_class="half_line")
     return VacuumSpec(chart, "dirichlet_half_line",
                       label="mirror_in_rindler_vacuum", ambient_chart=RIND,
-                      reflected_u_range=Interval(-2.0, math.inf),
                       region_predicate=lambda u, v: v - u > 2.0)
 
 

@@ -34,6 +34,9 @@ LOG_HALF = math.log(0.5)
 WINDOW = (LOG_HALF + 0.05, LOG_HALF + 4.0, 1.0, 3.0)
 FORMATS = ["csv", "json"]
 FRAMES = ["null", "orthonormal"]
+# a 200 x 200 case takes 50-250 ms a round, so the default 1 s budget
+# gives 5-9 rounds, too few for quartiles that resolve a 10% change
+MIN_ROUNDS = pytest.mark.benchmark(min_rounds=20)
 
 
 def run_argv(fmt, path, n=N, frame="null"):
@@ -49,6 +52,7 @@ def run_argv(fmt, path, n=N, frame="null"):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("frame", FRAMES)
+@MIN_ROUNDS
 def test_write(benchmark, frame, fmt):
     c1_min, c1_max, c2_min, c2_max = WINDOW
     cfg = cli.RunConfig("mirror_in_rindler_vacuum", 1.0, "rindler",
@@ -63,6 +67,7 @@ def test_write(benchmark, frame, fmt):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("frame", FRAMES)
+@MIN_ROUNDS
 def test_run(benchmark, tmp_path, frame, fmt):
     argv = run_argv(fmt, tmp_path / f"grid.{fmt}", frame=frame)
     assert cli.main(argv) == 0

@@ -3,9 +3,9 @@
 A chart is a pair of monotone relabelings of the global inertial null
 coordinates u = t - x and v = t + x (one map per null direction), plus an
 optional explicit factor multiplying the base line element for synthetic
-curved test metrics.  The induced conformal factor, metric components and
-Ricci scalar are all evaluated through order-3 jets, so chart derivatives
-are exact wherever the maps are exact.
+curved test metrics.  The induced conformal factor and Ricci scalar are
+evaluated through order-3 jets, so chart derivatives are exact wherever
+the maps are exact.
 
 Charts are immutable after construction and safe to share across threads;
 two pieces are filled in lazily, each whole in one assignment: a map's
@@ -433,14 +433,6 @@ class ConformalChart:
         self.base_domain = base_domain
         self.global_class = global_class
 
-    @property
-    def u_range(self) -> Interval:
-        return self.u_map.range
-
-    @property
-    def v_range(self) -> Interval:
-        return self.v_map.range
-
     # -- conformal factor and curvature --
 
     def factor(self, cu, cv):
@@ -478,17 +470,6 @@ class ConformalChart:
     def factor_jet_u(self, c1: float, c2) -> Jet3:
         """Factor as a jet in the first null direction."""
         return self.factor(seed(c1), c2)
-
-    def factor_jet_v(self, c1, c2: float) -> Jet3:
-        return self.factor(c1, seed(c2))
-
-    def metric_uv(self, c1: float, c2: float) -> float:
-        """Covariant null metric component g_{uv} = C/2."""
-        return 0.5 * self.conformal_factor(c1, c2)
-
-    def metric_uv_inverse(self, c1: float, c2: float) -> float:
-        """Contravariant null component g^{uv} = 2/C."""
-        return 2.0 / self.conformal_factor(c1, c2)
 
     def ricci_scalar(self, c1: float, c2: float) -> float:
         """R = -(4/C) d^2(ln C)/dc1 dc2, via one jet nested in the other."""

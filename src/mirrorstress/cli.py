@@ -184,10 +184,9 @@ def _build_run_config(args) -> RunConfig:
 def _coverage_interval(state, observe, side: str):
     """Observe-chart coordinate interval reachable by the state, as
     (lo, hi) with infinities where unconstrained: for u the hull of the
-    state's sectors, each within its chart's coverage; for v the state
-    chart's v range."""
+    state's sectors; for v the state chart's v range."""
     o_map = observe.u_map if side == "u" else observe.v_map
-    ranges = ([rng.intersect(gov.u_map.range) for gov, rng in state.sectors]
+    ranges = ([rng for _, rng in state.sectors]
               if side == "u" else [state.chart.v_map.range])
     rng = o_map.range
     lo_b = max(min(r.lo for r in ranges), rng.lo)

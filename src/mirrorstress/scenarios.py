@@ -2,6 +2,8 @@
 
 Each scenario bundles a vacuum state, an observation chart, the mirror
 trajectory (when there is one) and its single physical parameter a > 0.
+A mirror state's region is read off its trajectory: it is the mirror's
+side v > p(u) of the reflection map p = V o U^-1, for u in p's domain.
 The closed forms registered here are regression oracles for the engine,
 never part of the evaluation pipeline itself.
 """
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .charts import (
     ChartMap,
@@ -25,6 +29,7 @@ from .jets import jexp, jlog
 from .trajectories import (
     Trajectory,
     hyperbola_constant,
+    reflection_map,
     stationary_mirror,
     uniformly_accelerated_mirror,
 )
@@ -138,6 +143,26 @@ def _require_positive_a(params: Optional[dict]) -> float:
     return a
 
 
+def _mirror_region(trajectory: Trajectory):
+    """The mirror's side of the reflection map p = V o U^-1, as a region
+    predicate on base (u, v), floats or arrays: u in p's domain and
+    v > p(u).  p is evaluated only on its domain; where it overflows,
+    v > p(u) is false."""
+    p = reflection_map(trajectory).p
+    inside = p.domain.contains
+
+    def region(u, v):
+        if u.__class__ is np.ndarray:
+            ok = inside(u)
+            return ok & (v > p.fn(np.where(ok, u, np.nan)))
+        try:
+            return inside(u) and v > p.fn(u)
+        except OverflowError:
+            return False
+
+    return region
+
+
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     if name == "rindler_vacuum":
         _require_positive_a(params if params else None)
@@ -163,12 +188,12 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
         rind = get_chart("rindler")
         hatted = register_chart(hatted_chart_for_stationary_mirror(a))
         shift = 2.0 / a
+        trajectory = stationary_mirror(1.0 / a)
         state = VacuumSpec(
             hatted, "dirichlet_half_line",
             label="mirror_in_rindler_vacuum",
             ambient_chart=rind,
-            reflected_u_range=Interval(-shift, math.inf),
-            region_predicate=lambda u, v: v - u > shift,
+            region_predicate=_mirror_region(trajectory),
         )
         log_edge = math.log(a / 2.0)
 
@@ -188,25 +213,21 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
             "minkowski": lambda u, v: (t11_minkowski(u, v),
                                        -INV_48PI / (v * v), 0.0),
         }
-        return Scenario(name, state, rind, stationary_mirror(1.0 / a),
-                        {"a": a}, forms)
+        return Scenario(name, state, rind, trajectory, {"a": a}, forms)
 
     if name == "accelerated_mirror_minkowski":
         a = _require_positive_a(params)
         mink = get_chart("minkowski")
         hatted = register_chart(hatted_chart_for_accelerated_mirror(a))
-        c = hyperbola_constant(a)
+        trajectory = uniformly_accelerated_mirror(a)
         state = VacuumSpec(
             hatted, "dirichlet_half_line",
             label="accelerated_mirror_minkowski",
-            ambient_chart=None,
-            reflected_u_range=Interval(-math.inf, 0.0),
-            region_predicate=lambda u, v: (u < 0.0) & (u * v < -c),
+            region_predicate=_mirror_region(trajectory),
         )
         zero = lambda c1, c2: (0.0, 0.0, 0.0)
         forms = {"minkowski": zero}
-        return Scenario(name, state, mink,
-                        uniformly_accelerated_mirror(a), {"a": a}, forms)
+        return Scenario(name, state, mink, trajectory, {"a": a}, forms)
 
     raise ValueError(
         f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")

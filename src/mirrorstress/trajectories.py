@@ -123,12 +123,12 @@ def uniformly_accelerated_mirror(a: float) -> Trajectory:
     return Trajectory(
         U=ChartMap(fn=lambda t: -s * jexp(-w(t)),
                    dfn=lambda t: jexp(-w(t)) / jcosh(w(t)),
-                   inverse_fn=lambda u: (u * u - c) / (2.0 * u),
+                   inverse_fn=lambda u: 0.5 * (u - c / u),
                    monotone_sign=1, label="U",
                    range_hint=Interval(-math.inf, 0.0)),
         V=ChartMap(fn=lambda t: s * jexp(w(t)),
                    dfn=lambda t: jexp(w(t)) / jcosh(w(t)),
-                   inverse_fn=lambda v: (v * v - c) / (2.0 * v),
+                   inverse_fn=lambda v: 0.5 * (v - c / v),
                    monotone_sign=1, label="V",
                    range_hint=Interval(0.0, math.inf)),
         domain=Interval(),

@@ -109,17 +109,18 @@ class VacuumSpec:
 
     ``boundary`` is 'full_line' for an unbounded chart vacuum or
     'dirichlet_half_line' for a mirror state; the latter carries the
-    ambient vacuum used for never-reflected right-movers, the base-u
-    interval governed by the mirror chart, and the predicate selecting
-    the mirror's side, applied to base (u, v) as floats or as arrays.
+    ambient vacuum used for never-reflected right-movers and the
+    predicate selecting the mirror's side, applied to base (u, v) as
+    floats or as arrays.  ``reflected_u_range``, when given, narrows the
+    base-u interval the mirror chart governs.
 
     ``sectors`` is the state's table of (governing chart, base-u
-    ``Interval``) pairs, derived once from the fields above.  A full-line
-    state has one pair, its chart over the chart's u range.  A mirror
-    state has the mirror chart over ``reflected_u_range``, then the
-    ambient chart over each non-empty piece of its u range outside that
-    interval.  The intervals are open and disjoint, so the rays between
-    them lie in none.
+    ``Interval``) pairs, derived once from the fields above.  The first
+    is the state's chart over its u coverage, narrowed to
+    ``reflected_u_range`` if one is declared; for a full-line state it is
+    the only one.  A mirror state then has the ambient chart over each
+    non-empty piece of its u range outside that interval.  The intervals
+    are open and disjoint, so the rays between them lie in none.
     """
 
     chart: ConformalChart
@@ -143,18 +144,15 @@ class VacuumSpec:
 
     @functools.cached_property
     def sectors(self) -> list:
-        if self.boundary == "full_line":
-            return [(self.chart, self.chart.u_map.range)]
-        refl, table = self.reflected_u_range, []
-        if refl is not None:
-            table.append((self.chart, refl))
-        if self.ambient_chart is not None:
-            rng = self.ambient_chart.u_map.range
-            pieces = [rng] if refl is None else [
-                Interval(rng.lo, min(rng.hi, refl.lo)),
-                Interval(max(rng.lo, refl.hi), rng.hi)]
-            table += [(self.ambient_chart, p) for p in pieces if not p.empty]
-        return table
+        own = self.chart.u_map.range
+        if self.reflected_u_range is not None:
+            own = own.intersect(self.reflected_u_range)
+        table, amb = [(self.chart, own)], self.ambient_chart
+        if amb is not None:
+            rng = amb.u_map.range
+            table += [(amb, Interval(rng.lo, min(rng.hi, own.lo))),
+                      (amb, Interval(max(rng.lo, own.hi), rng.hi))]
+        return [(gov, rng) for gov, rng in table if not rng.empty]
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,10 +351,11 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
     if state.region_predicate is not None:
         yield REGION, state.region_predicate(u, v)
     yield COVERAGE, state.chart.v_map.range.contains(v)
-    refl = state.reflected_u_range
-    if refl is not None:
-        # the sectors are half-open: the ray between them is excluded
-        yield SECTOR_RAY, (u != refl.lo) & (u != refl.hi)
+    # the sectors are open: the ray between two of them lies in neither
+    ends = {rng.hi for _, rng in state.sectors}
+    for _, rng in state.sectors:
+        if rng.lo in ends:
+            yield SECTOR_RAY, u != rng.lo
     ok = False
     for gov, sel in _sectors(state, u):
         ok = ok | (sel & _transitions_ok(gov, observe, c1, c2, u, v))
@@ -591,15 +590,13 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
         raise ValueError(
             f"conservation needs n >= 1 and finite lo < hi on each axis of "
             f"the region, got n={n}, region={region}")
-    rays_u, rays_v = _singular_rays(state, observe)
-    for ray in rays_u:
-        if c1_lo - MARGIN < ray < c1_hi + MARGIN:
-            raise MarginError(
-                f"region touches singular ray c1={ray} (margin {MARGIN})")
-    for ray in rays_v:
-        if c2_lo - MARGIN < ray < c2_hi + MARGIN:
-            raise MarginError(
-                f"region touches singular ray c2={ray} (margin {MARGIN})")
+    for axis, rays, lo, hi in zip(("c1", "c2"),
+                                  _singular_rays(state, observe),
+                                  (c1_lo, c2_lo), (c1_hi, c2_hi)):
+        for ray in rays:
+            if lo - MARGIN < ray < hi + MARGIN:
+                raise MarginError(f"region touches singular ray "
+                                  f"{axis}={ray} (margin {MARGIN})")
 
     def axis(lo, hi):
         return [lo + (hi - lo) * (i / (n - 1) if n > 1 else 0.5)

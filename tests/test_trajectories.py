@@ -271,6 +271,18 @@ def test_hyperbola_reflection_is_moebius():
                 assert abs(schwarzian_derivative(p, u)) <= 1e-10
 
 
+def test_hyperbola_reflection_keeps_precision_at_extreme_accelerations():
+    # the inverses of U and V never square their argument: u * u
+    # overflows past |u| = 1.3e154, which made p(-c/3) = 0 at a = 1e-100.
+    # exp(asinh(x)) at x ~ 1e200 keeps about 13 digits (worst seen 1.1e-14)
+    for a in (1e-100, 1e100):
+        p = reflection_map(uniformly_accelerated_mirror(a)).p
+        c = 1.0 / a**2
+        for u in (-3.0 * c, -c, -math.sqrt(c), -1e-3 * c):
+            want = -c / u
+            assert abs(lead_value(p(u)) - want) <= 1e-13 * want
+
+
 def test_reflection_requires_monotone_u():
     wiggly = Trajectory(
         U=ChartMapWiggle(), V=stationary_mirror(1.0).V,

@@ -1,5 +1,6 @@
 """The stress engine: F functional, chart vacua, transforms, identities."""
 
+import dataclasses
 import math
 import random
 
@@ -506,10 +507,13 @@ def _reference_singular_rays(state, observe):
         for end in (state.chart.v_map.range.lo, state.chart.v_map.range.hi):
             add(rays_v, observe.v_map, end)
     else:
+        # the mirror sector: the mirror chart's u range, narrowed to a
+        # declared reflected range
+        own = state.chart.u_map.range
         if state.reflected_u_range is not None:
-            for end in (state.reflected_u_range.lo,
-                        state.reflected_u_range.hi):
-                add(rays_u, observe.u_map, end)
+            own = own.intersect(state.reflected_u_range)
+        for end in (own.lo, own.hi):
+            add(rays_u, observe.u_map, end)
         for end in (state.chart.v_map.range.lo, state.chart.v_map.range.hi):
             add(rays_v, observe.v_map, end)
     for dom, rays in ((observe.u_map.domain, rays_u),
@@ -565,6 +569,44 @@ def test_rays_and_coverage_match_the_boundary_derivation():
                          side), (case, side)
 
 
+def test_declared_reflected_range_only_narrows_the_mirror_sector():
+    # the derived state's chart covers u in (-2, 0): declaring the wider
+    # (-2, inf) changes neither the table, nor the rays, nor the coverage
+    bare = _derived_mirror_state()
+    declared = dataclasses.replace(bare,
+                                   reflected_u_range=Interval(-2.0, math.inf))
+    assert [(g.name, r) for g, r in declared.sectors] == \
+        [(g.name, r) for g, r in bare.sectors] == \
+        [(bare.chart.name, Interval(-2.0, 0.0)),
+         ("rindler", Interval(-math.inf, -2.0))]
+    for observe in (MINK, RIND, bare.chart):
+        assert _ray_sets(vs._singular_rays(declared, observe)) == \
+            _ray_sets(vs._singular_rays(bare, observe))
+        for side in ("u", "v"):
+            assert _coverage_interval(declared, observe, side) == \
+                _coverage_interval(bare, observe, side)
+
+
+def test_conservation_keeps_the_margin_at_the_mirror_chart_edge():
+    # u = 0 ends the derived chart's coverage, so it is a singular ray:
+    # the region is refused before any point is evaluated
+    with pytest.raises(MarginError, match=r"singular ray c1=0\.0 "):
+        check_conservation(_derived_mirror_state(), MINK,
+                           (-1.0, 1.0, 3.0, 4.0), 4)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, -4e-309])
+def test_accelerated_mirror_refuses_u_outside_the_reflection_domain(u):
+    # p(u) = -1/(a^2 u) is defined for u < 0 only: u = 0 is refused as
+    # off the mirror's side, not through a division by zero; at
+    # u = -4e-309, p(u) overflows, so v > p(u) fails there too
+    sc = build_scenario("accelerated_mirror_minkowski", {"a": 1.0})
+    with pytest.raises(StateRegionError):
+        expectation_stress(sc.state, MINK, Point(u, 1.0, "minkowski"))
+    grid = expectation_stress_grid(sc.state, MINK, [u], [1.0])
+    assert grid.status.tolist() == [[vs.REGION]]
+
+
 # ---------- trace anomaly ----------
 
 def test_anomaly_flat_charts_both_terms_tiny():
@@ -611,7 +653,6 @@ def _derived_mirror_state():
                            global_class="half_line")
     return VacuumSpec(chart, "dirichlet_half_line",
                       label="mirror_in_rindler_vacuum", ambient_chart=RIND,
-                      reflected_u_range=Interval(-2.0, math.inf),
                       region_predicate=lambda u, v: v - u > 2.0)
 
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bogolubov import ModeBasis, compute_coefficients, critical_packet_width
 from .charts import (
+    ChartMap,
     CoverageError,
     Point,
     get_chart,
@@ -467,7 +469,6 @@ def _invariant_suite(bog_export: dict = None):
     yield "vacuum_difference", worst, 1e-12
 
     # Moebius maps have vanishing Schwarzian
-    from .charts import ChartMap
     worst = 0.0
     for _ in range(100):
         while True:
@@ -487,8 +488,6 @@ def _invariant_suite(bog_export: dict = None):
     yield "schwarzian_moebius", worst, 1e-10
 
     # quick thermal-ratio probe of the mode machinery
-    from .bogolubov import (ModeBasis, compute_coefficients,
-                            critical_packet_width)
     freqs_a = np.geomspace(0.25, 4.0, 19)
     basis_a = ModeBasis(mink, frequencies=freqs_a,
                         packet_width=critical_packet_width(freqs_a))

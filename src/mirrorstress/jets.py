@@ -17,6 +17,10 @@ arithmetic (Taylor-mode arithmetic over arrays), and the elementary
 functions dispatch to ``numpy`` instead of ``math``.  Domain guards raise
 only for scalar leaves; an array leaf outside a function's domain yields
 the IEEE value (nan or inf), and callers mask such points.
+
+:class:`Jet1` and :class:`Jet3` share division and integer powers through
+a private base class; each keeps its own ring operations and reciprocal.
+The elementary functions are exp, log, sqrt, sinh, cosh and asinh.
 """
 
 from __future__ import annotations
@@ -36,11 +40,8 @@ __all__ = [
     "jlog",
     "jsinh",
     "jcosh",
-    "jtanh",
-    "jatanh",
     "jasinh",
     "jsqrt",
-    "jpow",
     "lead_value",
 ]
 
@@ -60,12 +61,49 @@ class JetDomainError(ValueError):
 def lead_value(x):
     """Innermost coefficient of a possibly nested jet (the evaluation
     point): a float, or an array of points."""
-    while isinstance(x, (Jet3, Jet1)):
+    while isinstance(x, _Jet):
         x = x.value
     return x
 
 
-class Jet1:
+class _Jet:
+    """Division and integer powers, written once over each subclass's
+    ring operations and ``_reciprocal``."""
+
+    __slots__ = ()
+    # ``ndarray op jet`` defers to the jet, which rejects a bare array
+    # (a TypeError) instead of numpy building an object array of jets
+    __array_ufunc__ = None
+
+    def __truediv__(self, other):
+        # a Jet1 and a Jet3 differentiate in different senses: no mixing
+        if other.__class__ is self.__class__:
+            return self * other._reciprocal()
+        if isinstance(other, _SCALARS):
+            if other == 0:
+                raise JetDomainError("div", 0.0)
+            return self * (1.0 / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _SCALARS):
+            return other * self._reciprocal()
+        return NotImplemented
+
+    def __pow__(self, p):
+        if not isinstance(p, int):
+            return NotImplemented
+        if p == 0:
+            return 0.0 * self + 1.0
+        if p < 0:
+            return (self ** (-p))._reciprocal()
+        out = self
+        for _ in range(p - 1):
+            out = out * self
+        return out
+
+
+class Jet1(_Jet):
     """First-order jet: value and one derivative.
 
     Used for the outer levels of nested differentiation where only a
@@ -74,9 +112,6 @@ class Jet1:
     """
 
     __slots__ = ("value", "d1")
-    # ``ndarray op jet`` defers to the jet, which rejects a bare array
-    # (a TypeError) instead of numpy building an object array of jets
-    __array_ufunc__ = None
 
     def __init__(self, value, d1=0.0):
         self.value = value
@@ -126,36 +161,8 @@ class Jet1:
         r = 1.0 / self.value
         return Jet1(r, -(self.d1 * (r * r)))
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet1):
-            return self * other._reciprocal()
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                raise JetDomainError("div", 0.0)
-            return self * (1.0 / other)
-        return NotImplemented
 
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return other * self._reciprocal()
-        return NotImplemented
-
-    def __pow__(self, p):
-        if isinstance(p, int):
-            if p == 0:
-                return 0.0 * self + 1.0
-            if p < 0:
-                return (self ** (-p))._reciprocal()
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
-        if isinstance(p, float):
-            return jpow(self, p)
-        return NotImplemented
-
-
-class Jet3:
+class Jet3(_Jet):
     """Value plus derivatives d1, d2, d3 with respect to one coordinate.
 
     Arithmetic follows the exact Leibniz/chain rules to order 3.  Mixing
@@ -164,7 +171,6 @@ class Jet3:
     """
 
     __slots__ = ("value", "d1", "d2", "d3")
-    __array_ufunc__ = None  # see Jet1
 
     def __init__(self, value, d1=0.0, d2=0.0, d3=0.0):
         self.value = value
@@ -227,37 +233,9 @@ class Jet3:
         v = lead_value(self.value)
         if v.__class__ is not _ndarray and v == 0.0:
             raise JetDomainError("div", v)
-        r = 1.0 / self.value  # recurses through __rtruediv__ when nested
+        r = 1.0 / self.value  # a nested value recurses through _Jet
         r2 = r * r
         return compose((r, -r2, 2.0 * (r2 * r), -6.0 * (r2 * r2)), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet3):
-            return self * other._reciprocal()
-        if isinstance(other, _SCALARS):
-            if other == 0:
-                raise JetDomainError("div", 0.0)
-            return self * (1.0 / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return other * self._reciprocal()
-        return NotImplemented
-
-    def __pow__(self, p):
-        if isinstance(p, int):
-            if p == 0:
-                return 0.0 * self + 1.0
-            if p < 0:
-                return (self ** (-p))._reciprocal()
-            out = self
-            for _ in range(p - 1):
-                out = out * self
-            return out
-        if isinstance(p, float):
-            return jpow(self, p)
-        return NotImplemented
 
 
 def seed(x) -> Jet3:
@@ -381,46 +359,6 @@ def jcosh(x):
     return math.cosh(x)
 
 
-def jtanh(x):
-    if x.__class__ is float:
-        return math.tanh(x)
-    if isinstance(x, Jet3):
-        t = jtanh(x.value)
-        sech2 = 1.0 - t * t
-        return compose((t, sech2, -2.0 * (t * sech2),
-                        sech2 * (6.0 * (t * t) - 2.0)), x)
-    if isinstance(x, Jet1):
-        t = jtanh(x.value)
-        return Jet1(t, (1.0 - t * t) * x.d1)
-    if x.__class__ is _ndarray:
-        return np.tanh(x)
-    return math.tanh(x)
-
-
-def jatanh(x):
-    if x.__class__ is float and abs(x) < 1.0:
-        return math.atanh(x)
-    if isinstance(x, Jet3):
-        v = lead_value(x.value)
-        if v.__class__ is not _ndarray and abs(v) >= 1.0:
-            raise JetDomainError("atanh", v)
-        d = 1.0 - x.value * x.value
-        r = 1.0 / d
-        r2 = r * r
-        return compose((jatanh(x.value), r, 2.0 * (x.value * r2),
-                        (2.0 + 6.0 * (x.value * x.value)) * (r2 * r)), x)
-    if isinstance(x, Jet1):
-        v = lead_value(x.value)
-        if v.__class__ is not _ndarray and abs(v) >= 1.0:
-            raise JetDomainError("atanh", v)
-        return Jet1(jatanh(x.value), x.d1 / (1.0 - x.value * x.value))
-    if x.__class__ is _ndarray:
-        return np.arctanh(x)
-    if abs(x) >= 1.0:
-        raise JetDomainError("atanh", x)
-    return math.atanh(x)
-
-
 def jasinh(x):
     if x.__class__ is float:
         return math.asinh(x)
@@ -436,28 +374,3 @@ def jasinh(x):
         return np.arcsinh(x)
     return math.asinh(x)
 
-
-def jpow(x, p: float):
-    if x.__class__ is float and x > 0.0:
-        return math.pow(x, p)
-    if isinstance(x, Jet3):
-        lead = lead_value(x.value)
-        if lead.__class__ is not _ndarray and lead <= 0.0:
-            raise JetDomainError("pow", lead)
-        v = jpow(x.value, p)
-        r = 1.0 / x.value
-        t1 = p * (v * r)
-        t2 = (p - 1.0) * (t1 * r)
-        t3 = (p - 2.0) * (t2 * r)
-        return compose((v, t1, t2, t3), x)
-    if isinstance(x, Jet1):
-        lead = lead_value(x.value)
-        if lead.__class__ is not _ndarray and lead <= 0.0:
-            raise JetDomainError("pow", lead)
-        v = jpow(x.value, p)
-        return Jet1(v, p * (v * (x.d1 / x.value)))
-    if x.__class__ is _ndarray:
-        return np.power(x, p)
-    if x <= 0.0:
-        raise JetDomainError("pow", x)
-    return math.pow(x, p)

@@ -42,8 +42,9 @@ from .charts import (
     compose_maps,
     convert_point,
     get_chart,
+    identity_map,
 )
-from .jets import Jet1, Jet3, JetDomainError, lead_value, seed
+from .jets import Jet1, Jet3, JetDomainError, constant, jlog, lead_value, seed
 
 __all__ = [
     "INV_24PI",
@@ -250,25 +251,19 @@ def F_composition(p_map: ChartMap, base_F: float, x_bar: float) -> float:
 
 # ---------- stress of a chart vacuum, jet-generic ----------
 
-def _lift(x):
-    """Wrap a coordinate as a constant of the next (innermost) jet level."""
-    return Jet3(x, 0.0, 0.0, 0.0)
-
-
 def _theta_F(chart: ConformalChart, cu, cv, direction: str):
     """F of the conformal factor along one null direction; the other
     coordinate (and any jet structure both carry) rides along as
     coefficients."""
     if direction == "u":
-        a1, a2 = Jet3(cu, 1.0, 0.0, 0.0), _lift(cv)
+        a1, a2 = seed(cu), constant(cv)
     else:
-        a1, a2 = _lift(cu), Jet3(cv, 1.0, 0.0, 0.0)
+        a1, a2 = constant(cu), seed(cv)
     return F_of_jet(chart.factor(a1, a2))
 
 
 def _mixed_log_derivative(chart: ConformalChart, cu, cv):
     """d2(ln C)/dc1 dc2 with two nested first-order seeds."""
-    from .jets import jlog
     a1 = Jet1(Jet1(cu, 1.0), 0.0)
     a2 = Jet1(Jet1(cv, 0.0), 1.0)
     return jlog(chart.factor(a1, a2)).d1.d1
@@ -281,7 +276,6 @@ def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
     s_map = state_chart.u_map if side == "u" else state_chart.v_map
     o_map = observe.u_map if side == "u" else observe.v_map
     if state_chart.name == observe.name:
-        from .charts import identity_map
         return identity_map(f"{side}-id")
     return compose_maps(s_map.inverse_map(), o_map,
                         label=f"{state_chart.name}.{side}({observe.name})")
@@ -412,9 +406,7 @@ def theta_components(state: VacuumSpec, p: Point) -> StressSample:
     chart (no sector logic, no transform)."""
     chart = state.chart
     q = p if p.chart == chart.name else convert_point(p, chart)
-    t11 = INV_24PI * lead_value(_theta_F(chart, q.c1, q.c2, "u"))
-    t22 = INV_24PI * lead_value(_theta_F(chart, q.c1, q.c2, "v"))
-    t12 = INV_24PI * lead_value(_mixed_log_derivative(chart, q.c1, q.c2))
+    t11, t22, t12 = _gov_components(chart, chart)(q.c1, q.c2)
     return StressSample(t11, t22, t12, chart.name, state.label, q)
 
 
@@ -541,7 +533,7 @@ def anomaly_check(state: VacuumSpec, p: Point) -> float:
     """|(4/C) T_12 + R/(24 pi)| at a point of the state's chart."""
     chart = state.chart
     q = p if p.chart == chart.name else convert_point(p, chart)
-    t12 = INV_24PI * lead_value(_mixed_log_derivative(chart, q.c1, q.c2))
+    t12 = _gov_components(chart, chart)(q.c1, q.c2)[2]
     c = chart.conformal_factor(q.c1, q.c2)
     r = chart.ricci_scalar(q.c1, q.c2)
     return abs(4.0 / c * t12 + r / (24.0 * _PI))

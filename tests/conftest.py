@@ -2,30 +2,18 @@
 once per session and reused by both the unit tests and the acceptance
 suite."""
 
-import math
-
-import numpy as np
 import pytest
 
-from mirrorstress.bogolubov import (
-    ModeBasis,
-    compute_coefficients,
-    critical_packet_width,
-)
-from mirrorstress.charts import get_chart
+from mirrorstress.bogolubov import compute_coefficients
+
+from bogolubov_bases import planck_bases, thermal_bases
 
 
 @pytest.fixture(scope="session")
 def thermal_pair():
     """Narrow wedge packets against a mid-band inertial family: the
     per-row |beta|^2 / |alpha|^2 ratio probes the thermal factor."""
-    freqs_a = np.geomspace(0.25, 4.0, 19)
-    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
-                        packet_width=critical_packet_width(freqs_a))
-    basis_b = ModeBasis(get_chart("rindler"),
-                        frequencies=np.array([0.7, 1.0, 1.4]),
-                        packet_width=0.04)
-    return compute_coefficients(basis_a, basis_b, tol=1e-9)
+    return compute_coefficients(*thermal_bases(), tol=1e-9)
 
 
 @pytest.fixture(scope="session")
@@ -33,33 +21,19 @@ def planck_pair():
     """One narrow wedge packet against an inertial family wide enough to
     capture its whole frequency content: row normalization and the
     expected occupation number."""
-    freqs_a = np.geomspace(math.exp(-38.0), math.exp(38.0), 255)
-    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
-                        packet_width=critical_packet_width(freqs_a))
-    basis_b = ModeBasis(get_chart("rindler"), frequencies=np.array([1.0]),
-                        packet_width=0.06)
-    return compute_coefficients(basis_a, basis_b, tol=1e-9)
+    return compute_coefficients(*planck_bases(), tol=1e-9)
 
 
 @pytest.fixture(scope="session")
 def planck_coarse_pair():
     """The planck_pair configuration on a 1.5x coarser column grid, for
     the stability-under-refinement check."""
-    freqs_a = np.geomspace(math.exp(-38.0), math.exp(38.0), 170)
-    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
-                        packet_width=critical_packet_width(freqs_a))
-    basis_b = ModeBasis(get_chart("rindler"), frequencies=np.array([1.0]),
-                        packet_width=0.06)
-    return compute_coefficients(basis_a, basis_b, tol=1e-9)
+    return compute_coefficients(*planck_bases(n_columns=170), tol=1e-9)
 
 
 @pytest.fixture(scope="session")
 def planck_wide_packet_pair():
     """planck_coarse_pair with the wedge packet twice as wide, for the
     width-doubling stability check."""
-    freqs_a = np.geomspace(math.exp(-38.0), math.exp(38.0), 170)
-    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
-                        packet_width=critical_packet_width(freqs_a))
-    basis_b = ModeBasis(get_chart("rindler"), frequencies=np.array([1.0]),
-                        packet_width=0.12)
-    return compute_coefficients(basis_a, basis_b, tol=1e-9)
+    return compute_coefficients(*planck_bases(n_columns=170, row_width=0.12),
+                                tol=1e-9)

@@ -8,7 +8,11 @@ compares it with the stored outputs:
   of ``tests/test_stress_grid.py``, on the parity boxes of
   ``tests/test_vacuum_stress.py`` widened past their singular rays, and
   on hatted windows whose grids put points on the mirror (c1 == c2);
-- the conservation reports of the parity cases.
+- the conservation reports of the parity cases;
+- the Bogolubov alpha and beta matrices, with the integrand evaluations
+  and the truncation warning of every entry, of the ``thermal_pair`` and
+  ``planck_pair`` fixture shapes and of the matrix checks of
+  ``tests/test_bogolubov.py``.
 
 A change that moves an output on purpose regenerates the file with
 
@@ -25,10 +29,12 @@ import tempfile
 from pathlib import Path
 
 from mirrorstress import cli
+from mirrorstress.bogolubov import compute_coefficients
 from mirrorstress.charts import get_chart
 from mirrorstress.scenarios import build_scenario
 from mirrorstress.vacuum_stress import check_conservation
 
+import bogolubov_bases as bases
 from test_stress_grid import WINDOWS
 from test_vacuum_stress import PARITY_CASES, _derived_mirror_state
 
@@ -116,10 +122,46 @@ def conservation_outcome(case):
                        rep.max_residual_v_equation]}
 
 
+# (bases, surface time, tolerance); the thermal and planck shapes are
+# those of the session fixtures of the same name
+BOGOLUBOV_CASES = {
+    "thermal": (bases.thermal_bases, 0.0, 1e-9),
+    "planck": (bases.planck_bases, 0.0, 1e-9),
+    "two_by_five": (bases.two_by_five_bases, 0.0, 1e-9),
+    "wedge_columns": (bases.wedge_column_bases, 0.0, 1e-9),
+    "v_sector": (bases.v_sector_bases, 0.5, 1e-9),
+    "empty_window": (bases.empty_window_bases, 0.0, 1e-9),
+    "dirichlet": (bases.dirichlet_bases, 2.0, 1e-10),
+}
+
+
+def bogolubov_cases():
+    return [{"bogolubov": name, "t": t, "tol": tol}
+            for name, (_, t, tol) in BOGOLUBOV_CASES.items()]
+
+
+def bogolubov_pair(case):
+    make_bases, t, tol = BOGOLUBOV_CASES[case["bogolubov"]]
+    return compute_coefficients(*make_bases(), t=t, tol=tol)
+
+
+def bogolubov_outcome(pair):
+    """alpha and beta as [re, im] per entry, row by row, and the integrand
+    evaluations and truncation warning of each entry."""
+    def entries(m):
+        return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+    return {"alpha": entries(pair.alpha), "beta": entries(pair.beta),
+            "n_evaluations": pair.n_evaluations.tolist(),
+            "truncation_warning": pair.truncation_warning.tolist()}
+
+
 def main(path=GOLDEN) -> int:
     run = [{**case, **run_outcome(case)} for case in run_cases()]
     conservation = [{**case, **conservation_outcome(case)}
                     for case in conservation_cases()]
+    bogolubov = [{**case, **bogolubov_outcome(bogolubov_pair(case))}
+                 for case in bogolubov_cases()]
 
     def lines(cases):
         return ",\n".join(json.dumps(c, separators=(",", ":"))
@@ -128,7 +170,8 @@ def main(path=GOLDEN) -> int:
     # one case a line, so that a diff of the file names the moved cases
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"run": [\n{lines(run)}\n],\n'
-                 f'"conservation": [\n{lines(conservation)}\n]}}\n')
+                 f'"conservation": [\n{lines(conservation)}\n],\n'
+                 f'"bogolubov": [\n{lines(bogolubov)}\n]}}\n')
     return 0
 
 

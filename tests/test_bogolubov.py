@@ -29,11 +29,19 @@ from mirrorstress.bogolubov import (
     kg_inner_product,
     row_normalization,
 )
-from mirrorstress.charts import compose_charts, get_chart, identity_map
+from mirrorstress.charts import compose_charts, identity_map
 from mirrorstress.scenarios import hatted_chart_for_stationary_mirror
 
-MINK = get_chart("minkowski")
-RIND = get_chart("rindler")
+from bogolubov_bases import (
+    MINK,
+    RIND,
+    dirichlet_bases,
+    empty_window_bases,
+    two_by_five_bases,
+    v_sector_bases,
+    wedge_column_bases,
+)
+
 # the wedge chart relabeled through composition with identity maps
 RIND_COMPOSED = compose_charts(RIND, identity_map("u"), identity_map("v"),
                                "rindler-composed")
@@ -113,15 +121,6 @@ def test_truncation_metadata():
     assert not rep.truncation_warning
 
 
-def two_by_five_bases():
-    freqs_a = np.geomspace(0.25, 4.0, 5)
-    basis_a = ModeBasis(MINK, frequencies=freqs_a,
-                        packet_width=critical_packet_width(freqs_a))
-    basis_b = ModeBasis(RIND, frequencies=np.array([0.7, 1.4]),
-                        packet_width=0.04)
-    return basis_a, basis_b
-
-
 def assert_matches_single_pairings(basis_a, basis_b, t=0.0, tol=1e-9):
     """The row engine against one single pairing per mode, f_k and its
     conjugate, bit for bit: the value, the error and truncation of each
@@ -155,27 +154,27 @@ def test_shared_grid_pairing_matches_separate_pairings():
     assert np.abs(pair.beta).max() > 1e-3  # beta is not trivially zero
 
 
+def test_wedge_column_matrix_matches_separate_pairings():
+    # inertial rows: every entry integrates in the substitution of the
+    # wedge column stack, over its own s-window
+    pair = assert_matches_single_pairings(*wedge_column_bases())
+    assert np.abs(pair.beta).max() > 1e-3
+
+
+def test_v_sector_matrix_matches_separate_pairings():
+    pair = assert_matches_single_pairings(*v_sector_bases(), t=0.5)
+    assert np.abs(pair.beta).max() > 1e-3
+
+
 def test_dirichlet_matrix_matches_separate_pairings():
-    hat = hatted_chart_for_stationary_mirror(1.0)
-    basis_a = ModeBasis(hat, boundary="dirichlet_half_line",
-                        frequencies=np.array([1.0, 2.0, 4.0]),
-                        packet_width=0.25)
-    basis_b = ModeBasis(hat, boundary="dirichlet_half_line",
-                        frequencies=np.array([1.5, 3.0]), packet_width=0.25)
-    pair = assert_matches_single_pairings(basis_a, basis_b, t=2.0, tol=1e-10)
+    pair = assert_matches_single_pairings(*dirichlet_bases(), t=2.0,
+                                          tol=1e-10)
     assert np.abs(pair.beta).max() > 1e-3
     assert len(np.unique(pair.n_evaluations)) > 2  # entries refine apart
 
 
 def test_empty_window_entries_match_separate_pairings():
-    # columns this far above the wedge row have a support radius below
-    # the row's support: their windows are empty
-    freqs = np.geomspace(math.exp(-38.0), math.exp(38.0), 255)
-    columns = freqs[[127, 132, 140, 214, 215, 254]]
-    basis_a = ModeBasis(MINK, frequencies=columns,
-                        packet_width=critical_packet_width(freqs))
-    basis_b = ModeBasis(RIND, frequencies=np.array([5.0]), packet_width=0.06)
-    pair = assert_matches_single_pairings(basis_a, basis_b)
+    pair = assert_matches_single_pairings(*empty_window_bases())
     empty = pair.n_evaluations[0] == 0
     assert empty.tolist() == [False] * 4 + [True] * 2
     assert not pair.alpha[0, empty].any() and not pair.beta[0, empty].any()

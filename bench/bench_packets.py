@@ -5,10 +5,11 @@
 
 The kernel cases run twice: with the Chebyshev tables (``table``) and
 with the exact node sums patched in as the kernel (``exact``), so one run
-gives before and after on one machine.  The 1 x 255 matrix, the table
-read and the cold start run on the tables only; compare them across
-commits by running this file against each commit's source.  The file is
-named bench_* so the test suite does not collect it.
+gives before and after on one machine.  The 1 x 255 and Dirichlet 2 x 64
+matrices, the table read and the cold start run on the tables only;
+compare them across commits by running this file against each commit's
+source.  The file is named bench_* so the test suite does not collect
+it.
 """
 
 import math
@@ -25,6 +26,7 @@ from mirrorstress.bogolubov import (
     kg_inner_product,
 )
 from mirrorstress.charts import get_chart
+from mirrorstress.scenarios import hatted_chart_for_stationary_mirror
 
 KERNELS = ["table", "exact"]
 
@@ -94,3 +96,18 @@ def test_compute_coefficients_wide(benchmark):
                         packet_width=0.06)
     benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
                        kwargs={"tol": 1e-9}, rounds=5, warmup_rounds=1)
+
+
+def test_compute_coefficients_dirichlet(benchmark):
+    """The 2 x 64 Dirichlet matrix: 64 standing-packet columns against
+    two rows on the stationary mirror's hatted chart at t = 2, on the
+    table kernel.  The mirror is bisected once for the column stack and
+    once per row."""
+    hat = hatted_chart_for_stationary_mirror(1.0)
+    basis_a = ModeBasis(hat, boundary="dirichlet_half_line",
+                        frequencies=np.geomspace(0.5, 8.0, 64),
+                        packet_width=0.25)
+    basis_b = ModeBasis(hat, boundary="dirichlet_half_line",
+                        frequencies=np.array([1.5, 3.0]), packet_width=0.25)
+    benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
+                       kwargs={"t": 2.0}, rounds=5, warmup_rounds=1)

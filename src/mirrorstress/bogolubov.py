@@ -14,6 +14,8 @@ packet strictly positive-frequency in its chart's time.
 All Klein-Gordon pairings are adaptive quadratures over a constant-time
 surface of the base chart, with a change of variable that makes wedge
 (logarithmically piled-up) phases linear in the integration parameter.
+A packet, or a stack of them, gives its supports and that substitution
+in one ``geometry`` call, so a row takes every entry's window at once.
 A matrix row is one lockstep quadrature: every entry keeps its own window
 and adaptive grid, on which alpha and beta are paired together, and each
 refinement wave evaluates the row packet once and all column packets
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -505,9 +506,43 @@ class _PacketCore:
                 _spread((self.norm * omega_c) * unit[:, 1], live, coord.shape))
 
 
+class _Substitution:
+    """The integration variable s of a packet side on the surface t: its
+    ``sector`` chart coordinate, x = t - map(s) for 'u' and map(s) - t for
+    'v', over the s-window [lo, hi] (arrays for a stack).  It makes the
+    wedge phases, piled up logarithmically in x, linear in s."""
+
+    def __init__(self, map, sector, t, lo, hi):
+        self.map, self.sector, self.t = map, sector, t
+        self.lo, self.hi = lo, hi
+
+    def x(self, s):
+        y = self.map.fn(s)
+        return self.t - y if self.sector == "u" else y - self.t
+
+    def rate(self, s):
+        """|dx/ds|."""
+        return self.map.monotone_sign * self.map.dfn(s)
+
+    def s(self, x):
+        return self.map.inverse_fn(self.t - x if self.sector == "u"
+                                   else self.t + x)
+
+    def window(self, x0, x1):
+        """The s-interval of the x-intervals [x0, x1] (arrays), clipped to
+        the s-window.  An end that maps to no finite s, at or past the
+        substitution's reachable limit, takes the s-window's end."""
+        with np.errstate(all="ignore"):
+            s0, s1 = self.s(x0), self.s(x1)
+        if (self.map.monotone_sign > 0) != (self.sector == "v"):
+            s0, s1 = s1, s0  # s runs against x
+        return (np.where(np.isfinite(s0), np.maximum(self.lo, s0), self.lo),
+                np.where(np.isfinite(s1), np.minimum(self.hi, s1), self.hi))
+
+
 class _TravelingPacket:
     """Right- or left-moving packet on a full-line chart, or a stack of
-    them for an array ``omega_c`` (``evaluate`` and ``substitution``)."""
+    them for an array ``omega_c`` (``evaluate`` and ``geometry``)."""
 
     def __init__(self, chart: ConformalChart, sector: str, omega_c,
                  sigma: float):
@@ -520,14 +555,11 @@ class _TravelingPacket:
         self.core = _PacketCore(omega_c, sigma,
                                 norm=1.0 / math.sqrt(4.0 * math.pi))
 
-    def _base_coord(self, t, xs):
-        return t - xs if self.sector == "u" else t + xs
-
     def evaluate(self, t: float, xs, owner=None):
         """(values, d/dt values) on the surface t = const; for a stack,
         ``owner`` picks the packet at each point."""
         xs = np.asarray(xs, dtype=float)
-        w = self._base_coord(t, xs)
+        w = t - xs if self.sector == "u" else t + xs
         rng = self.map.range
         inside = _index((w > rng.lo) & (w < rng.hi))
         c = self.map.inverse_fn(w[inside])
@@ -536,51 +568,22 @@ class _TravelingPacket:
         return (_spread(v, inside, xs.shape),
                 _spread(dv / self.map.dfn(c), inside, xs.shape))
 
-    def support(self, t: float):
+    def geometry(self, t: float):
+        """((lo, hi), substitution) on the surface t: the x-support, of
+        arrays for a stack, and the chart-coordinate substitution over
+        the support radius, None for an identity map."""
         r = self.core.radius
-        lo = float(self.map.fn(np.array([-r]))[0])
-        hi = float(self.map.fn(np.array([r]))[0])
-        if self.sector == "u":
-            return (t - hi, t - lo)
-        return (lo - t, hi - t)
-
-    def substitution(self, t: float):
-        is_identity = abs(float(self.map.fn(np.array([0.37]))[0]) - 0.37) < 1e-15
-        if is_identity:
-            return None
-        r = self.core.radius
-
-        if self.sector == "u":
-            def x_of_s(s):
-                return t - self.map.fn(s)
-
-            def dx_of_s(s):
-                return -self.map.dfn(s)
-
-            def s_of_x(x):
-                return float(self.map.inverse_fn(np.array([t - x]))[0])
-        else:
-            def x_of_s(s):
-                return self.map.fn(s) - t
-
-            def dx_of_s(s):
-                return self.map.dfn(s)
-
-            def s_of_x(x):
-                return float(self.map.inverse_fn(np.array([t + x]))[0])
-        return (x_of_s, dx_of_s, s_of_x, (-r, r))
-
-
-# mirror position per surface time, per chart held weakly; a chart's
-# memo starts afresh once it holds _MIRROR_TIMES surface times
-_MIRROR_POSITIONS = weakref.WeakKeyDictionary()
-_MIRROR_TIMES = 16
+        lo, hi = self.map.fn(np.array([-r, r]))
+        support = (t - hi, t - lo) if self.sector == "u" else (lo - t, hi - t)
+        if abs(float(self.map.fn(np.array([0.37]))[0]) - 0.37) < 1e-15:
+            return support, None
+        return support, _Substitution(self.map, self.sector, t, -r, r)
 
 
 class _StandingPacket:
     """Dirichlet packet vanishing on the chart's x* = 0 boundary, or a
     stack of them for an array ``omega_c`` (``evaluate`` and
-    ``substitution``)."""
+    ``geometry``)."""
 
     def __init__(self, chart: ConformalChart, omega_c, sigma: float):
         self.chart = chart
@@ -613,19 +616,8 @@ class _StandingPacket:
                          - dfv / self.chart.v_map.dfn(cv)) / 2j,
                         live, xs.shape))
 
-    def _mirror_position(self, t: float) -> float:
-        """x with x*(t, x) = 0, by bisection on cv - cu; memoized per
-        chart and surface time, so the packets of a basis share it."""
-        positions = _MIRROR_POSITIONS.get(self.chart, {})
-        x = positions.get(t)
-        if x is None:
-            if len(positions) >= _MIRROR_TIMES:
-                positions = {}
-            x = positions[t] = self._bisect_mirror(t)
-            _MIRROR_POSITIONS[self.chart] = positions
-        return x
-
     def _bisect_mirror(self, t: float) -> float:
+        """x with x*(t, x) = 0, by bisection on cv - cu."""
         ur, vr = self.chart.u_map.range, self.chart.v_map.range
         lo = (vr.lo - t if math.isfinite(vr.lo) else t - ur.hi)
         hi = (t - ur.lo if math.isfinite(ur.lo) else vr.hi - t)
@@ -647,39 +639,25 @@ class _StandingPacket:
                 b = mid
         return 0.5 * (a + b)
 
-    def support(self, t: float):
+    def geometry(self, t: float):
+        """``geometry`` as for ``_TravelingPacket``, of both null sides,
+        clipped to the coverage and to the mirror's right, in the u-side
+        chart coordinate up to the mirror, which makes the only phase
+        pile-up there, at the u-coverage edge, linear."""
+        u_map, v_map = self.chart.u_map, self.chart.v_map
         r = self.core.radius
-        u_lo = float(self.chart.u_map.fn(np.array([-r]))[0])
-        u_hi = float(self.chart.u_map.fn(np.array([r]))[0])
-        v_lo = float(self.chart.v_map.fn(np.array([-r]))[0])
-        v_hi = float(self.chart.v_map.fn(np.array([r]))[0])
-        lo = min(t - u_hi, v_lo - t)
-        hi = max(t - u_lo, v_hi - t)
-        ur, vr = self.chart.u_map.range, self.chart.v_map.range
-        if math.isfinite(ur.lo):
-            hi = min(hi, t - ur.lo)
-        if math.isfinite(vr.lo):
-            lo = max(lo, vr.lo - t)
-        return (max(lo, self._mirror_position(t)), hi)
-
-    def substitution(self, t: float):
-        """The u-side chart coordinate: the only phase pile-up inside the
-        mirror's side sits at the u-coverage edge, which this makes
-        linear; the v-side rate stays bounded there."""
-        m = self.chart.u_map
-        r = self.core.radius
-
-        def x_of_s(s):
-            return t - m.fn(s)
-
-        def dx_of_s(s):
-            return -m.dfn(s)
-
-        def s_of_x(x):
-            return float(m.inverse_fn(np.array([t - x]))[0])
-
-        s_hi = s_of_x(self._mirror_position(t))
-        return (x_of_s, dx_of_s, s_of_x, (-r, s_hi))
+        u_lo, u_hi = u_map.fn(np.array([-r, r]))
+        v_lo, v_hi = v_map.fn(np.array([-r, r]))
+        lo = np.minimum(t - u_hi, v_lo - t)
+        hi = np.maximum(t - u_lo, v_hi - t)
+        if math.isfinite(u_map.range.lo):
+            hi = np.minimum(hi, t - u_map.range.lo)
+        if math.isfinite(v_map.range.lo):
+            lo = np.maximum(lo, v_map.range.lo - t)
+        mirror = self._bisect_mirror(t)
+        s_mirror = u_map.inverse_fn(np.array([t - mirror]))[0]
+        return ((np.maximum(lo, mirror), hi),
+                _Substitution(u_map, "u", t, -r, s_mirror))
 
 
 class _Conjugate:
@@ -692,11 +670,8 @@ class _Conjugate:
         v, d = self._mode.evaluate(t, xs, owner)
         return np.conj(v), np.conj(d)
 
-    def support(self, t):
-        return self._mode.support(t)
-
-    def substitution(self, t):
-        return self._mode.substitution(t)
+    def geometry(self, t):
+        return self._mode.geometry(t)
 
 
 # ---------- Klein-Gordon pairing ----------
@@ -715,44 +690,15 @@ class QuadReport:
     n_evaluations: int
 
 
-def _s_interval(window, substitution, s_win):
-    """The window [x0, x1] in the substitution's variable, clipped to
-    ``s_win``: (a, b, flip), flip = -1 where s runs against x, or None if
-    the interval is empty."""
-    dx_of_s, s_of_x = substitution[1:3]
-    probe = 0.5 * (max(s_win[0], -1.0) + min(s_win[1], 1.0))
-    increasing = float(np.asarray(dx_of_s(np.asarray([probe])))[0]) > 0.0
-
-    def to_s(x, fallback):
-        # window edges can sit at (or float-collapse onto) the
-        # substitution's reachable limit; those map to the window of the
-        # substitution itself
-        with np.errstate(all="ignore"):
-            try:
-                s = s_of_x(x)
-            except (ValueError, OverflowError, ZeroDivisionError):
-                return fallback
-        return s if math.isfinite(s) else fallback
-
-    if increasing:
-        img = (to_s(window[0], -math.inf), to_s(window[1], math.inf))
-    else:
-        img = (to_s(window[1], -math.inf), to_s(window[0], math.inf))
-    a = max(s_win[0], img[0])
-    b = min(s_win[1], img[1])
-    if not a < b:
-        return None
-    return a, b, (1.0 if increasing else -1.0)
-
-
-def _pair_row(stack, supports, g, t, tol):
+def _pair_row(stack, stack_geometry, g, t, tol):
     """Pair the row mode ``g`` with m column modes f_k and with their
     conjugates, all in one lockstep quadrature (``_adaptive_gk``).
 
     ``stack.evaluate(t, xs, owner)`` evaluates f_k at the points owned
-    by column k, and ``supports[k]`` is the support of f_k.  Entry k is
-    integrated over the intersection of its support with g's, in the
-    substitution of g, else of the stack, else in x.
+    by column k, and ``stack_geometry`` is ``stack.geometry(t)``, whose
+    support arrays hold each f_k's.  Entry k is integrated over the
+    intersection of its support with g's, in the substitution of g, else
+    of the stack, else in x.
     At every node g and the owning column are each evaluated once, and
     both components, (f_k, g) and (f_k*, g), are formed from those values.
 
@@ -760,26 +706,16 @@ def _pair_row(stack, supports, g, t, tol):
     of shape (m, 2), component 0 the pairing with f_k and 1 with f_k*.
     Entries with an empty window are 0, with no evaluations.
     """
-    m = len(supports)
-    a, b, flip = np.zeros(m), np.zeros(m), np.ones(m)
-    live = np.zeros(m, bool)
-    s2 = g.support(t)
-    substitution = g.substitution(t) or stack.substitution(t)
-    if substitution is not None:
-        s_lo, s_hi = (np.broadcast_to(w, m) for w in substitution[3])
-    for k, s1 in enumerate(supports):
-        win = (max(s1[0], s2[0]), min(s1[1], s2[1]))
-        if not win[0] < win[1]:
-            continue
-        if substitution is None:
-            a[k], b[k] = win
-        else:
-            span = _s_interval(win, substitution,
-                               (float(s_lo[k]), float(s_hi[k])))
-            if span is None:
-                continue
-            a[k], b[k], flip[k] = span
-        live[k] = True
+    (lo1, hi1), stack_sub = stack_geometry
+    (lo2, hi2), g_sub = g.geometry(t)
+    sub = stack_sub if g_sub is None else g_sub
+    a = np.atleast_1d(np.maximum(lo1, lo2))
+    b = np.atleast_1d(np.minimum(hi1, hi2))
+    live = a < b
+    if sub is not None:
+        a, b = sub.window(a, b)
+        live &= a < b
+    m = len(live)
 
     values = np.zeros((m, 2), dtype=complex)
     errors = np.zeros((m, 2))
@@ -791,7 +727,7 @@ def _pair_row(stack, supports, g, t, tol):
 
     def integrand(ss, owner):
         col = cols[owner]
-        xs = ss if substitution is None else substitution[0](ss)
+        xs = ss if sub is None else sub.x(ss)
         v2, d2 = g.evaluate(t, xs)
         v1, d1 = stack.evaluate(t, xs, col)
         out = np.empty((2, len(xs)), dtype=complex)
@@ -800,8 +736,8 @@ def _pair_row(stack, supports, g, t, tol):
         np.multiply(v1, d2, out=out[1])
         out[1] -= d1 * v2
         out *= 1j
-        if substitution is not None:
-            out *= flip[col] * substitution[1](ss)
+        if sub is not None:
+            out *= sub.rate(ss)
         return out
 
     a, b = a[cols], b[cols]
@@ -830,7 +766,7 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
     ``_Conjugate(f)`` reproduces its beta entry (up to sign).
     """
     values, errors, truncs, n_evals = _pair_row(
-        mode1, [mode1.support(t)], mode2, t, tol)
+        mode1, mode1.geometry(t), mode2, t, tol)
     report = QuadReport(complex(values[0, 0]), float(errors[0, 0]),
                         float(truncs[0, 0]), bool(truncs[0, 0] > tol),
                         int(n_evals[0]))
@@ -885,10 +821,10 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     together, and each refinement wave evaluates the row packet g_i and
     the stack of all columns once for the new nodes of every open entry,
     in blocks of bounded size."""
-    supports = [f.support(t) for f in basis_a.packets()]
     stack = basis_a._packet(basis_a.frequencies)
+    geometry = stack.geometry(t)
     packets_b = basis_b.packets()
-    nb, na = len(packets_b), len(supports)
+    nb, na = len(packets_b), len(basis_a)
     alpha = np.zeros((nb, na), dtype=complex)
     beta = np.zeros((nb, na), dtype=complex)
     qerr = np.zeros((nb, na))
@@ -896,7 +832,7 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     n_evals = np.zeros((nb, na), dtype=int)
     warned = np.zeros((nb, na), dtype=bool)
     for i, g in enumerate(packets_b):
-        values, errors, truncs, n_evals[i] = _pair_row(stack, supports, g,
+        values, errors, truncs, n_evals[i] = _pair_row(stack, geometry, g,
                                                        t, tol)
         alpha[i] = values[:, 0]
         beta[i] = -values[:, 1]

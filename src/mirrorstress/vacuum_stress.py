@@ -401,11 +401,19 @@ def _point_error(status: int, state: str, observe: ConformalChart,
 
 # ---------- public operations ----------
 
+def _own_point(state: VacuumSpec, p: Point):
+    """(state chart, p in it); CoverageError at a non-finite coordinate."""
+    chart = state.chart
+    q = p if p.chart == chart.name else convert_point(p, chart)
+    if not (_finite(q.c1) and _finite(q.c2)):
+        raise _point_error(COVERAGE, state.label, chart, q)
+    return chart, q
+
+
 def theta_components(state: VacuumSpec, p: Point) -> StressSample:
     """Null stress of the state's own chart vacuum at a point of that
     chart (no sector logic, no transform)."""
-    chart = state.chart
-    q = p if p.chart == chart.name else convert_point(p, chart)
+    chart, q = _own_point(state, p)
     t11, t22, t12 = _gov_components(chart, chart)(q.c1, q.c2)
     return StressSample(t11, t22, t12, chart.name, state.label, q)
 
@@ -531,9 +539,8 @@ def orthonormal_grid(g: StressGrid):
 
 def anomaly_check(state: VacuumSpec, p: Point) -> float:
     """|(4/C) T_12 + R/(24 pi)| at a point of the state's chart."""
-    chart = state.chart
-    q = p if p.chart == chart.name else convert_point(p, chart)
-    t12 = _gov_components(chart, chart)(q.c1, q.c2)[2]
+    chart, q = _own_point(state, p)
+    t12 = INV_24PI * _mixed_log_derivative(chart, q.c1, q.c2)
     c = chart.conformal_factor(q.c1, q.c2)
     r = chart.ricci_scalar(q.c1, q.c2)
     return abs(4.0 / c * t12 + r / (24.0 * _PI))

@@ -14,13 +14,12 @@ from mirrorstress.bogolubov import (
     _G7_WEIGHTS,
     _K15_NODES,
     _K15_WEIGHTS,
-    _MIRROR_POSITIONS,
-    _MIRROR_TIMES,
     ModeBasis,
     QuadReport,
     _adaptive_gk,
     _blocks,
     _Conjugate,
+    _StandingPacket,
     _unit_packet,
     _UnitPacket,
     compute_coefficients,
@@ -395,41 +394,29 @@ def test_dirichlet_mode_vanishes_on_mirror():
                       frequencies=np.array([2.0]), packet_width=0.25)
     p = basis.packet(0)
     for t in (0.0, 1.0):
-        xm = p._mirror_position(t)
+        xm = p._bisect_mirror(t)
         vals, _ = p.evaluate(t, np.array([xm - 1e-9, xm + 1e-9]))
         assert abs(vals[0]) == 0.0          # no field left of the mirror
         assert abs(vals[1]) < 1e-6          # continuous vanishing on it
 
 
-def test_mirror_position_is_bisected_once_per_surface_time(monkeypatch):
-    hat = hatted_chart_for_stationary_mirror(1.0)
-    basis = ModeBasis(hat, boundary="dirichlet_half_line",
-                      frequencies=np.array([2.0]), packet_width=0.25)
-    p = basis.packet(0)
-    want = [p._bisect_mirror(t) for t in (0.0, 2.0)]
+def test_mirror_is_bisected_once_for_the_stack_and_once_per_row(
+        monkeypatch):
+    basis_a, basis_b = dirichlet_bases()
     calls = []
-    bisect = type(p)._bisect_mirror
-    monkeypatch.setattr(type(p), "_bisect_mirror",
+    bisect = _StandingPacket._bisect_mirror
+    monkeypatch.setattr(_StandingPacket, "_bisect_mirror",
                         lambda self, t: calls.append(t) or bisect(self, t))
-    for _ in range(3):
-        assert [p._mirror_position(t) for t in (0.0, 2.0)] == want
-        p.support(0.0)
-        p.substitution(2.0)
-    assert calls == [0.0, 2.0]
-    # the packets of every basis on one chart share it: a whole matrix on
-    # a 64-column basis bisects once more, for its fresh chart
-    hat = hatted_chart_for_stationary_mirror(1.0)
-    wide = ModeBasis(hat, boundary="dirichlet_half_line",
-                     frequencies=np.geomspace(0.5, 8.0, 64),
-                     packet_width=0.25)
-    row = ModeBasis(hat, boundary="dirichlet_half_line",
-                    frequencies=np.array([2.0]), packet_width=0.25)
-    compute_coefficients(wide, row, t=2.0)
-    assert calls == [0.0, 2.0, 2.0]
-    # a chart's memo stays bounded however many surface times it sees
-    for k in range(40):
-        row.packet(0)._mirror_position(2.0 + 0.25 * k)
-    assert 0 < len(_MIRROR_POSITIONS[hat]) <= _MIRROR_TIMES
+    compute_coefficients(basis_a, basis_b, t=2.0, tol=1e-10)
+    assert calls == [2.0] * (1 + len(basis_b))
+    # a geometry call bisects once and clips both windows at the mirror
+    calls.clear()
+    p = basis_b.packet(0)
+    (lo, hi), sub = p.geometry(2.0)
+    assert calls == [2.0]
+    mirror = bisect(p, 2.0)
+    assert lo == mirror < hi
+    assert sub.hi == sub.s(np.array([mirror]))[0]
 
 
 def test_dirichlet_norm_grows_to_one_with_surface_time():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -632,6 +633,26 @@ def test_anomaly_curved_chart_vs_symbolic():
         r_symbolic = 8.0 / (u + v) ** 4
         assert close(4.0 / c * s.t_uv, -r_symbolic / (24.0 * math.pi), 1e-10)
         assert close(curved.ricci_scalar(u, v), r_symbolic, 1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("make_state", [
+    rindler_state,
+    lambda: VacuumSpec(synthetic_curved_chart(), "full_line",
+                       label="curved_vacuum"),
+    lambda: build_scenario("accelerated_mirror_minkowski",
+                           {"a": 1.0}).state,
+], ids=["rindler", "curved", "hatted-hyperbola"])
+def test_own_chart_operations_name_a_non_finite_point(make_state, bad):
+    # as expectation_stress does: the error names the point and the state
+    st = make_state()
+    for c1, c2 in ((bad, 0.5), (0.5, bad)):
+        p = Point(c1, c2, st.chart.name)
+        want = (rf"point \({c1}, {c2}\) of chart '{re.escape(st.chart.name)}'"
+                rf" lies outside the coverage of state '{st.label}'")
+        for operation in (theta_components, anomaly_check):
+            with pytest.raises(CoverageError, match=want):
+                operation(st, p)
 
 
 # ---------- forward-only derived charts ----------

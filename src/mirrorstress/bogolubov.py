@@ -709,7 +709,7 @@ def _pair_row(stack, stack_geometry, g, t, tol):
     (lo1, hi1), stack_sub = stack_geometry
     (lo2, hi2), g_sub = g.geometry(t)
     sub = stack_sub if g_sub is None else g_sub
-    a = np.atleast_1d(np.maximum(lo1, lo2))
+    a = np.atleast_1d(np.maximum(lo1, lo2))  # floats for one packet
     b = np.atleast_1d(np.minimum(hi1, hi2))
     live = a < b
     if sub is not None:

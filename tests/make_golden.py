@@ -12,7 +12,9 @@ compares it with the stored outputs:
 - the Bogolubov alpha and beta matrices, with the integrand evaluations
   and the truncation warning of every entry, of the ``thermal_pair`` and
   ``planck_pair`` fixture shapes and of the matrix checks of
-  ``tests/test_bogolubov.py``.
+  ``tests/test_bogolubov.py``;
+- each invariant of ``mirrorstress check``: its name, tolerance, status
+  and residual.
 
 A change that moves an output on purpose regenerates the file with
 
@@ -156,12 +158,23 @@ def bogolubov_outcome(pair):
             "truncation_warning": pair.truncation_warning.tolist()}
 
 
+def check_outcomes():
+    """Each invariant of ``check``, in the order it prints them, with
+    its tolerance, its status (PASS when the residual is below the
+    tolerance, as ``check`` decides) and its residual."""
+    return [{"check": name, "tolerance": tol,
+             "status": "PASS" if residual < tol else "FAIL",
+             "residual": residual}
+            for name, residual, tol in cli._invariant_suite()]
+
+
 def main(path=GOLDEN) -> int:
     run = [{**case, **run_outcome(case)} for case in run_cases()]
     conservation = [{**case, **conservation_outcome(case)}
                     for case in conservation_cases()]
     bogolubov = [{**case, **bogolubov_outcome(bogolubov_pair(case))}
                  for case in bogolubov_cases()]
+    check = check_outcomes()
 
     def lines(cases):
         return ",\n".join(json.dumps(c, separators=(",", ":"))
@@ -171,7 +184,8 @@ def main(path=GOLDEN) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"run": [\n{lines(run)}\n],\n'
                  f'"conservation": [\n{lines(conservation)}\n],\n'
-                 f'"bogolubov": [\n{lines(bogolubov)}\n]}}\n')
+                 f'"bogolubov": [\n{lines(bogolubov)}\n],\n'
+                 f'"check": [\n{lines(check)}\n]}}\n')
     return 0
 
 

@@ -1,10 +1,13 @@
 """The outputs of the stress engine and of the Bogolubov matrices against
 the golden file ``golden.json``: ``run`` values and singular flags,
-conservation reports, and alpha and beta with their evaluation counts and
-truncation warnings (see ``make_golden.py``, which writes the file).
-Stress values agree within 1e-13 relative of max(|v|, 1/(48 pi)), and
-alpha and beta within 1e-13 of their row's largest |alpha|; exit codes,
-flags, error classes, counts and warnings agree exactly."""
+conservation reports, alpha and beta with their evaluation counts and
+truncation warnings, and the invariants of ``check`` (see
+``make_golden.py``, which writes the file).  Stress values agree within
+1e-13 relative of max(|v|, 1/(48 pi)), alpha and beta within 1e-13 of
+their row's largest |alpha|, and ``check`` residuals within 1e-13
+absolute (the smallest tolerance is 1e-12); exit codes, flags, error
+classes, counts, warnings, invariant names, tolerances and statuses agree
+exactly."""
 
 import json
 
@@ -18,6 +21,7 @@ from make_golden import (
     bogolubov_cases,
     bogolubov_outcome,
     bogolubov_pair,
+    check_outcomes,
     conservation_cases,
     conservation_outcome,
     run_cases,
@@ -93,3 +97,12 @@ def test_bogolubov_matches_golden(entry, request):
     scale = 1e-13 * np.abs(want_alpha).max(axis=1, keepdims=True)
     assert (np.abs(alpha - want_alpha) <= scale).all()
     assert (np.abs(beta - want_beta) <= scale).all()
+
+
+def test_check_matches_golden():
+    got, want = check_outcomes(), DATA["check"]
+    assert [e["check"] for e in got] == [e["check"] for e in want]
+    for g, w in zip(got, want):
+        assert (g["tolerance"], g["status"]) == \
+            (w["tolerance"], w["status"]), g["check"]
+        assert abs(g["residual"] - w["residual"]) <= 1e-13, g["check"]

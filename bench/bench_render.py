@@ -9,15 +9,17 @@ layers: ``_write_csv`` and ``_write_json`` into memory, on rows evaluated
 once, and an in-process ``mirrorstress run`` of each format into a file
 (argument parsing, scenario build, grid evaluation and rendering), on the
 200 x 200 grid and on the 24 x 24 grid of the ``grid`` workload in
-``mirrorbench``, where the fixed cost of a call is a large share.  The
-writers and the 200 x 200 run are timed in both frames: in the null
-frame T_uu depends on c1 alone and T_vv on c2 alone, so a block of rows
-holds few distinct values, while nearly every orthonormal value is
-distinct, the case where formatting each distinct value once saves
-least.  Only
-``_evaluate_rows`` and the two writers' call signatures are used, so the
-file runs unchanged against earlier commits: compare commits by running
-it against each commit's source.
+``mirrorbench``, where the fixed cost of a call is a large share; and
+the first step of such a call alone, argv to ``RunConfig``
+(``_make_parser().parse_args`` and ``_build_run_config``) on that 24 x 24
+argv.  The writers and the 200 x 200 run are timed in both frames: in
+the null frame T_uu depends on c1 alone and T_vv on c2 alone, so a block
+of rows holds few distinct values, while nearly every orthonormal value
+is distinct, the case where formatting each distinct value once saves
+least.  Only ``_evaluate_rows``, ``_make_parser``, ``_build_run_config``
+and the two writers' call signatures are used, so the file runs
+unchanged against earlier commits: compare commits by running it against
+each commit's source.
 """
 
 import io
@@ -79,3 +81,9 @@ def test_run_small(benchmark, tmp_path, fmt):
     argv = run_argv(fmt, tmp_path / f"grid.{fmt}", N_SMALL)
     assert cli.main(argv) == 0
     benchmark(cli.main, argv)
+
+
+def test_run_config_from_argv(benchmark, tmp_path):
+    argv = run_argv("csv", tmp_path / "grid.csv", N_SMALL)
+    parser = cli._make_parser()
+    benchmark(lambda: cli._build_run_config(parser.parse_args(argv)))

@@ -6,8 +6,6 @@ list-scenarios.  Exit codes: 0 success, 1 configuration or usage error,
 2 coverage error, 3 I/O error, 4 failed invariant.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import io
@@ -16,7 +14,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from .vacuum_stress import (
     F_composition,
     MarginError,
     VacuumSpec,
+    _axes,
     anomaly_check,
     check_conservation,
     expectation_stress,
@@ -53,14 +52,6 @@ from .vacuum_stress import (
     to_orthonormal_frame,
     transform_stress,
 )
-
-_CONFIG_KEYS = {
-    "scenario": str, "a": float, "chart": str,
-    "c1_min": float, "c1_max": float, "n1": int,
-    "c2_min": float, "c2_max": float, "n2": int,
-    "frame": str, "output": str, "format": str,
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -90,22 +81,28 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    scenario: str
-    a: float
-    chart: str
-    c1_min: float
-    c1_max: float
-    n1: int
-    c2_min: float
-    c2_max: float
-    n2: int
-    frame: str
-    output: str
-    format: str
+    """The fields of ``run``.  Each one is both a ``run`` flag and a
+    config-file key, parsed by its type (a class: this module does not
+    postpone annotations); a field whose default is None is required."""
+
+    scenario: str = None
+    a: float = 1.0
+    chart: str = field(default=None,
+                       metadata={"help": "minkowski, rindler or hatted"})
+    c1_min: float = None
+    c1_max: float = None
+    n1: int = 2
+    c2_min: float = None
+    c2_max: float = None
+    n2: int = 2
+    frame: str = field(default="null",
+                       metadata={"help": "null or orthonormal"})
+    output: str = None
+    format: str = field(default="csv", metadata={"help": "csv or json"})
 
 
 def _parse_config_file(path: str) -> dict:
-    values = {}
+    values, keys = {}, {f.name for f in fields(RunConfig)}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -117,39 +114,33 @@ def _parse_config_file(path: str) -> dict:
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in keys:
                     raise ConfigError(
                         f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def _build_run_config(args) -> RunConfig:
-    merged = {
-        "scenario": None, "a": "1.0", "chart": None,
-        "c1_min": None, "c1_max": None, "n1": "2",
-        "c2_min": None, "c2_max": None, "n2": "2",
-        "frame": "null", "output": None, "format": "csv",
-    }
+    merged = {f.name: f.default for f in fields(RunConfig)}
     if args.config:
         merged.update(_parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = str(flag)
     parsed = {}
-    for key, typ in _CONFIG_KEYS.items():
-        raw = merged[key]
+    for f in fields(RunConfig):
+        raw = merged[f.name]
         if raw is None:
-            raise ConfigError(f"missing required field '{key}'")
+            raise ConfigError(f"missing required field '{f.name}'")
         try:
-            parsed[key] = typ(raw)
+            parsed[f.name] = f.type(raw)
         except ValueError:
-            raise ConfigError(
-                f"field '{key}': cannot parse {raw!r} as {typ.__name__}") \
-                from None
+            raise ConfigError(f"field '{f.name}': cannot parse {raw!r} as "
+                              f"{f.type.__name__}") from None
     cfg = RunConfig(**parsed)
     if cfg.scenario not in SCENARIO_NAMES:
         raise ConfigError(f"field 'scenario': unknown scenario "
@@ -183,21 +174,6 @@ def _build_run_config(args) -> RunConfig:
 
 # ---------- run ----------
 
-def _coverage_interval(state, observe, side: str):
-    """Observe-chart coordinate interval reachable by the state, as
-    (lo, hi) with infinities where unconstrained: for u the hull of the
-    state's sectors; for v the state chart's v range."""
-    o_map = observe.u_map if side == "u" else observe.v_map
-    ranges = ([rng for _, rng in state.sectors]
-              if side == "u" else [state.chart.v_map.range])
-    rng = o_map.range
-    lo_b = max(min(r.lo for r in ranges), rng.lo)
-    hi_b = min(max(r.hi for r in ranges), rng.hi)
-    lo = o_map.invert(lo_b) if lo_b > rng.lo else -math.inf
-    hi = o_map.invert(hi_b) if hi_b < rng.hi else math.inf
-    return lo, hi
-
-
 def _resolve_chart(cfg: RunConfig, scenario):
     if cfg.chart == "hatted":
         if scenario.state.boundary != "dirichlet_half_line":
@@ -212,16 +188,13 @@ def _evaluate_rows(cfg: RunConfig, scenario, chart):
     """The grid's rows as (c1, c2, values, singular): the two axes, an
     (n1 n2, 3) array of the three stress values, row-major in c1, and a
     flag per row.  The stress values of a singular row are NaN."""
-    lo1, hi1 = _coverage_interval(scenario.state, chart, "u")
-    lo2, hi2 = _coverage_interval(scenario.state, chart, "v")
-    if not (cfg.c1_min > lo1 + MARGIN and cfg.c1_max < hi1 - MARGIN):
-        raise CoverageError(
-            f"c1 grid [{cfg.c1_min}, {cfg.c1_max}] outside coverage "
-            f"({lo1}, {hi1}) after margin clipping")
-    if not (cfg.c2_min > lo2 + MARGIN and cfg.c2_max < hi2 - MARGIN):
-        raise CoverageError(
-            f"c2 grid [{cfg.c2_min}, {cfg.c2_max}] outside coverage "
-            f"({lo2}, {hi2}) after margin clipping")
+    for axis, (_, (lo, hi)), g_lo, g_hi in zip(
+            ("c1", "c2"), _axes(scenario.state, chart),
+            (cfg.c1_min, cfg.c2_min), (cfg.c1_max, cfg.c2_max)):
+        if not (g_lo > lo + MARGIN and g_hi < hi - MARGIN):
+            raise CoverageError(
+                f"{axis} grid [{g_lo}, {g_hi}] outside coverage "
+                f"({lo}, {hi}) after margin clipping")
     c1 = cfg.c1_min + (cfg.c1_max - cfg.c1_min) * np.arange(cfg.n1) \
         / (cfg.n1 - 1)
     c2 = cfg.c2_min + (cfg.c2_max - cfg.c2_min) * np.arange(cfg.n2) \
@@ -354,14 +327,17 @@ def _invariant_suite(bog_export: dict = None):
     mink = get_chart("minkowski")
     rng = random.Random(20240101)
 
+    def rel(got, want):
+        """Relative error, against 1e-12 where the reference vanishes."""
+        return abs(got - want) / max(abs(want), 1e-12)
+
     # wedge vacuum constants
     sc_r = build_scenario("rindler_vacuum")
     worst = 0.0
     for _ in range(200):
         p = Point(rng.uniform(-4, 4), rng.uniform(-4, 4), "rindler")
         s = theta_components(sc_r.state, p)
-        worst = max(worst, abs(s.t_uu + INV_48PI) / INV_48PI,
-                    abs(s.t_vv + INV_48PI) / INV_48PI)
+        worst = max(worst, rel(s.t_uu, -INV_48PI), rel(s.t_vv, -INV_48PI))
     yield "rindler_vacuum_constants", worst, 1e-12
 
     # orthonormal energy density profile
@@ -371,7 +347,7 @@ def _invariant_suite(bog_export: dict = None):
         s = theta_components(sc_r.state, Point(-zeta, zeta, "rindler"))
         o = to_orthonormal_frame(s)
         want = -INV_24PI / rho**2
-        worst = max(worst, abs(o.energy_density - want) / abs(want))
+        worst = max(worst, rel(o.energy_density, want))
     yield "rindler_orthonormal_density", worst, 1e-11
 
     # mirror radiation vs closed forms, wedge chart
@@ -384,9 +360,7 @@ def _invariant_suite(bog_export: dict = None):
             p = Point(ub, lo + 12.0, "rindler")
             s = expectation_stress(sc.state, rind, p)
             ref = closed_form_reference(sc, p)
-            worst = max(worst,
-                        abs(s.t_uu - ref.t_uu) / max(abs(ref.t_uu), 1e-12),
-                        abs(s.t_vv - ref.t_vv) / abs(ref.t_vv))
+            worst = max(worst, rel(s.t_uu, ref.t_uu), rel(s.t_vv, ref.t_vv))
     yield "mirror_rindler_closed_form", worst, 1e-10
 
     # mirror radiation in the inertial chart, two routes
@@ -398,19 +372,13 @@ def _invariant_suite(bog_export: dict = None):
         p = Point(u, v, "minkowski")
         direct = expectation_stress(sc.state, mink, p)
         ref = closed_form_reference(sc, p)
-        worst_direct = max(
-            worst_direct,
-            abs(direct.t_uu - ref.t_uu) / max(abs(ref.t_uu), 1e-12),
-            abs(direct.t_vv - ref.t_vv) / abs(ref.t_vv))
-        bar = expectation_stress(sc.state, rind,
-                                 Point(-math.log(-u) if u < 0 else 0.0,
-                                       math.log(v), "rindler")) \
-            if u < 0 else None
-        if bar is not None:
+        worst_direct = max(worst_direct, rel(direct.t_uu, ref.t_uu),
+                           rel(direct.t_vv, ref.t_vv))
+        if u < 0:
+            bar = expectation_stress(sc.state, rind, Point(
+                -math.log(-u), math.log(v), "rindler"))
             back = transform_stress(bar, mink)
-            worst_routes = max(
-                worst_routes,
-                abs(back.t_uu - direct.t_uu) / max(abs(direct.t_uu), 1e-12))
+            worst_routes = max(worst_routes, rel(back.t_uu, direct.t_uu))
     yield "mirror_minkowski_closed_form", worst_direct, 1e-10
     yield "mirror_two_route_agreement", worst_routes, 1e-10
 
@@ -464,8 +432,7 @@ def _invariant_suite(bog_export: dict = None):
         p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3), "rindler")
         tm = expectation_stress(st_m, rind, p)
         tr = theta_components(sc_r.state, p)
-        worst = max(worst,
-                    abs(tm.t_uu - tr.t_uu - INV_48PI) / INV_48PI)
+        worst = max(worst, rel(tm.t_uu - tr.t_uu, INV_48PI))
     yield "vacuum_difference", worst, 1e-12
 
     # Moebius maps have vanishing Schwarzian
@@ -498,14 +465,14 @@ def _invariant_suite(bog_export: dict = None):
                   / np.sum(np.abs(pair.alpha[0]) ** 2))
     dev = abs(ratio / math.exp(-2.0 * math.pi) - 1.0)
     if bog_export is not None:
-        bog_export["alpha_re"] = pair.alpha.real.tolist()
-        bog_export["alpha_im"] = pair.alpha.imag.tolist()
-        bog_export["beta_re"] = pair.beta.real.tolist()
-        bog_export["beta_im"] = pair.beta.imag.tolist()
-        bog_export["frequencies_a"] = basis_a.frequencies.tolist()
-        bog_export["frequencies_b"] = basis_b.frequencies.tolist()
-        bog_export["n_evaluations"] = pair.n_evaluations.tolist()
-        bog_export["truncation_warning"] = pair.truncation_warning.tolist()
+        for key, m in (("alpha", pair.alpha), ("beta", pair.beta)):
+            bog_export[key + "_re"] = m.real.tolist()
+            bog_export[key + "_im"] = m.imag.tolist()
+        for key, values in (("frequencies_a", basis_a.frequencies),
+                            ("frequencies_b", basis_b.frequencies),
+                            ("n_evaluations", pair.n_evaluations),
+                            ("truncation_warning", pair.truncation_warning)):
+            bog_export[key] = values.tolist()
     yield "bogolubov_thermal_ratio", dev, 0.05
 
     # byte-identical output files
@@ -525,10 +492,13 @@ def cmd_check(args) -> int:
     for item in args.override or []:
         name, _, val = item.partition("=")
         try:
-            overrides[name] = float(val)
+            tol = float(val)
         except ValueError:
+            tol = math.nan
+        if not 0.0 < tol < math.inf:
             print(f"config error: bad override {item!r}", file=sys.stderr)
             return 1
+        overrides[name] = tol
     bog_export = {} if args.bogolubov_json else None
     failures = 0
     names = set()
@@ -592,19 +562,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate a scenario on a grid")
     p_run.add_argument("--config", help="key=value config file")
-    p_run.add_argument("--scenario")
-    p_run.add_argument("--a", type=float)
-    p_run.add_argument("--chart",
-                       help="minkowski, rindler or hatted")
-    p_run.add_argument("--c1-min", dest="c1_min", type=float)
-    p_run.add_argument("--c1-max", dest="c1_max", type=float)
-    p_run.add_argument("--n1", type=int)
-    p_run.add_argument("--c2-min", dest="c2_min", type=float)
-    p_run.add_argument("--c2-max", dest="c2_max", type=float)
-    p_run.add_argument("--n2", type=int)
-    p_run.add_argument("--frame", help="null or orthonormal")
-    p_run.add_argument("--output")
-    p_run.add_argument("--format", help="csv or json")
+    for f in fields(RunConfig):
+        p_run.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=f.type, help=f.metadata.get("help"))
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run the invariant suites")

@@ -1,11 +1,13 @@
 """Named, reproducible physical setups with closed-form references.
 
-Each scenario bundles a vacuum state, an observation chart, the mirror
-trajectory (when there is one) and its single physical parameter a > 0.
-A mirror state's region is read off its trajectory: it is the mirror's
-side v > p(u) of the reflection map p = V o U^-1, for u in p's domain.
-The closed forms registered here are regression oracles for the engine,
-never part of the evaluation pipeline itself.
+Each scenario is a vacuum state and the closed forms of its stress,
+built from the scenario's name and its single physical parameter a > 0.
+A mirror state's region is read off the mirror's trajectory: it is the
+mirror's side v > p(u) of the reflection map p = V o U^-1, for u in p's
+domain.  Its mirror-adapted chart relabels right-movers only, so it takes
+the ambient chart's own v map.  The closed forms registered here are
+regression oracles for the engine, never part of the evaluation pipeline
+itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .charts import (
     Interval,
     Point,
     get_chart,
-    identity_map,
     register_chart,
 )
 from .jets import jexp, jlog
@@ -62,10 +63,7 @@ class OracleUnavailableError(LookupError):
 class Scenario:
     name: str
     state: VacuumSpec
-    observation_chart: ConformalChart
-    trajectory: Optional[Trajectory]
-    params: dict
-    forms: dict = field(repr=False, default_factory=dict)
+    forms: dict = field(repr=False)
 
 
 def scenario_parameter_schema() -> dict:
@@ -85,10 +83,10 @@ def scenario_parameter_schema() -> dict:
 def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
     """Chart in which the mirror at z = 1/a sits at constant position.
 
-    Base coordinates: u = exp(u*) - 2/a, v = exp(v*); the mirror worldline
-    is u* = v*.  Restricted to the wedge this chart is the reflection-map
-    relabeling of the wedge chart; as registered here it extends over the
-    full strip u > -2/a, v > 0.
+    Base coordinates: u = exp(u*) - 2/a, v = exp(v*), the wedge chart's v
+    map; the mirror worldline is u* = v*.  Restricted to the wedge this
+    chart is the reflection-map relabeling of the wedge chart; as
+    registered here it extends over the full strip u > -2/a, v > 0.
     """
     shift = 2.0 / a
     u_map = ChartMap(
@@ -99,21 +97,15 @@ def hatted_chart_for_stationary_mirror(a: float) -> ConformalChart:
         label=f"hatted-u[a={a!r}]",
         range_hint=Interval(-shift, math.inf),
     )
-    v_map = ChartMap(
-        fn=jexp,
-        dfn=jexp,
-        inverse_fn=jlog,
-        monotone_sign=1,
-        label=f"hatted-v[a={a!r}]",
-        range_hint=Interval(0.0, math.inf),
-    )
     return ConformalChart(f"hatted:mirror_in_rindler_vacuum:a={a!r}",
-                          u_map, v_map, global_class="half_line")
+                          u_map, get_chart("rindler").v_map,
+                          global_class="half_line")
 
 
 def hatted_chart_for_accelerated_mirror(a: float) -> ConformalChart:
     """Chart adapted to the hyperbolic mirror in flat base coordinates:
-    u = -1/(a^2 u*), v = v*; the reflection relabeling is a Moebius map."""
+    u = -1/(a^2 u*), v = v*, the inertial chart's v map; the reflection
+    relabeling is a Moebius map."""
     c = hyperbola_constant(a)
     u_map = ChartMap(
         fn=lambda x: -c / x,
@@ -125,7 +117,7 @@ def hatted_chart_for_accelerated_mirror(a: float) -> ConformalChart:
         range_hint=Interval(-math.inf, 0.0),
     )
     return ConformalChart(f"hatted:accelerated_mirror_minkowski:a={a!r}",
-                          u_map, identity_map("v"),
+                          u_map, get_chart("minkowski").v_map,
                           global_class="half_line")
 
 
@@ -173,27 +165,26 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
             "minkowski": lambda u, v: (-INV_48PI / (u * u),
                                        -INV_48PI / (v * v), 0.0),
         }
-        return Scenario(name, state, rind, None, {}, forms)
+        return Scenario(name, state, forms)
 
     if name == "minkowski_vacuum_rindler_observer":
         _require_positive_a(params if params else None)
-        mink = get_chart("minkowski")
-        state = VacuumSpec(mink, "full_line", label="minkowski_vacuum")
+        state = VacuumSpec(get_chart("minkowski"), "full_line",
+                           label="minkowski_vacuum")
         zero = lambda c1, c2: (0.0, 0.0, 0.0)
         forms = {"rindler": zero, "minkowski": zero}
-        return Scenario(name, state, get_chart("rindler"), None, {}, forms)
+        return Scenario(name, state, forms)
 
     if name == "mirror_in_rindler_vacuum":
         a = _require_positive_a(params)
         rind = get_chart("rindler")
         hatted = register_chart(hatted_chart_for_stationary_mirror(a))
         shift = 2.0 / a
-        trajectory = stationary_mirror(1.0 / a)
         state = VacuumSpec(
             hatted, "dirichlet_half_line",
             label="mirror_in_rindler_vacuum",
             ambient_chart=rind,
-            region_predicate=_mirror_region(trajectory),
+            region_predicate=_mirror_region(stationary_mirror(1.0 / a)),
         )
         log_edge = math.log(a / 2.0)
 
@@ -213,21 +204,18 @@ def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
             "minkowski": lambda u, v: (t11_minkowski(u, v),
                                        -INV_48PI / (v * v), 0.0),
         }
-        return Scenario(name, state, rind, trajectory, {"a": a}, forms)
+        return Scenario(name, state, forms)
 
     if name == "accelerated_mirror_minkowski":
         a = _require_positive_a(params)
-        mink = get_chart("minkowski")
         hatted = register_chart(hatted_chart_for_accelerated_mirror(a))
-        trajectory = uniformly_accelerated_mirror(a)
         state = VacuumSpec(
             hatted, "dirichlet_half_line",
             label="accelerated_mirror_minkowski",
-            region_predicate=_mirror_region(trajectory),
+            region_predicate=_mirror_region(uniformly_accelerated_mirror(a)),
         )
         zero = lambda c1, c2: (0.0, 0.0, 0.0)
-        forms = {"minkowski": zero}
-        return Scenario(name, state, mink, trajectory, {"a": a}, forms)
+        return Scenario(name, state, {"minkowski": zero})
 
     raise ValueError(
         f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")

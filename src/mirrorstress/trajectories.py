@@ -2,9 +2,11 @@
 
 A trajectory stores the two base null coordinates along the worldline as
 monotone functions of inertial time.  Converting to a chart clips the
-parameter domain to the covered stretch; the reflection map p = V o U^-1
-relabels right-movers so the mirror sits at constant position in the new
-(hatted) chart, while left-movers keep their labels.
+parameter domain to the covered stretch.  A ``ReflectionMap`` holds the
+one relabeling a mirror induces, p = V o U^-1 on right-movers, which puts
+the mirror at constant position in the new (hatted) chart; left-movers
+keep their labels, so there is no map for them, and p's domain is where
+the relabeling is valid.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .charts import (
     MonotonicityError,
     compose_maps,
     get_chart,
-    identity_map,
 )
 from .jets import jasinh, jcosh, jexp, lead_value
 
@@ -61,11 +62,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ReflectionMap:
-    """Right-mover relabeling p (and left-mover q, identity here)."""
+    """Right-mover relabeling p."""
 
     p: ChartMap
-    q: ChartMap
-    validity_domain: Interval
 
 
 @dataclass(frozen=True)
@@ -193,13 +192,12 @@ def asymptotes(traj: Trajectory) -> Asymptotes:
 # ---------- reflection map ----------
 
 def reflection_map(traj: Trajectory) -> ReflectionMap:
-    """p = V o U^-1 with q = identity.  p inverts in closed form wherever
-    U and V do, as they do for both built-in trajectories in every chart."""
+    """p = V o U^-1.  p inverts in closed form wherever U and V do, as
+    they do for both built-in trajectories in every chart."""
     _check_increasing(traj.U, traj.domain)
-    p = compose_maps(traj.V, traj.U.inverse_map(),
-                     label=f"reflection[{traj.label}]@{traj.chart}")
-    return ReflectionMap(p=p, q=identity_map("q"),
-                         validity_domain=p.domain)
+    return ReflectionMap(p=compose_maps(
+        traj.V, traj.U.inverse_map(),
+        label=f"reflection[{traj.label}]@{traj.chart}"))
 
 
 def _check_increasing(m: ChartMap, domain: Interval):

@@ -548,21 +548,27 @@ def anomaly_check(state: VacuumSpec, p: Point) -> float:
 
 # ---------- conservation ----------
 
-def _singular_rays(state: VacuumSpec, observe: ConformalChart):
-    """Observe-chart coordinate values of rays where the state's stress
-    (or the chart itself) is singular: the finite ends of the state's
-    sectors in u, of its chart's coverage in v, and of the observe
-    chart's domains."""
-    def rays(o_map, base_ends):
-        return ([o_map.invert(e) for e in base_ends
-                 if math.isfinite(e) and o_map.range.contains(e)]
-                + [e for e in (o_map.domain.lo, o_map.domain.hi)
-                   if math.isfinite(e)])
-
-    v_range = state.chart.v_map.range
-    return (rays(observe.u_map, [e for _, rng in state.sectors
-                                 for e in (rng.lo, rng.hi)]),
-            rays(observe.v_map, (v_range.lo, v_range.hi)))
+def _axes(state: VacuumSpec, observe: ConformalChart):
+    """For the u and then the v axis of the observe chart, (rays, (lo,
+    hi)).  The rays are the coordinates where the state's stress (or the
+    chart itself) is singular: the finite ends of each of the state's
+    sectors in u, or of its chart's coverage in v, lo before hi, then the
+    finite ends of the observe map's domain.  (lo, hi) is the interval the
+    state reaches: the hull of those sectors, or that coverage, with
+    infinities where unconstrained."""
+    axes = []
+    for o_map, ranges in ((observe.u_map, [rng for _, rng in state.sectors]),
+                          (observe.v_map, [state.chart.v_map.range])):
+        rng = o_map.range
+        rays = [o_map.invert(e) for r in ranges for e in (r.lo, r.hi)
+                if math.isfinite(e) and rng.contains(e)]
+        rays += [e for e in (o_map.domain.lo, o_map.domain.hi)
+                 if math.isfinite(e)]
+        lo = max(min(r.lo for r in ranges), rng.lo)
+        hi = min(max(r.hi for r in ranges), rng.hi)
+        axes.append((rays, (o_map.invert(lo) if lo > rng.lo else -math.inf,
+                            o_map.invert(hi) if hi < rng.hi else math.inf)))
+    return axes
 
 
 def check_conservation(state: VacuumSpec, observe_chart, region,
@@ -589,9 +595,8 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
         raise ValueError(
             f"conservation needs n >= 1 and finite lo < hi on each axis of "
             f"the region, got n={n}, region={region}")
-    for axis, rays, lo, hi in zip(("c1", "c2"),
-                                  _singular_rays(state, observe),
-                                  (c1_lo, c2_lo), (c1_hi, c2_hi)):
+    for axis, (rays, _), lo, hi in zip(("c1", "c2"), _axes(state, observe),
+                                       (c1_lo, c2_lo), (c1_hi, c2_hi)):
         for ray in rays:
             if lo - MARGIN < ray < hi + MARGIN:
                 raise MarginError(f"region touches singular ray "

@@ -1,5 +1,7 @@
 """CLI: config handling, grid export, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -294,6 +296,29 @@ def test_config_file_and_flag_override(tmp_path):
     assert out.exists()
 
 
+def test_run_flags_and_config_keys_are_the_run_config_fields(tmp_path):
+    names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    sub = next(a for a in cli._make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = [a.dest for a in sub.choices["run"]._actions
+             if a.dest not in ("help", "config")]
+    assert flags == names
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{name}=x\n" for name in names))
+    assert cli._parse_config_file(str(cfg)) == dict.fromkeys(names, "x")
+
+
+def test_config_file_that_is_not_utf8_names_itself(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"scenario=rindler_vacuum\n\xff\xfe=1\n")
+    code = run_cli("run", "--config", str(cfg),
+                   "--output", str(tmp_path / "x.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: ")
+    assert "'utf-8' codec can't decode byte 0xff" in err
+
+
 def test_malformed_grid_exits_one(tmp_path, capsys):
     code = run_cli("run", "--scenario", "rindler_vacuum",
                    "--chart", "rindler",
@@ -468,6 +493,20 @@ def test_check_unknown_override_exits_one(tmp_path, capsys):
     assert "composition_identiy" in err
     assert "composition_identity," not in err
     assert not bog.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+def test_check_nonsense_tolerance_exits_one(tmp_path, capsys, value):
+    # a tolerance must be finite and positive: nan or 0 could never pass,
+    # and inf would turn the invariant off
+    bog = tmp_path / "bog.json"
+    item = f"composition_identity={value}"
+    code = run_cli("check", "--override", item,
+                   "--bogolubov-json", str(bog))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err == f"config error: bad override {item!r}\n"
+    assert out == "" and not bog.exists()
 
 
 @pytest.mark.parametrize("argv, code", [(["list-scenarios"], 0),

@@ -22,7 +22,6 @@ from mirrorstress.charts import (
     synthetic_curved_chart,
 )
 from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
-from mirrorstress.cli import _coverage_interval
 from mirrorstress.scenarios import SCENARIO_NAMES, build_scenario
 from mirrorstress.trajectories import (
     reflection_map,
@@ -524,8 +523,8 @@ def _reference_singular_rays(state, observe):
 
 
 def _reference_coverage_interval(state, observe, side):
-    """The CLI coverage interval as derived from the boundary kind before
-    the sector table, kept as its reference."""
+    """The coverage interval as derived from the boundary kind before the
+    sector table, kept as its reference."""
     o_map = observe.u_map if side == "u" else observe.v_map
     if state.boundary == "full_line":
         charts_ = [state.chart]
@@ -543,10 +542,6 @@ def _reference_coverage_interval(state, observe, side):
     return lo, hi
 
 
-def _ray_sets(rays):
-    return tuple(set(r) for r in rays)
-
-
 def _table_cases():
     """(state, observe chart) for every built-in state at three
     accelerations and the derived-chart state, each observed in the
@@ -561,13 +556,13 @@ def _table_cases():
 def test_rays_and_coverage_match_the_boundary_derivation():
     for state, observe in _table_cases():
         case = (state.label, state.chart.name, observe.name)
-        got = _outcome(vs._singular_rays, state, observe)
-        want = _outcome(_reference_singular_rays, state, observe)
-        assert _ray_sets(got) == _ray_sets(want), case
-        for side in ("u", "v"):
-            assert _outcome(_coverage_interval, state, observe, side) == \
-                _outcome(_reference_coverage_interval, state, observe,
-                         side), (case, side)
+        axes = vs._axes(state, observe)
+        assert [set(rays) for rays, _ in axes] == [
+            set(rays) for rays in _reference_singular_rays(state, observe)], \
+            case
+        assert [coverage for _, coverage in axes] == [
+            _reference_coverage_interval(state, observe, side)
+            for side in ("u", "v")], case
 
 
 def test_declared_reflected_range_only_narrows_the_mirror_sector():
@@ -581,11 +576,7 @@ def test_declared_reflected_range_only_narrows_the_mirror_sector():
         [(bare.chart.name, Interval(-2.0, 0.0)),
          ("rindler", Interval(-math.inf, -2.0))]
     for observe in (MINK, RIND, bare.chart):
-        assert _ray_sets(vs._singular_rays(declared, observe)) == \
-            _ray_sets(vs._singular_rays(bare, observe))
-        for side in ("u", "v"):
-            assert _coverage_interval(declared, observe, side) == \
-                _coverage_interval(bare, observe, side)
+        assert vs._axes(declared, observe) == vs._axes(bare, observe)
 
 
 def test_conservation_keeps_the_margin_at_the_mirror_chart_edge():

@@ -14,7 +14,10 @@ compares it with the stored outputs:
   ``planck_pair`` fixture shapes and of the matrix checks of
   ``tests/test_bogolubov.py``;
 - each invariant of ``mirrorstress check``: its name, tolerance, status
-  and residual.
+  and residual;
+- the standard output of each demo, run with RuntimeWarnings as errors,
+  and the help texts of ``mirrorstress`` and ``mirrorstress run`` at 80
+  columns.
 
 A change that moves an output on purpose regenerates the file with
 
@@ -26,9 +29,12 @@ and says in CHANGES.md which outputs moved and why.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from mirrorstress import cli
 from mirrorstress.bogolubov import compute_coefficients
@@ -41,6 +47,9 @@ from test_stress_grid import WINDOWS
 from test_vacuum_stress import PARITY_CASES, _derived_mirror_state
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
+ROOT = GOLDEN.parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+HELP_COMMANDS = (["--help"], ["run", "--help"])
 ACCELERATIONS = (0.5, 1.0, 2.0)
 FRAMES = ("null", "orthonormal")
 
@@ -168,6 +177,40 @@ def check_outcomes():
             for name, residual, tol in cli._invariant_suite()]
 
 
+def demo_cases():
+    return [{"demo": path.name} for path in DEMOS]
+
+
+def demo_outcome(case):
+    """The exit code and standard output of a demo, run in a fresh
+    interpreter with RuntimeWarnings as errors."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(ROOT / "demos" / case["demo"])],
+        capture_output=True, text=True, env=env, check=False)
+    return {"exit": done.returncode, "stdout": done.stdout}
+
+
+def help_cases():
+    return [{"help": argv} for argv in HELP_COMMANDS]
+
+
+def help_outcome(case):
+    """The exit code and standard output of ``mirrorstress`` with the
+    case's arguments, formatted for an 80-column terminal."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(case["help"])
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue()}
+
+
 def main(path=GOLDEN) -> int:
     run = [{**case, **run_outcome(case)} for case in run_cases()]
     conservation = [{**case, **conservation_outcome(case)}
@@ -175,6 +218,8 @@ def main(path=GOLDEN) -> int:
     bogolubov = [{**case, **bogolubov_outcome(bogolubov_pair(case))}
                  for case in bogolubov_cases()]
     check = check_outcomes()
+    demos = [{**case, **demo_outcome(case)} for case in demo_cases()]
+    helps = [{**case, **help_outcome(case)} for case in help_cases()]
 
     def lines(cases):
         return ",\n".join(json.dumps(c, separators=(",", ":"))
@@ -185,7 +230,9 @@ def main(path=GOLDEN) -> int:
         fh.write(f'{{"run": [\n{lines(run)}\n],\n'
                  f'"conservation": [\n{lines(conservation)}\n],\n'
                  f'"bogolubov": [\n{lines(bogolubov)}\n],\n'
-                 f'"check": [\n{lines(check)}\n]}}\n')
+                 f'"check": [\n{lines(check)}\n],\n'
+                 f'"demos": [\n{lines(demos)}\n],\n'
+                 f'"help": [\n{lines(helps)}\n]}}\n')
     return 0
 
 

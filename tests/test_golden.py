@@ -1,13 +1,14 @@
 """The outputs of the stress engine and of the Bogolubov matrices against
 the golden file ``golden.json``: ``run`` values and singular flags,
 conservation reports, alpha and beta with their evaluation counts and
-truncation warnings, and the invariants of ``check`` (see
-``make_golden.py``, which writes the file).  Stress values agree within
-1e-13 relative of max(|v|, 1/(48 pi)), alpha and beta within 1e-13 of
-their row's largest |alpha|, and ``check`` residuals within 1e-13
-absolute (the smallest tolerance is 1e-12); exit codes, flags, error
-classes, counts, warnings, invariant names, tolerances and statuses agree
-exactly."""
+truncation warnings, the invariants of ``check``, the demos' standard
+output and the help texts (see ``make_golden.py``, which writes the
+file).  Stress values agree within 1e-13 relative of max(|v|, 1/(48 pi)),
+alpha and beta within 1e-13 of their row's largest |alpha|, and ``check``
+residuals within 1e-13 absolute (the smallest tolerance is 1e-12); exit
+codes, flags, error classes, counts, warnings, invariant names,
+tolerances and statuses agree exactly, and the demos' output and the
+help texts byte for byte."""
 
 import json
 
@@ -24,6 +25,10 @@ from make_golden import (
     check_outcomes,
     conservation_cases,
     conservation_outcome,
+    demo_cases,
+    demo_outcome,
+    help_cases,
+    help_outcome,
     run_cases,
     run_outcome,
 )
@@ -32,7 +37,7 @@ with open(GOLDEN, encoding="utf-8") as _fh:
     DATA = json.load(_fh)
 
 _OUTPUTS = ("exit", "flags", "values", "report", "error", "alpha", "beta",
-            "n_evaluations", "truncation_warning")
+            "n_evaluations", "truncation_warning", "stdout")
 # golden Bogolubov cases computed by a session fixture
 _FIXTURES = {"thermal": "thermal_pair", "planck": "planck_pair"}
 
@@ -65,6 +70,8 @@ def test_golden_file_holds_the_generator_cases():
     assert [_case(e) for e in DATA["run"]] == run_cases()
     assert [_case(e) for e in DATA["conservation"]] == conservation_cases()
     assert [_case(e) for e in DATA["bogolubov"]] == bogolubov_cases()
+    assert [_case(e) for e in DATA["demos"]] == demo_cases()
+    assert [_case(e) for e in DATA["help"]] == help_cases()
 
 
 @pytest.mark.parametrize(
@@ -106,3 +113,15 @@ def test_check_matches_golden():
         assert (g["tolerance"], g["status"]) == \
             (w["tolerance"], w["status"]), g["check"]
         assert abs(g["residual"] - w["residual"]) <= 1e-13, g["check"]
+
+
+@pytest.mark.parametrize("entry", DATA["demos"],
+                         ids=[e["demo"] for e in DATA["demos"]])
+def test_demo_matches_golden(entry):
+    assert demo_outcome(_case(entry)) == _output(entry)
+
+
+@pytest.mark.parametrize("entry", DATA["help"],
+                         ids=[" ".join(e["help"]) for e in DATA["help"]])
+def test_help_matches_golden(entry):
+    assert help_outcome(_case(entry)) == _output(entry)

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ConformalChart
+from .charts import ChartMap, ConformalChart, Interval
 
 __all__ = [
     "ModeBasis",
@@ -219,9 +219,12 @@ class ModeBasis:
     ``sector`` picks the right-moving ('u') or left-moving ('v') family
     for full-line charts; Dirichlet bases combine both into standing
     packets that vanish on the boundary.  ValueError at construction for
-    frequencies that are not positive and increasing, or a
-    ``packet_width`` that is not positive and finite or whose packet
-    table would overflow a double or need more than 2^17 cells.
+    frequencies that are not positive and increasing, a ``packet_width``
+    that is not positive and finite or whose packet table would overflow
+    a double or need more than 2^17 cells, or a chart map the packets use
+    (the sector's, or both for Dirichlet) that has no closed-form inverse
+    or whose domain does not hold the widest packet's chart-coordinate
+    support [-R, R].
     """
 
     chart: ConformalChart
@@ -237,11 +240,24 @@ class ModeBasis:
             raise ValueError("frequencies must be a non-empty 1-d grid")
         if not (freqs > 0).all() or not (np.diff(freqs) > 0).all():
             raise ValueError("frequencies must be positive and increasing")
-        _unit_layout(self.packet_width)
+        reach = _unit_layout(self.packet_width)[0] / freqs[0]
         if self.boundary not in ("full_line", "dirichlet_half_line"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.sector not in ("u", "v"):
             raise ValueError("sector must be 'u' or 'v'")
+        chart = self.chart
+        maps = ([chart.u_map, chart.v_map]
+                if self.boundary == "dirichlet_half_line"
+                else [chart.u_map if self.sector == "u" else chart.v_map])
+        for m in maps:
+            if m.inverse_fn is None:
+                raise ValueError(f"chart '{chart.name}': map {m.label} has "
+                                 f"no closed-form inverse for mode work")
+            if not m.domain.lo < -reach < reach < m.domain.hi:
+                raise ValueError(
+                    f"chart '{chart.name}': packets reach chart coordinates "
+                    f"[-{reach:.6g}, {reach:.6g}], outside the domain "
+                    f"{m.domain} of map {m.label}")
 
     def __len__(self):
         return len(self.frequencies)
@@ -257,14 +273,10 @@ class ModeBasis:
         one stack of packets whose ``evaluate`` takes the index of the
         packet wanted at each point."""
         if self.boundary == "full_line":
-            return _TravelingPacket(self.chart, self.sector, omega_c,
-                                    self.packet_width)
-        return _StandingPacket(self.chart, omega_c, self.packet_width)
-
-
-@functools.lru_cache(maxsize=128)
-def _leggauss(m: int):
-    return np.polynomial.legendre.leggauss(m)
+            return _TravelingPacket(self.chart, self.sector, _PacketCore(
+                omega_c, self.packet_width, 1.0 / math.sqrt(4.0 * math.pi)))
+        return _StandingPacket(self.chart, _PacketCore(
+            omega_c, self.packet_width, 1.0 / math.sqrt(math.pi)))
 
 
 # Chebyshev interpolation of degree 16 at first-kind points; a panel spans
@@ -287,12 +299,15 @@ _BLOCK_NODES = _BLOCK_PANELS * len(_K15_NODES)
 _LOCKSTEP_ENTRIES = 32
 # cells of one unit-packet table, 71 MB of coefficients (sigma 0.5: 11,559)
 _MAX_CELLS = 1 << 17
+_LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
 
 
-def _support_radius(sigma) -> float:
-    """Support radius of the unit packet of width sigma: outside it the
-    envelope is below the support threshold.  ValueError unless sigma is
-    positive and finite and the radius a finite float."""
+def _unit_layout(sigma):
+    """(radius, log-frequency offsets, weights, frequencies, cell width,
+    cell count) of the unit packet table of width sigma, the radius being
+    where the envelope falls below the support threshold.  ValueError
+    unless sigma is positive and finite, the radius a finite float and
+    the table within ``_MAX_CELLS`` cells."""
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"packet_width must be positive and finite, "
                          f"got {sigma!r}")
@@ -305,20 +320,12 @@ def _support_radius(sigma) -> float:
     if radius == math.inf:
         raise ValueError(f"packet_width {sigma!r} out of range: its support "
                          f"radius overflows a double")
-    return radius
-
-
-def _unit_layout(sigma):
-    """(radius, log-frequency offsets, weights, frequencies, cell width,
-    cell count) of the unit packet table of width sigma; ValueError where
-    the table would need more than ``_MAX_CELLS`` cells."""
-    radius = _support_radius(sigma)
     span = 7.0 * math.sqrt(2.0) * sigma
     # from e^700 on the node count sits at its cap whatever the radius
     m = int(min(12032, 72 + 0.55 * math.exp(min(span, 700.0)) * radius))
-    # composite 64-point panels: one cached rule, any total node count
+    # composite 64-point panels: one rule, any total node count
     panels = max(2, (m + 63) // 64)
-    base_nodes, base_weights = _leggauss(64)
+    base_nodes, base_weights = _LEGENDRE_64
     edges = np.linspace(-span, span, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1] - edges[0])
@@ -541,27 +548,21 @@ class _Substitution:
 
 
 class _TravelingPacket:
-    """Right- or left-moving packet on a full-line chart, or a stack of
-    them for an array ``omega_c`` (``evaluate`` and ``geometry``)."""
+    """Right- or left-moving packet of one chart sector with the packet
+    ``core``, or a stack of them (``evaluate`` and ``geometry``)."""
 
-    def __init__(self, chart: ConformalChart, sector: str, omega_c,
-                 sigma: float):
-        self.chart = chart
+    def __init__(self, chart: ConformalChart, sector: str,
+                 core: _PacketCore):
         self.sector = sector
         self.map = chart.u_map if sector == "u" else chart.v_map
-        if self.map.inverse_fn is None:
-            raise ValueError(f"chart '{chart.name}' has no closed-form "
-                             f"inverse map for mode work")
-        self.core = _PacketCore(omega_c, sigma,
-                                norm=1.0 / math.sqrt(4.0 * math.pi))
+        self.core = core
 
     def evaluate(self, t: float, xs, owner=None):
         """(values, d/dt values) on the surface t = const; for a stack,
         ``owner`` picks the packet at each point."""
         xs = np.asarray(xs, dtype=float)
         w = t - xs if self.sector == "u" else t + xs
-        rng = self.map.range
-        inside = _index((w > rng.lo) & (w < rng.hi))
+        inside = _index(self.map.range.contains(w))
         c = self.map.inverse_fn(w[inside])
         v, dv = self.core.wave(c, None if owner is None else owner[inside])
         # d/dt = (dc/dw) f'(c); dw/dt = 1 on constant-t surfaces
@@ -571,93 +572,77 @@ class _TravelingPacket:
     def geometry(self, t: float):
         """((lo, hi), substitution) on the surface t: the x-support, of
         arrays for a stack, and the chart-coordinate substitution over
-        the support radius, None for an identity map."""
+        the support radius, None for an identity map (one whose fn is its
+        inverse_fn, as ``identity_map`` builds it)."""
         r = self.core.radius
         lo, hi = self.map.fn(np.array([-r, r]))
         support = (t - hi, t - lo) if self.sector == "u" else (lo - t, hi - t)
-        if abs(float(self.map.fn(np.array([0.37]))[0]) - 0.37) < 1e-15:
+        if self.map.fn is self.map.inverse_fn:
             return support, None
         return support, _Substitution(self.map, self.sector, t, -r, r)
 
 
-class _StandingPacket:
-    """Dirichlet packet vanishing on the chart's x* = 0 boundary, or a
-    stack of them for an array ``omega_c`` (``evaluate`` and
-    ``geometry``)."""
+def _mirror(chart: ConformalChart, t: float):
+    """(s, x) of the mirror u* = v* = s on the surface t: the s with
+    u(s) + v(s) = 2t, by one ``ChartMap.invert`` of that diagonal map,
+    whose range is the sum of the two maps' images over their common
+    domain, and its base position x = t - u(s)."""
+    u_map, v_map = chart.u_map, chart.v_map
+    common = u_map.domain.intersect(v_map.domain)
+    u_image, v_image = u_map.image(common), v_map.image(common)
+    diagonal = ChartMap(
+        lambda s: u_map.fn(s) + v_map.fn(s),
+        lambda s: u_map.dfn(s) + v_map.dfn(s),
+        domain=common, monotone_sign=u_map.monotone_sign,
+        label=f"{chart.name} mirror",
+        range_hint=Interval(u_image.lo + v_image.lo,
+                            u_image.hi + v_image.hi))
+    s = diagonal.invert(2.0 * t)
+    return s, t - u_map.fn(s)
 
-    def __init__(self, chart: ConformalChart, omega_c, sigma: float):
+
+class _StandingPacket:
+    """Dirichlet packet vanishing on the chart's mirror x* = 0, or a stack
+    of them: the u- and v-sector packets of one ``core``, as (f_u - f_v) /
+    2i on the mirror's right and zero on its left."""
+
+    def __init__(self, chart: ConformalChart, core: _PacketCore):
         self.chart = chart
-        if chart.u_map.inverse_fn is None or chart.v_map.inverse_fn is None:
-            raise ValueError(f"chart '{chart.name}' has no closed-form "
-                             f"inverse maps for mode work")
-        self.core = _PacketCore(omega_c, sigma,
-                                norm=1.0 / math.sqrt(math.pi))
+        self.core = core
+        self.u = _TravelingPacket(chart, "u", core)
+        self.v = _TravelingPacket(chart, "v", core)
 
     def evaluate(self, t: float, xs, owner=None):
         xs = np.asarray(xs, dtype=float)
-        u = t - xs
-        v = t + xs
-        ur, vr = self.chart.u_map.range, self.chart.v_map.range
-        inside = _index((u > ur.lo) & (u < ur.hi)
-                        & (v > vr.lo) & (v < vr.hi))
-        cu = self.chart.u_map.inverse_fn(u[inside])
-        cv = self.chart.v_map.inverse_fn(v[inside])
-        right = cv > cu  # the state lives on the mirror's right, x* > 0
+        u_map, v_map = self.u.map, self.v.map
+        u, v = t - xs, t + xs
+        inside = u_map.range.contains(u) & v_map.range.contains(v)
+        # the state lives on the mirror's right, x* > 0
         live = np.zeros(xs.shape, bool)
-        live[inside] = right
-        live, right = _index(live), _index(right)
-        cu, cv = cu[right], cv[right]
+        live[inside] = (v_map.inverse_fn(v[inside])
+                        > u_map.inverse_fn(u[inside]))
+        live = _index(live)
         own = None if owner is None else owner[live]
-        fu, dfu = self.core.wave(cu, own)
-        fv, dfv = self.core.wave(cv, own)
-        # mode = (e^{-i w u*} - e^{-i w v*}) / 2i per frequency node
+        fu, dfu = self.u.evaluate(t, xs[live], own)
+        fv, dfv = self.v.evaluate(t, xs[live], own)
         return (_spread((fu - fv) / 2j, live, xs.shape),
-                _spread((dfu / self.chart.u_map.dfn(cu)
-                         - dfv / self.chart.v_map.dfn(cv)) / 2j,
-                        live, xs.shape))
-
-    def _bisect_mirror(self, t: float) -> float:
-        """x with x*(t, x) = 0, by bisection on cv - cu."""
-        ur, vr = self.chart.u_map.range, self.chart.v_map.range
-        lo = (vr.lo - t if math.isfinite(vr.lo) else t - ur.hi)
-        hi = (t - ur.lo if math.isfinite(ur.lo) else vr.hi - t)
-        if not math.isfinite(lo) or not math.isfinite(hi):
-            raise ValueError("standing packets need a bounded surface slice")
-        width = hi - lo
-
-        def xhat(x):
-            cu = float(self.chart.u_map.inverse_fn(np.array([t - x]))[0])
-            cv = float(self.chart.v_map.inverse_fn(np.array([t + x]))[0])
-            return cv - cu
-
-        a, b = lo + 1e-12 * width, hi - 1e-12 * width
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if xhat(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+                _spread((dfu - dfv) / 2j, live, xs.shape))
 
     def geometry(self, t: float):
-        """``geometry`` as for ``_TravelingPacket``, of both null sides,
-        clipped to the coverage and to the mirror's right, in the u-side
-        chart coordinate up to the mirror, which makes the only phase
-        pile-up there, at the u-coverage edge, linear."""
-        u_map, v_map = self.chart.u_map, self.chart.v_map
-        r = self.core.radius
-        u_lo, u_hi = u_map.fn(np.array([-r, r]))
-        v_lo, v_hi = v_map.fn(np.array([-r, r]))
-        lo = np.minimum(t - u_hi, v_lo - t)
-        hi = np.maximum(t - u_lo, v_hi - t)
-        if math.isfinite(u_map.range.lo):
-            hi = np.minimum(hi, t - u_map.range.lo)
-        if math.isfinite(v_map.range.lo):
-            lo = np.maximum(lo, v_map.range.lo - t)
-        mirror = self._bisect_mirror(t)
-        s_mirror = u_map.inverse_fn(np.array([t - mirror]))[0]
-        return ((np.maximum(lo, mirror), hi),
-                _Substitution(u_map, "u", t, -r, s_mirror))
+        """``geometry`` as for ``_TravelingPacket``: the hull of both
+        sides' supports, clipped to the u coverage and to the mirror's
+        right, in the u-side chart coordinate up to the mirror, which
+        makes the only phase pile-up there, at the u-coverage edge,
+        linear."""
+        (u_lo, u_hi), _ = self.u.geometry(t)
+        (v_lo, v_hi), _ = self.v.geometry(t)
+        hi = np.maximum(u_hi, v_hi)
+        edge = self.u.map.range.lo
+        if math.isfinite(edge):
+            hi = np.minimum(hi, t - edge)
+        s, x = _mirror(self.chart, t)
+        return ((np.maximum(np.minimum(u_lo, v_lo), x), hi),
+                _Substitution(self.u.map, "u", t, -self.core.radius, s))
 
 
 class _Conjugate:

@@ -340,11 +340,17 @@ class ChartMap:
         )
 
 
+def _identity(x):
+    return x
+
+
 def identity_map(label: str = "id") -> ChartMap:
+    """The identity, whose ``fn`` and ``inverse_fn`` are one function:
+    ``m.fn is m.inverse_fn`` tells an identity map apart."""
     return ChartMap(
-        fn=lambda x: x,
+        fn=_identity,
         dfn=lambda x: 0.0 * x + 1.0,
-        inverse_fn=lambda y: y,
+        inverse_fn=_identity,
         monotone_sign=1,
         label=label,
         range_hint=FULL_LINE,

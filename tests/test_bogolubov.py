@@ -19,7 +19,7 @@ from mirrorstress.bogolubov import (
     _adaptive_gk,
     _blocks,
     _Conjugate,
-    _StandingPacket,
+    _mirror,
     _unit_packet,
     _UnitPacket,
     compute_coefficients,
@@ -28,8 +28,17 @@ from mirrorstress.bogolubov import (
     kg_inner_product,
     row_normalization,
 )
-from mirrorstress.charts import compose_charts, identity_map
-from mirrorstress.scenarios import hatted_chart_for_stationary_mirror
+from mirrorstress.charts import (
+    ChartMap,
+    ConformalChart,
+    compose_charts,
+    identity_map,
+)
+from mirrorstress.jets import jexp
+from mirrorstress.scenarios import (
+    hatted_chart_for_accelerated_mirror,
+    hatted_chart_for_stationary_mirror,
+)
 
 from bogolubov_bases import (
     MINK,
@@ -70,6 +79,29 @@ def test_frequencies_must_increase():
             ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=width)
     ModeBasis(MINK, frequencies=np.array([1.0]), packet_width=0.5)
     assert _unit_packet.cache_info().misses == built  # no table was built
+
+
+def test_packet_maps_need_a_closed_form_inverse():
+    # a forward-only u map: only the bases that use it are refused
+    chart = ConformalChart("forward-u", ChartMap(jexp, jexp, monotone_sign=1,
+                                                 label="exp-u"),
+                           MINK.v_map)
+    with pytest.raises(ValueError, match="exp-u has no closed-form inverse"):
+        ModeBasis(chart, frequencies=np.array([1.0]))
+    with pytest.raises(ValueError, match="exp-u has no closed-form inverse"):
+        ModeBasis(chart, boundary="dirichlet_half_line",
+                  frequencies=np.array([1.0]))
+    ModeBasis(chart, frequencies=np.array([1.0]), sector="v")
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_standing_basis_on_accelerated_mirror_chart_names_its_domain(a):
+    # the chart's u map is defined for u* > 0 only, so half of a packet
+    # centred at u* = 0 would fall outside it
+    hat = hatted_chart_for_accelerated_mirror(a)
+    with pytest.raises(ValueError, match=r"outside the domain \(0\.0, inf\)"):
+        ModeBasis(hat, boundary="dirichlet_half_line",
+                  frequencies=np.array([1.0, 2.0, 4.0]), packet_width=0.25)
 
 
 # ---------- normalization and overlaps ----------
@@ -394,29 +426,45 @@ def test_dirichlet_mode_vanishes_on_mirror():
                       frequencies=np.array([2.0]), packet_width=0.25)
     p = basis.packet(0)
     for t in (0.0, 1.0):
-        xm = p._bisect_mirror(t)
+        _, xm = _mirror(hat, t)
         vals, _ = p.evaluate(t, np.array([xm - 1e-9, xm + 1e-9]))
         assert abs(vals[0]) == 0.0          # no field left of the mirror
         assert abs(vals[1]) < 1e-6          # continuous vanishing on it
 
 
-def test_mirror_is_bisected_once_for_the_stack_and_once_per_row(
-        monkeypatch):
+def test_mirror_is_solved_once_for_the_stack_and_once_per_row(monkeypatch):
     basis_a, basis_b = dirichlet_bases()
     calls = []
-    bisect = _StandingPacket._bisect_mirror
-    monkeypatch.setattr(_StandingPacket, "_bisect_mirror",
-                        lambda self, t: calls.append(t) or bisect(self, t))
+    invert = ChartMap.invert
+    monkeypatch.setattr(ChartMap, "invert", lambda self, target:
+                        calls.append(target) or invert(self, target))
     compute_coefficients(basis_a, basis_b, t=2.0, tol=1e-10)
-    assert calls == [2.0] * (1 + len(basis_b))
-    # a geometry call bisects once and clips both windows at the mirror
+    assert calls == [4.0] * (1 + len(basis_b))  # u(s) + v(s) = 2t
+    # a geometry call solves once and clips both windows at the mirror
     calls.clear()
     p = basis_b.packet(0)
     (lo, hi), sub = p.geometry(2.0)
-    assert calls == [2.0]
-    mirror = bisect(p, 2.0)
+    assert calls == [4.0]
+    s, mirror = _mirror(p.chart, 2.0)
     assert lo == mirror < hi
-    assert sub.hi == sub.s(np.array([mirror]))[0]
+    assert sub.hi == s
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [-0.25, 0.0, 0.5, 1.0, 2.0, 50.0])
+def test_mirror_location_oracles(a, t):
+    # the stationary mirror stays at x = 1/a; the accelerated one moves on
+    # the hyperbola x^2 - t^2 = 1/a^2.  In both charts the mirror is the
+    # diagonal u* = v* = s.
+    for chart, want in ((hatted_chart_for_stationary_mirror(a), 1.0 / a),
+                        (hatted_chart_for_accelerated_mirror(a),
+                         math.sqrt(t * t + 1.0 / (a * a)))):
+        s, x = _mirror(chart, t)
+        assert abs(x - want) <= 1e-13 * max(1.0, abs(t))
+        assert chart.u_map.inverse_fn(t - x) == pytest.approx(s, rel=1e-12)
+        assert chart.v_map.inverse_fn(t + x) == pytest.approx(s, rel=1e-12)
+    assert _mirror(hatted_chart_for_accelerated_mirror(1.0), 1.0)[1] == \
+        pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_dirichlet_norm_grows_to_one_with_surface_time():

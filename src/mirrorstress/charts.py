@@ -595,11 +595,19 @@ _BUILTINS = tuple(register_chart(c) for c in (
 
 
 def convert_point(p: Point, to: ConformalChart) -> Point:
-    """Express a point in another chart, passing through base coordinates."""
+    """Express a point in another chart, passing through base coordinates.
+    CoverageError where the point lies outside either chart's coverage or
+    its coordinates leave the double-precision range on the way."""
     to = get_chart(to)
     src = get_chart(p.chart)
     if src.name == to.name:
         return Point(p.c1, p.c2, to.name)
-    u, v = src.to_base(p.c1, p.c2)
-    c1, c2 = to.from_base(u, v)
+    try:
+        u, v = src.to_base(p.c1, p.c2)
+        c1, c2 = to.from_base(u, v)
+    except ArithmeticError:
+        raise CoverageError(
+            f"point ({p.c1}, {p.c2}) of chart '{src.name}' leaves the "
+            f"double-precision range on the way to chart '{to.name}'") \
+            from None
     return Point(c1, c2, to.name)

@@ -356,19 +356,6 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
     yield COVERAGE, ok
 
 
-def _point_status(state: VacuumSpec, observe: ConformalChart,
-                  c1: float, c2: float) -> int:
-    """Status of the first check a float point fails, FLOAT_RANGE where a
-    check overflows, else OK."""
-    try:
-        for status, ok in _point_checks(state, observe, c1, c2):
-            if not ok:
-                return status
-    except (ArithmeticError, JetDomainError):
-        return FLOAT_RANGE
-    return OK
-
-
 def _grid_status(state: VacuumSpec, observe: ConformalChart, c1, c2):
     """Status code of every point of the grid c1 x c2 (1-d arrays), shape
     (len(c1), len(c2)).  Call it under ``np.errstate(all="ignore")``: a
@@ -399,23 +386,38 @@ def _point_error(status: int, state: str, observe: ConformalChart,
         f"double-precision range there")
 
 
+def _point_values(state: VacuumSpec, observe: ConformalChart, q: Point,
+                  values):
+    """``values(gov)`` as floats at the float point q of the observe
+    chart, gov being the chart that governs q.  Raises the documented
+    error of the first check the point fails, or the float-range error
+    where a check or a value overflows or a value is not finite."""
+    try:
+        status = next((code for code, ok in
+                       _point_checks(state, observe, q.c1, q.c2) if not ok),
+                      OK)
+        if status == OK:
+            # the point checks found exactly one sector's selector true
+            gov = next(gov for gov, sel in
+                       _sectors(state, observe.u_map.fn(q.c1)) if sel)
+            out = [lead_value(t) for t in values(gov)]
+            if not all(map(_finite, out)):
+                status = FLOAT_RANGE
+    except (ArithmeticError, JetDomainError):
+        status = FLOAT_RANGE
+    if status != OK:
+        raise _point_error(status, state.label, observe, q)
+    return out
+
+
 # ---------- public operations ----------
-
-def _own_point(state: VacuumSpec, p: Point):
-    """(state chart, p in it); CoverageError at a non-finite coordinate."""
-    chart = state.chart
-    q = p if p.chart == chart.name else convert_point(p, chart)
-    if not (_finite(q.c1) and _finite(q.c2)):
-        raise _point_error(COVERAGE, state.label, chart, q)
-    return chart, q
-
 
 def theta_components(state: VacuumSpec, p: Point) -> StressSample:
     """Null stress of the state's own chart vacuum at a point of that
-    chart (no sector logic, no transform)."""
-    chart, q = _own_point(state, p)
-    t11, t22, t12 = _gov_components(chart, chart)(q.c1, q.c2)
-    return StressSample(t11, t22, t12, chart.name, state.label, q)
+    chart (no sector logic, no transform): :func:`expectation_stress` of
+    that vacuum, with its point checks and documented errors."""
+    return expectation_stress(VacuumSpec(state.chart, label=state.label),
+                              state.chart, p)
 
 
 def transform_stress(s: StressSample, to_chart) -> StressSample:
@@ -440,21 +442,9 @@ def expectation_stress(state: VacuumSpec, observe_chart, p: Point
     chart, with mirror-sector stitching where applicable."""
     observe = get_chart(observe_chart)
     q = p if p.chart == observe.name else convert_point(p, observe)
-    status = _point_status(state, observe, q.c1, q.c2)
-    if status == OK:
-        # the point checks found exactly one sector's selector true
-        gov = next(gov for gov, sel in
-                   _sectors(state, observe.u_map.fn(q.c1)) if sel)
-        try:
-            t11, t22, t12 = (lead_value(t) for t in
-                             _gov_components(gov, observe)(q.c1, q.c2))
-        except (ArithmeticError, JetDomainError):
-            status = FLOAT_RANGE
-        else:
-            if not (_finite(t11) and _finite(t22) and _finite(t12)):
-                status = FLOAT_RANGE
-    if status != OK:
-        raise _point_error(status, state.label, observe, q)
+    t11, t22, t12 = _point_values(
+        state, observe, q,
+        lambda gov: _gov_components(gov, observe)(q.c1, q.c2))
     return StressSample(t11, t22, t12, observe.name, state.label, q)
 
 
@@ -509,9 +499,12 @@ def to_orthonormal_frame(s: StressSample) -> OrthonormalStress:
     energy density T^t_t, pressure T^x_x, flux T^t_x.  Raises
     CoverageError where they leave the double-precision range."""
     chart = get_chart(s.chart)
-    c = chart.conformal_factor(s.point.c1, s.point.c2)
-    o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
-    if not (_finite(o[0]) and _finite(o[1]) and _finite(o[2])):
+    try:
+        c = chart.conformal_factor(s.point.c1, s.point.c2)
+        o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
+    except ArithmeticError:
+        o = (math.nan,)
+    if not all(map(_finite, o)):
         raise _point_error(FLOAT_RANGE, s.state, chart, s.point)
     return OrthonormalStress(*o)
 
@@ -538,12 +531,19 @@ def orthonormal_grid(g: StressGrid):
 
 
 def anomaly_check(state: VacuumSpec, p: Point) -> float:
-    """|(4/C) T_12 + R/(24 pi)| at a point of the state's chart."""
-    chart, q = _own_point(state, p)
-    t12 = INV_24PI * _mixed_log_derivative(chart, q.c1, q.c2)
-    c = chart.conformal_factor(q.c1, q.c2)
-    r = chart.ricci_scalar(q.c1, q.c2)
-    return abs(4.0 / c * t12 + r / (24.0 * _PI))
+    """|(4/C) T_12 + R/(24 pi)| at a point of the state's chart, with the
+    point checks and documented errors of :func:`theta_components`."""
+    chart = state.chart
+    q = p if p.chart == chart.name else convert_point(p, chart)
+
+    def anomaly(gov):
+        t12 = INV_24PI * _mixed_log_derivative(gov, q.c1, q.c2)
+        c = gov.conformal_factor(q.c1, q.c2)
+        r = gov.ricci_scalar(q.c1, q.c2)
+        return [abs(4.0 / c * t12 + r / (24.0 * _PI))]
+
+    own = VacuumSpec(chart, label=state.label)
+    return _point_values(own, chart, q, anomaly)[0]
 
 
 # ---------- conservation ----------

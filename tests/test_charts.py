@@ -170,6 +170,13 @@ def test_convert_outside_wedge_is_coverage_error():
             convert_point(p, RIND)
 
 
+def test_convert_out_of_float_range_is_coverage_error():
+    # the wedge chart's v map, exp, overflows at 800
+    with pytest.raises(CoverageError, match=r"point \(0\.0, 800\.0\) of chart "
+                       r"'rindler' leaves the double-precision range"):
+        convert_point(Point(0.0, 800.0, "rindler"), MINK)
+
+
 def test_convert_round_trip_on_grid():
     for i in range(-4, 5):
         for j in range(-4, 5):

@@ -365,6 +365,16 @@ def test_orthonormal_mirror_state_has_flux():
     assert o.flux != 0.0
 
 
+def test_orthonormal_frame_out_of_float_range_is_coverage_error():
+    # the curved chart's factor (u + v)^2 overflows at u = 1e300
+    st = build_scenario("minkowski_vacuum_rindler_observer").state
+    s = expectation_stress(st, "curved-test",
+                           Point(1e300, 1286258.064567808, "curved-test"))
+    with pytest.raises(CoverageError, match=r"point \(1e\+300, 1286258\."
+                       r"064567808\) of chart 'curved-test'.*double-precision"):
+        to_orthonormal_frame(s)
+
+
 # ---------- conservation ----------
 
 def test_conservation_rindler_vacuum():
@@ -644,6 +654,26 @@ def test_own_chart_operations_name_a_non_finite_point(make_state, bad):
         for operation in (theta_components, anomaly_check):
             with pytest.raises(CoverageError, match=want):
                 operation(st, p)
+
+
+@pytest.mark.parametrize("a,p", [
+    # the hatted v map overflows there: both raised a bare OverflowError
+    (0.0713605881269414,
+     Point(0.7779480780120309, 6624.536950820924, "hatted")),
+    # T_12 is -inf there: anomaly_check returned NaN, theta_components -inf
+    (2.7403270101556727e-05,
+     Point(0.5612695558650129, 1e-300, "curved-test")),
+], ids=["overflow", "infinite-t12"])
+def test_own_chart_operations_raise_the_float_range_error(a, p):
+    st = build_scenario("mirror_in_rindler_vacuum", {"a": a}).state
+    if p.chart == "hatted":
+        p = dataclasses.replace(p, chart=st.chart.name)
+    want = (r"of chart 'hatted:mirror_in_rindler_vacuum:a=[0-9.e-]+': the "
+            r"stress of state 'mirror_in_rindler_vacuum' is outside the "
+            r"double-precision range there")
+    for operation in (theta_components, anomaly_check):
+        with pytest.raises(CoverageError, match=want):
+            operation(st, p)
 
 
 # ---------- forward-only derived charts ----------

@@ -501,10 +501,10 @@ def to_orthonormal_frame(s: StressSample) -> OrthonormalStress:
     chart = get_chart(s.chart)
     try:
         c = chart.conformal_factor(s.point.c1, s.point.c2)
-        o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
     except ArithmeticError:
-        o = (math.nan,)
-    if not all(map(_finite, o)):
+        c = math.nan  # the factor overflows: no component is finite
+    o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
+    if not (_finite(o[0]) and _finite(o[1]) and _finite(o[2])):
         raise _point_error(FLOAT_RANGE, s.state, chart, s.point)
     return OrthonormalStress(*o)
 

@@ -31,6 +31,7 @@ from mirrorstress.bogolubov import (
 from mirrorstress.charts import (
     ChartMap,
     ConformalChart,
+    NoRootError,
     compose_charts,
     identity_map,
 )
@@ -465,6 +466,16 @@ def test_mirror_location_oracles(a, t):
         assert chart.v_map.inverse_fn(t + x) == pytest.approx(s, rel=1e-12)
     assert _mirror(hatted_chart_for_accelerated_mirror(1.0), 1.0)[1] == \
         pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_surface_missing_the_chart_has_no_mirror():
+    # at t <= -1/a the surface does not meet the stationary mirror's chart
+    # (u > -2/a, v > 0), so no s has u(s) + v(s) = 2t
+    basis_a, _ = dirichlet_bases()
+    p = basis_a.packet(0)
+    with pytest.raises(NoRootError, match=r"target -2\.0 outside range "
+                       r"\(-2\.0, inf\)"):
+        kg_inner_product(p, p, t=-1.0)
 
 
 def test_dirichlet_norm_grows_to_one_with_surface_time():

@@ -464,8 +464,6 @@ def test_mirror_location_oracles(a, t):
         assert abs(x - want) <= 1e-13 * max(1.0, abs(t))
         assert chart.u_map.inverse_fn(t - x) == pytest.approx(s, rel=1e-12)
         assert chart.v_map.inverse_fn(t + x) == pytest.approx(s, rel=1e-12)
-    assert _mirror(hatted_chart_for_accelerated_mirror(1.0), 1.0)[1] == \
-        pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_surface_missing_the_chart_has_no_mirror():

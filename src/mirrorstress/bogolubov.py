@@ -586,7 +586,8 @@ def _mirror(chart: ConformalChart, t: float):
     """(s, x) of the mirror u* = v* = s on the surface t: the s with
     u(s) + v(s) = 2t, by one ``ChartMap.invert`` of that diagonal map,
     whose range is the sum of the two maps' images over their common
-    domain, and its base position x = t - u(s)."""
+    domain, and its base position x = t - u(s).  ValueError where the
+    surface misses the chart, so that no s solves it."""
     u_map, v_map = chart.u_map, chart.v_map
     common = u_map.domain.intersect(v_map.domain)
     u_image, v_image = u_map.image(common), v_map.image(common)
@@ -597,6 +598,8 @@ def _mirror(chart: ConformalChart, t: float):
         label=f"{chart.name} mirror",
         range_hint=Interval(u_image.lo + v_image.lo,
                             u_image.hi + v_image.hi))
+    if not diagonal.range.contains(2.0 * t):
+        raise ValueError(f"surface t = {t} misses chart '{chart.name}'")
     s = diagonal.invert(2.0 * t)
     return s, t - u_map.fn(s)
 
@@ -749,6 +752,7 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
     and its conjugate are paired with mode2 on one adaptive grid, so the
     value is bit for bit that of the matrix entry, and a conjugate packet
     ``_Conjugate(f)`` reproduces its beta entry (up to sign).
+    ValueError where a Dirichlet mode's surface t misses its chart.
     """
     values, errors, truncs, n_evals = _pair_row(
         mode1, mode1.geometry(t), mode2, t, tol)
@@ -805,7 +809,8 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     its own window and adaptive grid, on which f_k and f_k* are paired
     together, and each refinement wave evaluates the row packet g_i and
     the stack of all columns once for the new nodes of every open entry,
-    in blocks of bounded size."""
+    in blocks of bounded size.  ValueError where the surface t misses the
+    chart of a Dirichlet basis."""
     stack = basis_a._packet(basis_a.frequencies)
     geometry = stack.geometry(t)
     packets_b = basis_b.packets()

@@ -5,7 +5,8 @@ coordinates u = t - x and v = t + x (one map per null direction), plus an
 optional explicit factor multiplying the base line element for synthetic
 curved test metrics.  The induced conformal factor and Ricci scalar are
 evaluated through order-3 jets, so chart derivatives are exact wherever
-the maps are exact.
+the maps are exact.  Maps without a closed-form inverse invert by regula
+falsi on a bracket; composing with an identity map adds no work.
 
 Charts are immutable after construction and safe to share across threads;
 two pieces are filled in lazily, each whole in one assignment: a map's
@@ -158,10 +159,15 @@ class ChartMap:
         return 0.0
 
     def __call__(self, x):
-        """fn with a domain check; array arguments are not checked (grid
-        evaluation masks points outside the domain itself)."""
+        """fn with a domain check, and on a float a finite value or a
+        CoverageError; array arguments are not checked (grid evaluation
+        masks points outside the domain itself)."""
         self._check_domain(x)
-        return self.fn(x)
+        y = self.fn(x)
+        if isinstance(x, float) and not abs(y) < math.inf:
+            raise CoverageError(f"{self.label}: value at {x} leaves the "
+                                f"double-precision range")
+        return y
 
     def _check_domain(self, x):
         v = lead_value(x)
@@ -202,16 +208,17 @@ class ChartMap:
 
     def invert(self, target: float) -> float:
         """x with |fn(x) - target| <= 1e-12 max(1, |target|), in closed form
-        when the map carries one, else by bisection polished by Newton."""
+        when the map carries one, else on a bracket by regula falsi that
+        halves the value of an end kept twice running (Illinois), bisecting
+        while an end value is infinite or an end is kept a third time."""
         rng = self.range
         if not rng.contains(target):
             raise NoRootError(
                 f"{self.label}: target {target} outside range {rng}")
         if self.inverse_fn is not None:
             return lead_value(self.inverse_fn(target))
-        a, b = self._bracket(target)
-        fa = lead_value(self.fn(a)) - target
-        fb = lead_value(self.fn(b)) - target
+        x0 = self._interior_point()
+        a, fa, b, fb = self._bracket(target, x0)
         if fa == 0.0:
             return a
         if fb == 0.0:
@@ -222,41 +229,43 @@ class ChartMap:
         if (fb - fa) * self.monotone_sign < 0.0:
             raise MonotonicityError(
                 f"{self.label}: bracket values contradict monotone sign")
-        # bisect to a narrow bracket, then polish with Newton
-        while b - a > 1e-3 * max(1.0, abs(a), abs(b)):
-            m = 0.5 * (a + b)
-            fm = lead_value(self.fn(m)) - target
-            if fm == 0.0:
-                return m
-            if fa * fm < 0.0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-        x = 0.5 * (a + b)
         tol = 1e-12 * max(1.0, abs(target))
-        for _ in range(100):
-            fx = lead_value(self.fn(x)) - target
-            d = lead_value(self.dfn(x))
-            step = fx / d if d != 0.0 else 0.0
-            xn = x - step
+        kept = 0  # times running a (> 0) or b (< 0) was kept
+        while True:
+            # an infinite end value puts x at an end or makes it NaN
+            x = a - fa * ((b - a) / (fb - fa))
+            if abs(kept) > 2 or not a < x < b:
+                x = 0.5 * (a + b)
+                if not a < x < b:
+                    raise NoRootError(f"{self.label}: inversion did not "
+                                      f"converge for target {target}")
+            fx = self._value(x, x0) - target
             if abs(fx) <= tol:
-                # one last step takes the root from the tolerance to
-                # rounding; it is kept only inside the bracket
-                return xn if a <= xn <= b else x
-            if not (a <= xn <= b) or step == 0.0:
-                # fall back to a bisection step, keeping the bracket valid
-                if fa * fx < 0.0:
-                    b, fb = x, fx
-                else:
-                    a, fa = x, fx
-                xn = 0.5 * (a + b)
-            x = xn
-        raise NoRootError(f"{self.label}: inversion did not converge "
-                          f"for target {target}")
+                # one Newton step takes the root from the tolerance to
+                # rounding, kept in the bracket if still within tolerance
+                d = lead_value(self.dfn(x))
+                xn = x - fx / d if d != 0.0 else x
+                if xn != x and a <= xn <= b \
+                        and abs(self._value(xn, x0) - target) <= tol:
+                    return xn
+                return x
+            if (fx < 0.0) == (fa < 0.0):
+                a, fa, kept = x, fx, min(kept, 0) - 1
+            else:
+                b, fb, kept = x, fx, max(kept, 0) + 1
+            fa *= 0.5 if kept == 2 else 1.0
+            fb *= 0.5 if kept == -2 else 1.0
 
-    def _bracket(self, target: float):
+    def _value(self, x: float, x0: float) -> float:
+        """fn(x) as a float, an overflow as fn's infinity on x's side."""
+        v = _try_float(self.fn, x)
+        if v is None:
+            v = math.inf * self.monotone_sign * math.copysign(1.0, x - x0)
+        return v
+
+    def _bracket(self, target: float, x0: float):
+        """(a, fa, b, fb): a bracket grown from x0, and fn - target there."""
         lo, hi = self.domain.lo, self.domain.hi
-        x0 = self._interior_point()
         step = 1.0
 
         def clamp(x):
@@ -266,23 +275,17 @@ class ChartMap:
                 x = min(x, hi - min(1e-12, (hi - x0) * 1e-9))
             return x
 
-        def val(x):
-            v = _try_float(self.fn, x)
-            if v is None:
-                v = math.inf * self.monotone_sign * math.copysign(1.0, x - x0)
-            return v
-
         a = b = x0
-        fa = fb = val(x0) - target
+        fa = fb = self._value(x0, x0) - target
         for _ in range(300):
             if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
-                return (a, b) if a <= b else (b, a)
+                return a, fa, b, fb
             moved = False
             na, nb = clamp(a - step), clamp(b + step)
             if na < a:
-                a, fa, moved = na, val(na) - target, True
+                a, fa, moved = na, self._value(na, x0) - target, True
             if nb > b:
-                b, fb, moved = nb, val(nb) - target, True
+                b, fb, moved = nb, self._value(nb, x0) - target, True
             step *= 2.0
             if not moved and fa * fb > 0.0:
                 raise NoRootError(
@@ -361,30 +364,36 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
                  label: Optional[str] = None) -> ChartMap:
     """outer(inner(x)) with exact derivatives, chained inverses and the
     exact range: outer's image of the part of inner's range it covers.
-    The derivative evaluates inner once: a forward-only inner's value is
-    the value slot of the tangent pass that gives its derivative, inner(x)
-    to the bit unless inner divides: a jet quotient multiplies by the
-    reciprocal, which can put the slot 1 ulp from inner(x)."""
+    With an identity on either side (``fn is inverse_fn``) it calls the
+    other side's own fn, dfn and inverse_fn; otherwise the derivative
+    evaluates inner once: a forward-only inner's value is the value slot
+    of the tangent pass that gives its derivative, inner(x) to the bit
+    unless inner divides: a jet quotient multiplies by the reciprocal,
+    which can put the slot 1 ulp from inner(x)."""
     covered = inner.range.intersect(outer.domain)
     if covered.empty:
         raise CoverageError(
             f"composition {outer.label}({inner.label}) has empty domain")
 
-    def fn(x):
-        return outer.fn(inner.fn(x))
-
-    if inner.dfn == inner._auto_dfn:
-        def dfn(x):
-            j = inner.fn(Jet1(x, 1.0))
-            return outer.dfn(j.value) * j.d1
+    if inner.fn is inner.inverse_fn or outer.fn is outer.inverse_fn:
+        other = outer if inner.fn is inner.inverse_fn else inner
+        fn, dfn, inverse_fn = other.fn, other.dfn, other.inverse_fn
     else:
-        def dfn(x):
-            return outer.dfn(inner.fn(x)) * inner.dfn(x)
+        def fn(x):
+            return outer.fn(inner.fn(x))
 
-    inverse_fn = None
-    if outer.inverse_fn is not None and inner.inverse_fn is not None:
-        def inverse_fn(z, _o=outer.inverse_fn, _i=inner.inverse_fn):
-            return _i(_o(z))
+        if inner.dfn == inner._auto_dfn:
+            def dfn(x):
+                j = inner.fn(Jet1(x, 1.0))
+                return outer.dfn(j.value) * j.d1
+        else:
+            def dfn(x):
+                return outer.dfn(inner.fn(x)) * inner.dfn(x)
+
+        inverse_fn = None
+        if outer.inverse_fn is not None and inner.inverse_fn is not None:
+            def inverse_fn(z, _o=outer.inverse_fn, _i=inner.inverse_fn):
+                return _i(_o(z))
 
     return ChartMap(
         fn, dfn, domain=inner.inverse_map().image(covered),

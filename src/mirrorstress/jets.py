@@ -269,7 +269,7 @@ def compose(outer_tower, inner: Jet3) -> Jet3:
 # Each accepts a float, an array or a (possibly nested) jet.  Towers are
 # computed recursively on the jet's value, so nesting costs nothing extra
 # in code.  A float is tested first: point evaluation through numeric
-# inversion calls these leaves hundreds of times per point.
+# inversion calls these leaves about a hundred times per point.
 
 def jexp(x):
     if x.__class__ is float:

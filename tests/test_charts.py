@@ -1,17 +1,21 @@
 """Charts: conformal factors, curvature, conversions, inversion."""
 
 import math
+import random
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mirrorstress.charts import (
     ChartMap,
     ConformalChart,
     CoverageError,
     Interval,
+    MonotonicityError,
     NoRootError,
     Point,
     compose_charts,
@@ -25,7 +29,16 @@ from mirrorstress.charts import (
     synthetic_curved_chart,
     timespace,
 )
-from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
+from mirrorstress.jets import (
+    Jet1,
+    Jet3,
+    JetDomainError,
+    jexp,
+    jlog,
+    lead_value,
+    seed,
+)
+from mirrorstress.scenarios import hatted_chart_for_accelerated_mirror
 
 from jet_leaves import leaves
 
@@ -299,6 +312,103 @@ def test_numeric_inverse_roots_agree_across_threads():
     assert wrong == []
 
 
+def _derived_u():
+    """The wedge chart's u map after the forward-only relabel
+    -log(2 - e^x), which inverts numerically."""
+    return compose_maps(RIND.u_map, ChartMap(
+        fn=lambda x: -jlog(2.0 - jexp(x)),
+        domain=Interval(-math.inf, math.log(2.0)), label="derived-u"))
+
+
+def _reversed(m):
+    """x -> m(-x): the decreasing counterpart of an increasing map."""
+    return ChartMap(fn=lambda x: m.fn(-x),
+                    domain=Interval(-m.domain.hi, -m.domain.lo),
+                    label=f"{m.label}(-x)", range_hint=m.range)
+
+
+# (map, window of the domain the property draws its points from); a
+# finite domain end is kept 1e-9 away, as the bracket grows no closer to
+# it than 1e-12
+_INCREASING = (
+    (_derived_u(), (-30.0, math.log(2.0) - 1e-9)),
+    (ChartMap(fn=lambda x: x * x * x + 2.0 * x + 1.0, label="cubic"),
+     (-1e6, 1e6)),
+    (ChartMap(fn=lambda x: jlog(2.0 - jexp(-x)),
+              domain=Interval(math.log(0.5), math.inf), label="p",
+              range_hint=Interval(-math.inf, math.log(2.0))),
+     (math.log(0.5) + 1e-9, 30.0)),
+    # the bracket grows from 0 by 1, 2, 4: e^(e^7) overflows
+    (ChartMap(fn=lambda x: jexp(jexp(x)), label="double-exp",
+              range_hint=Interval(1.0, math.inf)), (-30.0, 6.5)),
+)
+_INVERTED = _INCREASING + tuple((_reversed(m), (-hi, -lo))
+                                for m, (lo, hi) in _INCREASING)
+
+
+def _target(m, window, share):
+    """m at the point ``share`` of the way across ``window``, a target
+    inside m's range; the draw is rejected where there is none (an end
+    of the domain, or a value that rounds to an end of the range)."""
+    lo, hi = window
+    x = lo + share * (hi - lo)
+    assume(m.domain.contains(x))
+    try:
+        target = lead_value(m.fn(x))
+    except (JetDomainError, OverflowError):
+        target = math.nan
+    assume(m.range.contains(target))
+    return target
+
+
+@given(case=st.sampled_from(range(len(_INVERTED))),
+       share=st.floats(0.0, 1.0))
+@settings(max_examples=400, deadline=None)
+def test_invert_meets_the_residual_bound_inside_the_bracket(case, share):
+    m, window = _INVERTED[case]
+    target = _target(m, window, share)
+    x = m.invert(target)
+    assert abs(lead_value(m.fn(x)) - target) <= 1e-12 * max(1.0, abs(target))
+    a, _, b, _ = m._bracket(target, m._interior_point())
+    assert a <= x <= b
+
+
+@given(case=st.sampled_from(range(len(_INVERTED))),
+       share=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_invert_raises_outside_the_range_and_against_the_declared_sign(
+        case, share):
+    m, window = _INVERTED[case]
+    rng = m.range
+    for end, direction in ((rng.lo, -1.0), (rng.hi, 1.0)):
+        if math.isfinite(end):
+            with pytest.raises(NoRootError):
+                m.invert(end + direction * share * max(1.0, abs(end)))
+    if "double-exp" in m.label:
+        return  # a wrong sign turns its overflow into the wrong infinity
+    flipped = ChartMap(fn=m.fn, domain=m.domain,
+                       monotone_sign=-m.monotone_sign, label=m.label,
+                       range_hint=rng)
+    target = _target(m, window, share)
+    assume(target != lead_value(m.fn(m._interior_point())))
+    with pytest.raises(MonotonicityError):
+        flipped.invert(target)
+
+
+def test_invert_evaluates_the_derived_map_about_a_dozen_times():
+    # the mirror state's sampling box on the derived chart in the
+    # benchmark's identities workload: c1 in (log 1/2 + 0.05, log 1/2 + 4)
+    m = _derived_u()
+    calls = []
+    m.fn = _counting(m.fn, calls)
+    rng = random.Random(20)
+    lo = math.log(0.5) + 0.05
+    for _ in range(300):
+        m.invert(RIND.u_map.fn(rng.uniform(lo, lo + 3.95)))
+    # 11.4 here; bisection to a 1e-3-wide bracket, then Newton, made 19.0
+    assert len(calls) / 300 <= 14.0
+
+
 # ---------- composition ----------
 
 def test_compose_with_identity_keeps_factor():
@@ -330,6 +440,38 @@ def test_compose_domain_clipping():
     hatted = compose_charts(RIND, f, identity_map(), "hatted-test2")
     with pytest.raises(CoverageError):
         hatted.conformal_factor(math.log(2.0) + 0.1, 0.0)
+
+
+def _unmarked_identity():
+    """The identity, with fn and inverse_fn two functions, so that
+    compose_maps builds the generic composite with it."""
+    return ChartMap(fn=lambda x: x, dfn=lambda x: 0.0 * x + 1.0,
+                    inverse_fn=lambda y: y, monotone_sign=1, label="id",
+                    range_hint=Interval())
+
+
+@pytest.mark.parametrize("m", [
+    RIND.u_map, hatted_chart_for_accelerated_mirror(1.0).u_map],
+    ids=["rindler-u", "hatted-hyperbola-u"])
+@pytest.mark.parametrize("identity_side", ["outer", "inner"])
+def test_compose_with_identity_calls_the_other_map(m, identity_side):
+    if identity_side == "outer":
+        outer, inner = identity_map(), m
+        generic = compose_maps(_unmarked_identity(), m)
+    else:
+        outer, inner = m, identity_map()
+        generic = compose_maps(m, _unmarked_identity())
+    got = compose_maps(outer, inner)
+    assert (got.domain, got.range, got.monotone_sign, got.label) \
+        == (generic.domain, generic.range, generic.monotone_sign,
+            generic.label)
+    assert (got.fn, got.dfn, got.inverse_fn) == (m.fn, m.dfn, m.inverse_fn)
+    x = 0.7
+    for arg in (x, np.array([0.3, 0.7, 2.5]), seed(x),
+                Jet1(Jet1(x, 1.0), 0.0), Jet1(Jet1(x, 0.0), 1.0)):
+        assert _same_bits(got.fn(arg), outer.fn(inner.fn(arg)))
+        assert _same_bits(got.dfn(arg),
+                          outer.dfn(inner.fn(arg)) * inner.dfn(arg))
 
 
 # ---------- registry ----------

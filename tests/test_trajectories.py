@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mirrorstress.charts import (
@@ -281,6 +282,20 @@ def test_hyperbola_reflection_keeps_precision_at_extreme_accelerations():
         for u in (-3.0 * c, -c, -math.sqrt(c), -1e-3 * c):
             want = -c / u
             assert abs(lead_value(p(u)) - want) <= 1e-13 * want
+
+
+def test_reflection_value_past_the_float_range_is_coverage_error():
+    # p(u) = -c/u with c = 1e10 is 1e310 at u = -1e-300, inside p's
+    # domain (-inf, 0); the map's own fn reads inf there
+    p = reflection_map(uniformly_accelerated_mirror(1e-5)).p
+    assert p.fn(-1e-300) == math.inf
+    with pytest.raises(CoverageError, match=r"value at -1e-300 leaves the "
+                       r"double-precision range"):
+        p(-1e-300)
+    assert p(-1e-290) == pytest.approx(1e300)
+    # arrays are not checked
+    with np.errstate(over="ignore"):
+        assert p(np.array([-1e-300]))[0] == math.inf
 
 
 def test_reflection_requires_monotone_u():

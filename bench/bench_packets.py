@@ -6,7 +6,8 @@
 The kernel cases run twice: with the Chebyshev tables (``table``) and
 with the exact node sums patched in as the kernel (``exact``), so one run
 gives before and after on one machine.  The 1 x 255 and Dirichlet 2 x 64
-matrices, the table read and the cold start run on the tables only;
+matrices, the 2 x 5 matrix on a late surface, the table read and the
+cold start run on the tables only;
 compare them across commits by running this file against each commit's
 source.  The file is named bench_* so the test suite does not collect
 it.
@@ -111,3 +112,19 @@ def test_compute_coefficients_dirichlet(benchmark):
                         frequencies=np.array([1.5, 3.0]), packet_width=0.25)
     benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
                        kwargs={"t": 2.0}, rounds=5, warmup_rounds=1)
+
+
+def test_compute_coefficients_late_surface(benchmark):
+    """Two wedge rows against five inertial columns of one sector on the
+    surface t = 0.5, on the table kernel.  The rows own the substitution
+    and are read at their chart coordinate, so a late surface costs what
+    t = 0 costs; read through x, it took about 140 times the
+    evaluations."""
+    freqs_a = np.geomspace(0.25, 4.0, 5)
+    basis_a = ModeBasis(get_chart("minkowski"), frequencies=freqs_a,
+                        packet_width=critical_packet_width(freqs_a))
+    basis_b = ModeBasis(get_chart("rindler"),
+                        frequencies=np.array([0.7, 1.4]), packet_width=0.04)
+    benchmark.pedantic(compute_coefficients, args=(basis_a, basis_b),
+                       kwargs={"t": 0.5, "tol": 1e-9}, rounds=5,
+                       warmup_rounds=1)

@@ -14,6 +14,13 @@ packet strictly positive-frequency in its chart's time.
 All Klein-Gordon pairings are adaptive quadratures over a constant-time
 surface of the base chart, with a change of variable that makes wedge
 (logarithmically piled-up) phases linear in the integration parameter.
+The integration parameter is the chart coordinate of the traveling
+packet (or stack) that brings the substitution, so that packet is read
+at it directly and only the other side goes through x.  A traveling
+packet depends on one null coordinate alone, so a pairing of two packets
+of one sector does not depend on the surface: at any t it takes the
+same evaluations and agrees with t = 0 to rounding.  Standing packets
+are read through x, as their mirror moves with t.
 A packet, or a stack of them, gives its supports and that substitution
 in one ``geometry`` call, so a row takes every entry's window at once.
 A matrix row is one lockstep quadrature: every entry keeps its own window
@@ -581,6 +588,16 @@ class _TravelingPacket:
             return support, None
         return support, _Substitution(self.map, self.sector, t, -r, r)
 
+    def along(self, sub: _Substitution, ss, owner=None):
+        """(values, d/dt values times |dx/ds|) at the points ss of its own
+        substitution ``sub``, whose s is the packet's chart coordinate:
+        the packet is read at c = s, not through x = t -+ map(s) and back,
+        which would lose map(s)'s digits wherever |map(s)| << |t|.  With
+        dc/dt = 1 / map'(c), the product is monotone_sign U'(c), so the
+        value does not depend on t."""
+        v, dv = self.core.wave(ss, owner)
+        return v, self.map.monotone_sign * dv
+
 
 def _mirror(chart: ConformalChart, t: float):
     """(s, x) of the mirror u* = v* = s on the surface t: the s with
@@ -647,6 +664,12 @@ class _StandingPacket:
         return ((np.maximum(np.minimum(u_lo, v_lo), x), hi),
                 _Substitution(self.u.map, "u", t, -self.core.radius, s))
 
+    def along(self, sub: _Substitution, ss, owner=None):
+        """``along`` as for ``_TravelingPacket``, but through x = x(s): the
+        v side and the mirror of a standing packet move with t."""
+        v, d = self.evaluate(sub.t, sub.x(ss), owner)
+        return v, d * sub.rate(ss)
+
 
 class _Conjugate:
     """Complex conjugate of a packet (negative-norm partner)."""
@@ -660,6 +683,10 @@ class _Conjugate:
 
     def geometry(self, t):
         return self._mode.geometry(t)
+
+    def along(self, sub, ss, owner=None):
+        v, d = self._mode.along(sub, ss, owner)
+        return np.conj(v), np.conj(d)
 
 
 # ---------- Klein-Gordon pairing ----------
@@ -696,7 +723,7 @@ def _pair_row(stack, stack_geometry, g, t, tol):
     """
     (lo1, hi1), stack_sub = stack_geometry
     (lo2, hi2), g_sub = g.geometry(t)
-    sub = stack_sub if g_sub is None else g_sub
+    sub, sub_side = (stack_sub, stack) if g_sub is None else (g_sub, g)
     a = np.atleast_1d(np.maximum(lo1, lo2))  # floats for one packet
     b = np.atleast_1d(np.minimum(hi1, hi2))
     live = a < b
@@ -713,19 +740,25 @@ def _pair_row(stack, stack_geometry, g, t, tol):
     if len(cols) == 0:
         return values, errors, truncs, n_evals
 
+    def side(mode, ss, col=None):
+        """(values, d/dt values times |dx/ds|) of ``mode`` at ss: the
+        substitution's own side at s itself, the other at x(s)."""
+        if sub is None:
+            return mode.evaluate(t, ss, col)
+        if mode is sub_side:
+            return mode.along(sub, ss, col)
+        v, d = mode.evaluate(t, sub.x(ss), col)
+        return v, d * sub.rate(ss)
+
     def integrand(ss, owner):
-        col = cols[owner]
-        xs = ss if sub is None else sub.x(ss)
-        v2, d2 = g.evaluate(t, xs)
-        v1, d1 = stack.evaluate(t, xs, col)
-        out = np.empty((2, len(xs)), dtype=complex)
+        v2, d2 = side(g, ss)
+        v1, d1 = side(stack, ss, cols[owner])
+        out = np.empty((2, len(ss)), dtype=complex)
         np.multiply(np.conj(v1), d2, out=out[0])
         out[0] -= np.conj(d1) * v2
         np.multiply(v1, d2, out=out[1])
         out[1] -= d1 * v2
         out *= 1j
-        if sub is not None:
-            out *= sub.rate(ss)
         return out
 
     a, b = a[cols], b[cols]

@@ -210,7 +210,10 @@ class ChartMap:
         """x with |fn(x) - target| <= 1e-12 max(1, |target|), in closed form
         when the map carries one, else on a bracket by regula falsi that
         halves the value of an end kept twice running (Illinois), bisecting
-        while an end value is infinite or an end is kept a third time."""
+        while an end value is infinite or an end is kept a third time.
+        Where fn is so steep that no double meets the bound, the bracket
+        closes on two neighbouring doubles, and of those the one nearer
+        the target in value is the root."""
         rng = self.range
         if not rng.contains(target):
             raise NoRootError(
@@ -219,16 +222,15 @@ class ChartMap:
             return lead_value(self.inverse_fn(target))
         x0 = self._interior_point()
         a, fa, b, fb = self._bracket(target, x0)
+        # an end that is the root is checked too, as the float next to a
+        # domain end can be
+        if (fb - fa) * self.monotone_sign < 0.0:
+            raise MonotonicityError(
+                f"{self.label}: bracket values contradict monotone sign")
         if fa == 0.0:
             return a
         if fb == 0.0:
             return b
-        if fa * fb > 0.0:
-            raise NoRootError(
-                f"{self.label}: no sign change on bracket [{a}, {b}]")
-        if (fb - fa) * self.monotone_sign < 0.0:
-            raise MonotonicityError(
-                f"{self.label}: bracket values contradict monotone sign")
         tol = 1e-12 * max(1.0, abs(target))
         kept = 0  # times running a (> 0) or b (< 0) was kept
         while True:
@@ -237,8 +239,8 @@ class ChartMap:
             if abs(kept) > 2 or not a < x < b:
                 x = 0.5 * (a + b)
                 if not a < x < b:
-                    raise NoRootError(f"{self.label}: inversion did not "
-                                      f"converge for target {target}")
+                    return min((a, b), key=lambda e: abs(
+                        self._value(e, x0) - target))
             fx = self._value(x, x0) - target
             if abs(fx) <= tol:
                 # one Newton step takes the root from the tolerance to
@@ -264,7 +266,10 @@ class ChartMap:
         return v
 
     def _bracket(self, target: float, x0: float):
-        """(a, fa, b, fb): a bracket grown from x0, and fn - target there."""
+        """(a, fa, b, fb): a bracket grown from x0, and fn - target there.
+        The growth keeps a gap of up to 1e-12 to a finite domain end; only
+        where it fails to bracket is the float next to each such end
+        tried, for a root inside the gap."""
         lo, hi = self.domain.lo, self.domain.hi
         step = 1.0
 
@@ -277,6 +282,7 @@ class ChartMap:
 
         a = b = x0
         fa = fb = self._value(x0, x0) - target
+        message = f"{self.label}: bracketing failed for {target}"
         for _ in range(300):
             if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
                 return a, fa, b, fb
@@ -288,9 +294,19 @@ class ChartMap:
                 b, fb, moved = nb, self._value(nb, x0) - target, True
             step *= 2.0
             if not moved and fa * fb > 0.0:
-                raise NoRootError(
-                    f"{self.label}: could not bracket target {target}")
-        raise NoRootError(f"{self.label}: bracketing failed for {target}")
+                message = f"{self.label}: could not bracket target {target}"
+                break
+        if math.isfinite(lo):
+            x = math.nextafter(lo, math.inf)
+            fx = self._value(x, x0) - target
+            if x < a and (fx == 0.0 or fx * fa < 0.0):
+                return x, fx, a, fa
+        if math.isfinite(hi):
+            x = math.nextafter(hi, -math.inf)
+            fx = self._value(x, x0) - target
+            if x > b and (fx == 0.0 or fx * fb < 0.0):
+                return b, fb, x, fx
+        raise NoRootError(message)
 
     def inverse_map(self) -> "ChartMap":
         """The inverse as a first-class ChartMap, exact on jets, nested

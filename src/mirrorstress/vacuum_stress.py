@@ -7,10 +7,13 @@ components are
     T_12 = -(1/48 pi) R g_12 = (1/24 pi) d2(ln C)/dc1 dc2,
 
 with F_x(f) = f''/f - (3/2)(f'/f)^2, all derivatives taken along one null
-direction at a time.  Everything is evaluated through jets, and every
-evaluator accepts jet-valued coordinates, which is how the conservation
-residuals differentiate straight through the full pipeline (including
-chart transforms and numeric inversions).
+direction at a time.  On a chart without a base factor, C = u'(c1) v'(c2),
+so ln C splits into a c1 part and a c2 part and T_12 is exactly 0 there,
+in every chart it is seen from; only a chart with a base factor takes
+the mixed derivative through nested jets.  Everything is evaluated
+through jets, and every evaluator accepts jet-valued coordinates, which
+is how the conservation residuals differentiate straight through the
+full pipeline (including chart transforms and numeric inversions).
 
 Half-line (Dirichlet) vacua describe a state prepared as some ambient
 chart vacuum and then stirred by a perfectly reflecting mirror: right-
@@ -263,7 +266,11 @@ def _theta_F(chart: ConformalChart, cu, cv, direction: str):
 
 
 def _mixed_log_derivative(chart: ConformalChart, cu, cv):
-    """d2(ln C)/dc1 dc2 with two nested first-order seeds."""
+    """d2(ln C)/dc1 dc2 with two nested first-order seeds; exactly 0.0 on
+    a chart without a base factor, whose ln C = ln u'(c1) + ln v'(c2)
+    splits into a c1 part and a c2 part."""
+    if chart.base_factor is None:
+        return 0.0
     a1 = Jet1(Jet1(cu, 1.0), 0.0)
     a2 = Jet1(Jet1(cv, 0.0), 1.0)
     return jlog(chart.factor(a1, a2)).d1.d1

@@ -328,16 +328,16 @@ def _reversed(m):
 
 
 # (map, window of the domain the property draws its points from); a
-# finite domain end is kept 1e-9 away, as the bracket grows no closer to
-# it than 1e-12
+# window reaches a finite domain end, inside the 1e-12 gap the bracket
+# keeps to it
 _INCREASING = (
-    (_derived_u(), (-30.0, math.log(2.0) - 1e-9)),
+    (_derived_u(), (-30.0, math.log(2.0))),
     (ChartMap(fn=lambda x: x * x * x + 2.0 * x + 1.0, label="cubic"),
      (-1e6, 1e6)),
     (ChartMap(fn=lambda x: jlog(2.0 - jexp(-x)),
               domain=Interval(math.log(0.5), math.inf), label="p",
               range_hint=Interval(-math.inf, math.log(2.0))),
-     (math.log(0.5) + 1e-9, 30.0)),
+     (math.log(0.5), 30.0)),
     # the bracket grows from 0 by 1, 2, 4: e^(e^7) overflows
     (ChartMap(fn=lambda x: jexp(jexp(x)), label="double-exp",
               range_hint=Interval(1.0, math.inf)), (-30.0, 6.5)),
@@ -393,6 +393,27 @@ def test_invert_raises_outside_the_range_and_against_the_declared_sign(
     assume(target != lead_value(m.fn(m._interior_point())))
     with pytest.raises(MonotonicityError):
         flipped.invert(target)
+
+
+@pytest.mark.parametrize("m,target,root", [
+    # log(2 - e^-x) on (log 1/2, inf): the root lies 3.0e-15 above the
+    # domain end, where neighbouring doubles differ by 0.04 in value
+    (ChartMap(fn=lambda x: jlog(2.0 - jexp(-x)),
+              domain=Interval(math.log(0.5), math.inf)),
+     -32.75, -math.log(2.0) - math.log1p(-0.5 * math.exp(-32.75))),
+    # the derived u map -(2 - e^x): the root lies 1.7e-15 below log 2
+    (_derived_u(), -3.3e-15, math.log(2.0) + math.log1p(-0.5 * 3.3e-15)),
+])
+def test_invert_finds_a_root_next_to_a_finite_domain_end(m, target, root):
+    # both roots lie in the gap of up to 1e-12 the bracket keeps to the
+    # end, where bracketing failed; no double meets the residual bound, so
+    # the root is the one of the two doubles around it nearer in value
+    x = m.invert(target)
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    values = [lead_value(m.fn(e)) - target for e in (below, x, above)]
+    assert values[0] < 0.0 < values[2]
+    assert abs(values[1]) <= min(abs(values[0]), abs(values[2]))
+    assert abs(x - root) <= math.ulp(root)
 
 
 def test_invert_evaluates_the_derived_map_about_a_dozen_times():

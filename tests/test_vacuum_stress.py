@@ -22,7 +22,11 @@ from mirrorstress.charts import (
     synthetic_curved_chart,
 )
 from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
-from mirrorstress.scenarios import SCENARIO_NAMES, build_scenario
+from mirrorstress.scenarios import (
+    SCENARIO_NAMES,
+    build_scenario,
+    closed_form_reference,
+)
 from mirrorstress.trajectories import (
     reflection_map,
     stationary_mirror,
@@ -636,6 +640,65 @@ def test_anomaly_curved_chart_vs_symbolic():
         assert close(curved.ricci_scalar(u, v), r_symbolic, 1e-10)
 
 
+def _nested_jet_mixed_log_derivative(chart, cu, cv):
+    """d2(ln C)/dc1 dc2 through two nested first-order seeds on any chart:
+    the route the engine keeps for charts with a base factor, and took on
+    flat charts too, kept as the oracle of their exact zero."""
+    a1 = Jet1(Jet1(cu, 1.0), 0.0)
+    a2 = Jet1(Jet1(cv, 0.0), 1.0)
+    return jlog(chart.factor(a1, a2)).d1.d1
+
+
+@pytest.mark.parametrize("name,c1_window", [
+    ("rindler", (-3.0, 3.0)),
+    ("hatted-stationary", (-3.0, 0.6)),
+    ("hatted-accelerated", (0.05, 3.0)),
+    ("derived", (-3.0, 0.6)),
+])
+def test_mixed_log_derivative_is_zero_on_flat_charts(name, c1_window):
+    # ln C = ln u'(c1) + ln v'(c2) on a chart without a base factor: the
+    # nested-jet route agrees with the exact zero to rounding (3.3e-16 at
+    # worst on the derived chart, which inverts numerically)
+    chart = {
+        "rindler": lambda: RIND,
+        "hatted-stationary": lambda: build_scenario(
+            "mirror_in_rindler_vacuum", {"a": 1.0}).state.chart,
+        "hatted-accelerated": lambda: build_scenario(
+            "accelerated_mirror_minkowski", {"a": 1.0}).state.chart,
+        "derived": lambda: _derived_mirror_state().chart,
+    }[name]()
+    assert chart.base_factor is None
+    rng = random.Random(7)
+    for _ in range(200):
+        c1, c2 = rng.uniform(*c1_window), rng.uniform(-3.0, 3.0)
+        assert vs._mixed_log_derivative(chart, c1, c2) == 0.0
+        assert abs(_nested_jet_mixed_log_derivative(chart, c1, c2)) <= 4e-16
+
+
+def test_mixed_log_derivative_keeps_the_nested_route_on_a_curved_chart():
+    curved = synthetic_curved_chart()
+    for u, v in [(0.5, 0.8), (1.0, 1.0), (2.0, 0.3)]:
+        got = vs._mixed_log_derivative(curved, u, v)
+        assert got == _nested_jet_mixed_log_derivative(curved, u, v)
+        assert close(got, -2.0 / (u + v) ** 2)  # ln C = 2 ln(u + v)
+
+
+def test_rindler_vacuum_t_uv_is_zero_where_the_nested_route_overflows():
+    # the nested route's intermediate products overflow far out in c1:
+    # it read -1 at -569 and -400, so the grid gave T_uv = -1/(24 pi)
+    sc = build_scenario("rindler_vacuum", {"a": 1.0})
+    c1 = np.array([-569.0, -400.0, -360.0])
+    c2 = np.array([-1.0, 0.5, 2.0])
+    assert _nested_jet_mixed_log_derivative(RIND, -400.0, 0.5) == -1.0
+    g = expectation_stress_grid(sc.state, RIND, c1, c2)
+    assert (g.status == 0).all()
+    assert (g.t_uv == 0.0).all()
+    for i, j in np.ndindex(g.t_uv.shape):
+        ref = closed_form_reference(sc, Point(c1[i], c2[j], "rindler"))
+        assert (g.t_uu[i, j], g.t_vv[i, j], g.t_uv[i, j]) == \
+            (ref.t_uu, ref.t_vv, ref.t_uv)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("make_state", [
     rindler_state,
@@ -656,22 +719,30 @@ def test_own_chart_operations_name_a_non_finite_point(make_state, bad):
                 operation(st, p)
 
 
-@pytest.mark.parametrize("a,p", [
+@pytest.mark.parametrize("a,p,theta", [
     # the hatted v map overflows there: both raised a bare OverflowError
     (0.0713605881269414,
-     Point(0.7779480780120309, 6624.536950820924, "hatted")),
-    # T_12 is -inf there: anomaly_check returned NaN, theta_components -inf
+     Point(0.7779480780120309, 6624.536950820924, "hatted"), None),
+    # the nested-jet T_12 was -inf there: anomaly_check returned NaN and
+    # theta_components -inf.  T_12 is exactly 0 on the flat hatted chart,
+    # so theta_components is finite; the curvature still overflows
     (2.7403270101556727e-05,
-     Point(0.5612695558650129, 1e-300, "curved-test")),
+     Point(0.5612695558650129, 1e-300, "curved-test"),
+     (-INV_48PI, -INV_48PI, 0.0)),
 ], ids=["overflow", "infinite-t12"])
-def test_own_chart_operations_raise_the_float_range_error(a, p):
+def test_own_chart_operations_raise_the_float_range_error(a, p, theta):
     st = build_scenario("mirror_in_rindler_vacuum", {"a": a}).state
     if p.chart == "hatted":
         p = dataclasses.replace(p, chart=st.chart.name)
     want = (r"of chart 'hatted:mirror_in_rindler_vacuum:a=[0-9.e-]+': the "
             r"stress of state 'mirror_in_rindler_vacuum' is outside the "
             r"double-precision range there")
-    for operation in (theta_components, anomaly_check):
+    operations = (theta_components, anomaly_check)
+    if theta is not None:
+        s = theta_components(st, p)
+        assert (s.t_uu, s.t_vv, s.t_uv) == theta
+        operations = (anomaly_check,)
+    for operation in operations:
         with pytest.raises(CoverageError, match=want):
             operation(st, p)
 

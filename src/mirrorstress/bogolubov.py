@@ -591,8 +591,8 @@ class _TravelingPacket:
     def along(self, sub: _Substitution, ss, owner=None):
         """(values, d/dt values times |dx/ds|) at the points ss of its own
         substitution ``sub``, whose s is the packet's chart coordinate:
-        the packet is read at c = s, not through x = t -+ map(s) and back,
-        which would lose map(s)'s digits wherever |map(s)| << |t|.  With
+        the packet is read at c = s, not through x(s) and back, which
+        would lose map(s)'s digits wherever |map(s)| << |t|.  With
         dc/dt = 1 / map'(c), the product is monotone_sign U'(c), so the
         value does not depend on t."""
         v, dv = self.core.wave(ss, owner)

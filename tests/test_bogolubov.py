@@ -203,12 +203,12 @@ def test_v_sector_matrix_matches_separate_pairings():
 @pytest.mark.parametrize("t", [0.5, 2.0])
 def test_single_sector_pairings_do_not_depend_on_the_surface(make_bases, t):
     # a traveling packet depends on one null coordinate, and the pairing
-    # of two of one sector is conserved; the wedge side that owns the
-    # substitution is read at its chart coordinate itself, so a late
-    # surface loses no digits of u(s) to t (read through x, the u rows at
-    # t = 0.5 took 143,121 evaluations an entry on average, against
-    # 1,014, and alpha moved by up to 1.05e-2 in a row whose largest
-    # |alpha| is 0.169)
+    # of two of one sector is conserved.  The wedge side that owns the
+    # substitution must be read at its chart coordinate itself: through
+    # x, a late surface drops the digits of u(s) below t, and at t = 0.5
+    # the u rows then take 143,121 evaluations an entry on average,
+    # against 1,014, with alpha off by up to 1.05e-2 in a row whose
+    # largest |alpha| is 0.169
     late = compute_coefficients(*make_bases(), t=t, tol=1e-9)
     ref = compute_coefficients(*make_bases(), t=0.0, tol=1e-9)
     assert np.array_equal(late.n_evaluations, ref.n_evaluations)

@@ -405,9 +405,9 @@ def test_invert_raises_outside_the_range_and_against_the_declared_sign(
     (_derived_u(), -3.3e-15, math.log(2.0) + math.log1p(-0.5 * 3.3e-15)),
 ])
 def test_invert_finds_a_root_next_to_a_finite_domain_end(m, target, root):
-    # both roots lie in the gap of up to 1e-12 the bracket keeps to the
-    # end, where bracketing failed; no double meets the residual bound, so
-    # the root is the one of the two doubles around it nearer in value
+    # both roots lie in the gap of up to 1e-12 that the bracket's growth
+    # keeps to the end; no double meets the residual bound there, so the
+    # root is the one of the two doubles around it nearer in value
     x = m.invert(target)
     below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
     values = [lead_value(m.fn(e)) - target for e in (below, x, above)]

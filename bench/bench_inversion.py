@@ -12,8 +12,10 @@ first-order seed, ``expectation_stress`` on a sequence of distinct points,
 and one 10 x 10 ``check_conservation`` (whose rows of ten points share a
 c1 value); then ``ConformalChart.factor`` of the derived chart on nested
 first-order seeds, and a 10 x 10 ``check_conservation`` of each built-in
-scenario on its invariant-suite region.  Compare commits by running this
-file against each commit's source.
+scenario on its invariant-suite region.  Two point cases invert nothing
+numerically: ``expectation_stress`` of the built-in a = 1 mirror state on
+the wedge chart, and ``theta_components`` of the Rindler vacuum.  Compare
+commits by running this file against each commit's source.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from mirrorstress.vacuum_stress import (
     VacuumSpec,
     check_conservation,
     expectation_stress,
+    theta_components,
 )
 
 RIND = get_chart("rindler")
@@ -82,11 +85,31 @@ def test_expectation_stress(benchmark):
     # consecutive points differ in c1, so every call inverts its own
     # target, as the random points of a workload do
     state = derived_state()
-    points = itertools.cycle(
-        Point(LOG_HALF + 0.05 + 0.04 * k, 1.0 + 0.02 * k, "rindler")
-        for k in range(97))
+    points = _distinct_points()
     expectation_stress(state, RIND, next(points))
     benchmark(lambda: expectation_stress(state, RIND, next(points)))
+
+
+def _distinct_points():
+    """Points of the mirror state's sampling box, each with its own c1."""
+    return itertools.cycle(
+        Point(LOG_HALF + 0.05 + 0.04 * k, 1.0 + 0.02 * k, "rindler")
+        for k in range(97))
+
+
+def test_expectation_stress_closed_form(benchmark):
+    # the built-in mirror state: every transition inverts in closed form
+    state = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0}).state
+    points = _distinct_points()
+    expectation_stress(state, RIND, next(points))
+    benchmark(lambda: expectation_stress(state, RIND, next(points)))
+
+
+def test_theta_components(benchmark):
+    state = build_scenario("rindler_vacuum").state
+    points = _distinct_points()
+    theta_components(state, next(points))
+    benchmark(lambda: theta_components(state, next(points)))
 
 
 def test_check_conservation(benchmark):

@@ -93,8 +93,11 @@ def _try_float(fn, x):
         return None
 
 
-def _probe_limit(fn, interval: Interval, end: float, from_inside: float):
-    """Limiting value of fn approaching ``end`` from inside the interval."""
+def _probe_limit(fn, interval: Interval, end: float, from_inside: float,
+                 trend: int):
+    """Limiting value of fn approaching ``end`` from inside the interval,
+    toward which fn rises (``trend`` +1) or falls (-1).  A probe that
+    overflows once one has been finite puts the limit at that infinity."""
     if math.isinf(end):
         xs = [math.copysign(10.0 ** k, end) for k in range(0, 16)]
         xs = [x for x in xs if interval.contains(x)]
@@ -103,10 +106,15 @@ def _probe_limit(fn, interval: Interval, end: float, from_inside: float):
         scale = min(1.0, width / 4.0) if math.isfinite(width) else 1.0
         sign = 1.0 if from_inside > end else -1.0
         xs = [end + sign * scale * 10.0 ** (-k) for k in range(1, 13)]
-    vals = [_try_float(fn, x) for x in xs]
-    vals = [v for v in vals if v is not None and math.isfinite(v)]
+    vals = []
+    for x in xs:
+        v = _try_float(fn, x)
+        if (v is None or math.isinf(v)) and vals:
+            return math.copysign(math.inf, trend)
+        if v is not None and math.isfinite(v):
+            vals.append(v)
     if not vals:
-        return math.copysign(math.inf, from_inside)  # direction fixed later
+        return math.copysign(math.inf, trend)
     last, prev = vals[-1], vals[-2] if len(vals) > 1 else vals[-1]
     if abs(last) > 1e15:
         return math.copysign(math.inf, last)
@@ -184,8 +192,9 @@ class ChartMap:
         of fn probed toward the domain ends."""
         if self._range is None:
             mid = self._interior_point()
-            a = _probe_limit(self.fn, self.domain, self.domain.lo, mid)
-            b = _probe_limit(self.fn, self.domain, self.domain.hi, mid)
+            sign = self.monotone_sign
+            a = _probe_limit(self.fn, self.domain, self.domain.lo, mid, -sign)
+            b = _probe_limit(self.fn, self.domain, self.domain.hi, mid, sign)
             lo, hi = (a, b) if self.monotone_sign > 0 else (b, a)
             self._range = Interval(lo, hi)
         return self._range
@@ -267,9 +276,9 @@ class ChartMap:
 
     def _bracket(self, target: float, x0: float):
         """(a, fa, b, fb): a bracket grown from x0, and fn - target there.
-        The growth keeps a gap of up to 1e-12 to a finite domain end; only
-        where it fails to bracket is the float next to each such end
-        tried, for a root inside the gap."""
+        The growth keeps a gap of up to 1e-12 to a finite domain end; once
+        an end stops there, the float next to that domain end is tried,
+        for a root inside the gap."""
         lo, hi = self.domain.lo, self.domain.hi
         step = 1.0
 
@@ -282,30 +291,32 @@ class ChartMap:
 
         a = b = x0
         fa = fb = self._value(x0, x0) - target
+        a_stopped = b_stopped = False
         message = f"{self.label}: bracketing failed for {target}"
         for _ in range(300):
             if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
                 return a, fa, b, fb
-            moved = False
             na, nb = clamp(a - step), clamp(b + step)
             if na < a:
-                a, fa, moved = na, self._value(na, x0) - target, True
+                a, fa = na, self._value(na, x0) - target
+            elif not a_stopped:
+                a_stopped = True
+                x = math.nextafter(lo, math.inf)
+                fx = self._value(x, x0) - target
+                if x < a and (fx == 0.0 or fx * fa < 0.0):
+                    return x, fx, a, fa
             if nb > b:
-                b, fb, moved = nb, self._value(nb, x0) - target, True
+                b, fb = nb, self._value(nb, x0) - target
+            elif not b_stopped:
+                b_stopped = True
+                x = math.nextafter(hi, -math.inf)
+                fx = self._value(x, x0) - target
+                if x > b and (fx == 0.0 or fx * fb < 0.0):
+                    return b, fb, x, fx
             step *= 2.0
-            if not moved and fa * fb > 0.0:
+            if a_stopped and b_stopped and fa * fb > 0.0:
                 message = f"{self.label}: could not bracket target {target}"
                 break
-        if math.isfinite(lo):
-            x = math.nextafter(lo, math.inf)
-            fx = self._value(x, x0) - target
-            if x < a and (fx == 0.0 or fx * fa < 0.0):
-                return x, fx, a, fa
-        if math.isfinite(hi):
-            x = math.nextafter(hi, -math.inf)
-            fx = self._value(x, x0) - target
-            if x > b and (fx == 0.0 or fx * fb < 0.0):
-                return b, fb, x, fx
         raise NoRootError(message)
 
     def inverse_map(self) -> "ChartMap":
@@ -399,9 +410,24 @@ def compose_maps(outer: ChartMap, inner: ChartMap,
             return outer.fn(inner.fn(x))
 
         if inner.dfn == inner._auto_dfn:
+            # a stress point takes this derivative twice at the root its
+            # numeric inverse found, in the Jacobian of the transition out
+            # of that inverse and in the factor at the held coordinate;
+            # the inverse's cell hands out that root as one float object.
+            # The last (float, derivative) pair is kept, matched by
+            # identity, and replaced whole, as that cell is.
+            last = [(None, None)]
+
             def dfn(x):
+                if x.__class__ is float:
+                    arg, d = last[0]
+                    if arg is x:
+                        return d
                 j = inner.fn(Jet1(x, 1.0))
-                return outer.dfn(j.value) * j.d1
+                d = outer.dfn(j.value) * j.d1
+                if x.__class__ is float:
+                    last[0] = (x, d)
+                return d
         else:
             def dfn(x):
                 return outer.dfn(inner.fn(x)) * inner.dfn(x)
@@ -622,17 +648,23 @@ _BUILTINS = tuple(register_chart(c) for c in (
 def convert_point(p: Point, to: ConformalChart) -> Point:
     """Express a point in another chart, passing through base coordinates.
     CoverageError where the point lies outside either chart's coverage or
-    its coordinates leave the double-precision range on the way."""
+    its coordinates leave the double-precision range on the way; a point
+    kept in its own chart must lie in that chart's domain."""
     to = get_chart(to)
     src = get_chart(p.chart)
     if src.name == to.name:
+        src.u_map._check_domain(p.c1)
+        src.v_map._check_domain(p.c2)
         return Point(p.c1, p.c2, to.name)
     try:
         u, v = src.to_base(p.c1, p.c2)
         c1, c2 = to.from_base(u, v)
+        # a closed-form inverse can overflow where its argument is in range
+        finite = abs(c1) < math.inf and abs(c2) < math.inf
     except ArithmeticError:
+        finite = False
+    if not finite:
         raise CoverageError(
             f"point ({p.c1}, {p.c2}) of chart '{src.name}' leaves the "
-            f"double-precision range on the way to chart '{to.name}'") \
-            from None
+            f"double-precision range on the way to chart '{to.name}'")
     return Point(c1, c2, to.name)

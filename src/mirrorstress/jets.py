@@ -18,6 +18,13 @@ functions dispatch to ``numpy`` instead of ``math``.  Domain guards raise
 only for scalar leaves; an array leaf outside a function's domain yields
 the IEEE value (nan or inf), and callers mask such points.
 
+A plain float or int mixes with a jet as a constant: a product multiplies
+it into every coefficient, a sum adds it to the value.  The stress engine
+holds a float coordinate that way, as a plain coefficient rather than a
+constant jet.  Jets and arrays stay wrapped: a Jet3 refuses to mix with a
+Jet1 (they differentiate in different senses) and with a bare ndarray
+(jets set ``__array_ufunc__ = None``).
+
 :class:`Jet1` and :class:`Jet3` share division and integer powers through
 a private base class; each keeps its own ring operations and reciprocal.
 The elementary functions are exp, log, sqrt, sinh, cosh and asinh.

@@ -14,6 +14,11 @@ the mixed derivative through nested jets.  Everything is evaluated
 through jets, and every evaluator accepts jet-valued coordinates, which
 is how the conservation residuals differentiate straight through the
 full pipeline (including chart transforms and numeric inversions).
+Along one null direction the other coordinate is held constant: at a
+float point it enters the factor as a plain float, which the jet in the
+active direction multiplies into each of its coefficients, so that map's
+derivative is one float evaluation; jet and array coordinates stay
+wrapped as constant jets.
 
 Half-line (Dirichlet) vacua describe a state prepared as some ambient
 chart vacuum and then stirred by a perfectly reflecting mirror: right-
@@ -254,14 +259,23 @@ def F_composition(p_map: ChartMap, base_F: float, x_bar: float) -> float:
 
 # ---------- stress of a chart vacuum, jet-generic ----------
 
+def _held(x):
+    """The coordinate held constant along a null direction, as the factor
+    takes it: a float as itself, which a jet multiplies into each of its
+    coefficients, so the map's derivative there is a float evaluation; a
+    jet or array as a constant Jet3, since a Jet3 mixes with neither a
+    Jet1 nor an ndarray."""
+    return x if x.__class__ is float else constant(x)
+
+
 def _theta_F(chart: ConformalChart, cu, cv, direction: str):
     """F of the conformal factor along one null direction; the other
     coordinate (and any jet structure both carry) rides along as
     coefficients."""
     if direction == "u":
-        a1, a2 = seed(cu), constant(cv)
+        a1, a2 = seed(cu), _held(cv)
     else:
-        a1, a2 = constant(cu), seed(cv)
+        a1, a2 = _held(cu), seed(cv)
     return F_of_jet(chart.factor(a1, a2))
 
 
@@ -343,7 +357,9 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
     ``ok`` is a bool for float coordinates, or a bool array broadcasting
     over the grid for array ones, and is False where a point fails with
     ``status``.  A scalar caller stops at the first failure, so each
-    check may assume the earlier ones passed.
+    check may assume the earlier ones passed.  The generator returns base
+    u, from which a caller that saw every check pass picks the governing
+    chart.
     """
     yield COVERAGE, (observe.u_map.domain.contains(c1)
                      & observe.v_map.domain.contains(c2))
@@ -361,6 +377,7 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
     for gov, sel in _sectors(state, u):
         ok = ok | (sel & _transitions_ok(gov, observe, c1, c2, u, v))
     yield COVERAGE, ok
+    return u
 
 
 def _grid_status(state: VacuumSpec, observe: ConformalChart, c1, c2):
@@ -399,19 +416,27 @@ def _point_values(state: VacuumSpec, observe: ConformalChart, q: Point,
     chart, gov being the chart that governs q.  Raises the documented
     error of the first check the point fails, or the float-range error
     where a check or a value overflows or a value is not finite."""
+    checks = _point_checks(state, observe, q.c1, q.c2)
+    status = OK
     try:
-        status = next((code for code, ok in
-                       _point_checks(state, observe, q.c1, q.c2) if not ok),
-                      OK)
-        if status == OK:
-            # the point checks found exactly one sector's selector true
-            gov = next(gov for gov, sel in
-                       _sectors(state, observe.u_map.fn(q.c1)) if sel)
-            out = [lead_value(t) for t in values(gov)]
-            if not all(map(_finite, out)):
-                status = FLOAT_RANGE
+        while status == OK:
+            code, ok = next(checks)
+            if not ok:
+                status = code
+    except StopIteration as passed:
+        # every check passed, so one sector holds the base u they return
+        gov = next(gov for gov, sel in _sectors(state, passed.value) if sel)
     except (ArithmeticError, JetDomainError):
         status = FLOAT_RANGE
+    if status == OK:
+        try:
+            out = [lead_value(t) for t in values(gov)]
+        except (ArithmeticError, JetDomainError, CoverageError):
+            # inside the checked coverage, a factor that underflows to 0
+            # or a map value that overflows is a float-range failure
+            out = [math.nan]
+        if not all(map(_finite, out)):
+            status = FLOAT_RANGE
     if status != OK:
         raise _point_error(status, state.label, observe, q)
     return out
@@ -428,19 +453,26 @@ def theta_components(state: VacuumSpec, p: Point) -> StressSample:
 
 
 def transform_stress(s: StressSample, to_chart) -> StressSample:
-    """Rank-2 tensor transformation of the null components."""
+    """Rank-2 tensor transformation of the null components.  Raises
+    CoverageError where the point is outside the target chart's coverage
+    or the components leave the double-precision range."""
     target = get_chart(to_chart)
     if target.name == s.chart:
         return s
     src = get_chart(s.chart)
     q = convert_point(s.point, target)
-    du_s = src.u_map.deriv(s.point.c1)
-    dv_s = src.v_map.deriv(s.point.c2)
-    du_t = target.u_map.deriv(q.c1)
-    dv_t = target.v_map.deriv(q.c2)
-    ru, rv = du_t / du_s, dv_t / dv_s
-    return StressSample(s.t_uu * ru * ru, s.t_vv * rv * rv,
-                        s.t_uv * ru * rv, target.name, s.state, q)
+    try:
+        du_s = src.u_map.deriv(s.point.c1)
+        dv_s = src.v_map.deriv(s.point.c2)
+        du_t = target.u_map.deriv(q.c1)
+        dv_t = target.v_map.deriv(q.c2)
+        ru, rv = du_t / du_s, dv_t / dv_s
+        t = (s.t_uu * ru * ru, s.t_vv * rv * rv, s.t_uv * ru * rv)
+    except ArithmeticError:
+        t = (math.nan,)
+    if not all(map(_finite, t)):
+        raise _point_error(FLOAT_RANGE, s.state, target, q)
+    return StressSample(*t, target.name, s.state, q)
 
 
 def expectation_stress(state: VacuumSpec, observe_chart, p: Point

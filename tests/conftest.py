@@ -3,10 +3,16 @@ once per session and reused by both the unit tests and the acceptance
 suite."""
 
 import pytest
+from hypothesis import settings
 
 from mirrorstress.bogolubov import compute_coefficients
 
 from bogolubov_bases import planck_bases, thermal_bases
+
+# ``--hypothesis-profile=long``: a longer run of the property tests that
+# set no example count of their own (``test_api_contract.py``); the suite
+# keeps hypothesis's default profile
+settings.register_profile("long", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

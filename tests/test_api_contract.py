@@ -1,0 +1,200 @@
+"""The scalar stress entry points return finite values or raise one of the
+documented errors, on every scenario x chart pair.
+
+The entry points are ``expectation_stress``, ``theta_components``,
+``anomaly_check``, ``to_orthonormal_frame``, ``transform_stress`` and
+``convert_point``.  Coordinates are drawn from O(1) values, from
+log-uniform magnitudes up to 1e+-300 of either sign, and from edge values
+(signed zeros, subnormals, the largest double, infinities and NaN).  An
+oracle ties the scalar path to the grid path: every chart the scenarios
+build inverts in closed form, so ``expectation_stress`` and a 1 x 1
+``expectation_stress_grid`` agree in status and to 1e-13 relative (to
+the larger value, or to the terms F cancels where they are larger).
+
+The number of examples comes from the hypothesis profile: the default in
+the test suite, and ``--hypothesis-profile=long`` (``conftest.py``) for a
+longer run of this module.
+"""
+
+import math
+from unittest import mock
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from mirrorstress.charts import (
+    CoverageError,
+    Point,
+    convert_point,
+    get_chart,
+)
+from mirrorstress import vacuum_stress
+from mirrorstress.scenarios import SCENARIO_NAMES, build_scenario
+from mirrorstress.vacuum_stress import (
+    COVERAGE,
+    FLOAT_RANGE,
+    OK,
+    REGION,
+    SECTOR_RAY,
+    STATUS_NAMES,
+    SingularRayError,
+    StateRegionError,
+    anomaly_check,
+    expectation_stress,
+    expectation_stress_grid,
+    theta_components,
+    to_orthonormal_frame,
+    transform_stress,
+)
+
+# the errors a scalar entry point documents: a point outside the state's
+# region, on a singular ray, or outside coverage or the double range
+DOCUMENTED = (StateRegionError, SingularRayError, CoverageError)
+
+# the state's own chart stands for the scenario's mirror-adapted chart
+CHARTS = ("minkowski", "rindler", "curved-test", "own")
+
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+coordinates = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e,
+              st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)),
+    st.sampled_from(EDGES))
+
+accelerations = st.one_of(
+    st.just(1.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+def _finite(*xs):
+    return all(math.isfinite(x) for x in xs)
+
+
+def _scenario(name, a):
+    """The scenario at a, or a rejected draw where a is out of the range
+    its trajectory allows (a ValueError the builder documents)."""
+    try:
+        return build_scenario(name, {"a": a})
+    except ValueError:
+        assume(False)
+
+
+def _chart(scenario, name):
+    return scenario.state.chart if name == "own" else get_chart(name)
+
+
+def _outcome(f, *args):
+    """f(*args), or the documented error it raises (any other error
+    propagates and fails the test)."""
+    try:
+        return f(*args)
+    except DOCUMENTED as exc:
+        return exc
+
+
+def _sample_is_finite(s):
+    return _finite(s.t_uu, s.t_vv, s.t_uv, s.point.c1, s.point.c2)
+
+
+@given(name=st.sampled_from(SCENARIO_NAMES), a=accelerations,
+       where=st.sampled_from(CHARTS), observe=st.sampled_from(CHARTS),
+       to=st.sampled_from(CHARTS), c1=coordinates, c2=coordinates)
+def test_stress_entry_points_give_finite_values_or_documented_errors(
+        name, a, where, observe, to, c1, c2):
+    scenario = _scenario(name, a)
+    state = scenario.state
+    p = Point(c1, c2, _chart(scenario, where).name)
+
+    q = _outcome(convert_point, p, _chart(scenario, observe))
+    if isinstance(q, Point):
+        assert _finite(q.c1, q.c2)
+
+    s = _outcome(expectation_stress, state, _chart(scenario, observe), p)
+    if not isinstance(s, Exception):
+        assert _sample_is_finite(s)
+        o = _outcome(to_orthonormal_frame, s)
+        if not isinstance(o, Exception):
+            assert _finite(o.energy_density, o.pressure, o.flux)
+        t = _outcome(transform_stress, s, _chart(scenario, to))
+        if not isinstance(t, Exception):
+            assert _sample_is_finite(t)
+
+    own = _outcome(theta_components, state, p)
+    if not isinstance(own, Exception):
+        assert _sample_is_finite(own)
+    r = _outcome(anomaly_check, state, p)
+    if not isinstance(r, Exception):
+        assert _finite(r)
+
+
+def _status(s):
+    """The grid status code of a point outcome: ok for a sample, else the
+    code of the error it raised."""
+    if not isinstance(s, Exception):
+        return OK
+    if isinstance(s, StateRegionError):
+        return REGION
+    if isinstance(s, SingularRayError):
+        return SECTOR_RAY
+    if "double-precision range" in str(s):
+        return FLOAT_RANGE
+    return COVERAGE
+
+
+def _nudged(x, k):
+    """x moved by k units in its last place."""
+    return x + k * math.ulp(x) if math.isfinite(x) else x
+
+
+@given(name=st.sampled_from(SCENARIO_NAMES), a=accelerations,
+       observe=st.sampled_from(CHARTS), c1=coordinates, c2=coordinates)
+def test_point_and_one_point_grid_agree(name, a, observe, c1, c2):
+    scenario = _scenario(name, a)
+    chart = _chart(scenario, observe)
+
+    def point(x, y):
+        return _outcome(expectation_stress, scenario.state, chart,
+                        Point(x, y, chart.name))
+
+    s = point(c1, c2)
+    g = expectation_stress_grid(scenario.state, chart, [c1], [c2])
+    status = int(g.status[0, 0])
+    if status != _status(s):
+        # the grid decides with numpy's elementary functions, the point
+        # with the math module's, and they may round a boundary (the
+        # mirror, a sector ray, a coverage edge) apart.  Through exp and
+        # asinh that rounding reaches about 700 units in the last place of
+        # a coordinate near 1e-300, so a point within 4096 of a boundary
+        # is on it to rounding
+        near = {_status(point(_nudged(c1, k), c2)) for k in (-4096, 4096)} \
+            | {_status(point(c1, _nudged(c2, k))) for k in (-4096, 4096)}
+        assert status in near, (s, STATUS_NAMES[status])
+        return
+    if status != OK:
+        return
+    scale = _term_scale(scenario.state, chart, c1, c2)
+    for got, want, size in ((g.t_uu, s.t_uu, scale[0]),
+                            (g.t_vv, s.t_vv, scale[1]),
+                            (g.t_uv, s.t_uv, 0.0)):
+        got = float(got[0, 0])
+        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want), size), \
+            (got, want, size)
+
+
+def _terms(j):
+    """|f''/f| + (3/2)(f'/f)^2, the sizes of the two terms F subtracts."""
+    r1 = j.d1 / j.value
+    return abs(j.d2 / j.value) + 1.5 * (r1 * r1)
+
+
+def _term_scale(state, chart, c1, c2):
+    """T_11 and T_22 at the point with F's two terms added in size: the
+    scale of what F cancels.  Where F is 0 by cancellation, as for the
+    silent hyperbolic mirror, both paths read rounding of that scale."""
+    with mock.patch.object(vacuum_stress, "F_of_jet", _terms):
+        s = _outcome(expectation_stress, state, chart,
+                     Point(c1, c2, chart.name))
+    return (math.inf, math.inf) if isinstance(s, Exception) \
+        else (s.t_uu, s.t_vv)

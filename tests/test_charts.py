@@ -190,6 +190,21 @@ def test_convert_out_of_float_range_is_coverage_error():
         convert_point(Point(0.0, 800.0, "rindler"), MINK)
 
 
+@pytest.mark.parametrize("p,to,message", [
+    # the hyperbola chart's closed-form inverse -1/u overflows at a
+    # subnormal u, which is inside its range: it returned inf
+    (Point(-5e-324, 0.0, "minkowski"),
+     hatted_chart_for_accelerated_mirror(1.0),
+     "leaves the double-precision range"),
+    # a point kept in its own chart was returned unchecked
+    (Point(0.0, math.inf, "minkowski"), MINK, "outside domain"),
+    (Point(math.nan, 0.0, "rindler"), RIND, "outside domain"),
+])
+def test_convert_gives_a_finite_point_or_coverage_error(p, to, message):
+    with pytest.raises(CoverageError, match=message):
+        convert_point(p, to)
+
+
 def test_convert_round_trip_on_grid():
     for i in range(-4, 5):
         for j in range(-4, 5):
@@ -338,9 +353,10 @@ _INCREASING = (
               domain=Interval(math.log(0.5), math.inf), label="p",
               range_hint=Interval(-math.inf, math.log(2.0))),
      (math.log(0.5), 30.0)),
-    # the bracket grows from 0 by 1, 2, 4: e^(e^7) overflows
-    (ChartMap(fn=lambda x: jexp(jexp(x)), label="double-exp",
-              range_hint=Interval(1.0, math.inf)), (-30.0, 6.5)),
+    # the bracket grows from 0 by 1, 2, 4: e^(e^7) overflows; its range
+    # is probed
+    (ChartMap(fn=lambda x: jexp(jexp(x)), label="double-exp"),
+     (-30.0, 6.5)),
 )
 _INVERTED = _INCREASING + tuple((_reversed(m), (-hi, -lo))
                                 for m, (lo, hi) in _INCREASING)
@@ -414,6 +430,30 @@ def test_invert_finds_a_root_next_to_a_finite_domain_end(m, target, root):
     assert values[0] < 0.0 < values[2]
     assert abs(values[1]) <= min(abs(values[0]), abs(values[2]))
     assert abs(x - root) <= math.ulp(root)
+
+
+@pytest.mark.parametrize("target", [-30.0, -32.75])
+def test_invert_tries_the_float_next_to_a_domain_end_once_growth_stops(
+        target):
+    # log(2 - e^-x) on (log 1/2, inf): both roots lie in the gap the growth
+    # keeps to the finite end, and the growth on the unbounded side never
+    # brackets them; trying the end's neighbour only after that side's
+    # 300 growth steps took 316 and 315 evaluations
+    calls = []
+    m = ChartMap(fn=_counting(lambda x: jlog(2.0 - jexp(-x)), calls),
+                 domain=Interval(math.log(0.5), math.inf),
+                 range_hint=Interval(-math.inf, math.log(2.0)))
+    m.invert(target)
+    assert len(calls) <= 40
+
+
+def test_range_of_a_map_that_overflows_after_one_finite_probe():
+    # e^(e^x) is finite at the first probe toward +inf (x = 1) and
+    # overflows at the next (x = 10): its limit there is +inf, not e^e
+    m = ChartMap(fn=lambda x: jexp(jexp(x)), label="double-exp")
+    assert m.range == Interval(1.0, math.inf)
+    x = m.invert(1e10)
+    assert close(math.exp(math.exp(x)), 1e10)
 
 
 def test_invert_evaluates_the_derived_map_about_a_dozen_times():

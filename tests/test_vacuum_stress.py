@@ -21,7 +21,15 @@ from mirrorstress.charts import (
     identity_map,
     synthetic_curved_chart,
 )
-from mirrorstress.jets import Jet1, Jet3, jexp, jlog, lead_value, seed
+from mirrorstress.jets import (
+    Jet1,
+    Jet3,
+    constant,
+    jexp,
+    jlog,
+    lead_value,
+    seed,
+)
 from mirrorstress.scenarios import (
     SCENARIO_NAMES,
     build_scenario,
@@ -297,6 +305,21 @@ def test_float_range_points_raise_coverage_error():
         expectation_stress(sc.state, RIND,
                            Point(-383.72951261747767, 1.6887598778581445,
                                  "rindler"))
+    # the wedge chart's factor e^(-c1) e^(c2) underflows to 0 at
+    # c2 = log(5e-324): it raised "conformal factor 0.0 not positive"
+    with pytest.raises(CoverageError, match="double-precision"):
+        expectation_stress(rindler_state(), MINK,
+                           Point(-0.5, 5e-324, "minkowski"))
+
+
+def test_transform_out_of_float_range_is_coverage_error():
+    # -1/(48 pi u^2) at u = -e^-595.5: its components were inf
+    s = expectation_stress(rindler_state(), RIND,
+                           Point(595.5, 1.0, "rindler"))
+    with pytest.raises(CoverageError, match=r"of chart 'minkowski': the "
+                       r"stress of state 'rindler_vacuum' is outside the "
+                       r"double-precision range"):
+        transform_stress(s, MINK)
 
 
 def test_horizon_cancellation_at_u_zero():
@@ -836,6 +859,36 @@ def test_point_evaluation_inverts_each_target_once(monkeypatch):
     assert targets == [-math.exp(-0.3), -math.exp(-1.1)]
 
 
+def test_point_evaluation_differentiates_the_derived_map_once_per_kind():
+    # at the root xi of the u transition: one pass on the float, shared by
+    # the transition's Jacobian and the factor of T_22 at xi held
+    # constant; one on the order-3 seed of T_11.  Holding xi as a constant
+    # Jet3 took a second Jet3 pass
+    passes = []
+    relabel = _derived_relabel()
+    forward = relabel.fn
+
+    def counting(x):
+        passes.append(x)
+        return forward(x)
+
+    relabel.fn = counting
+    chart = compose_charts(RIND, relabel, identity_map(),
+                           "derived:counting", global_class="half_line")
+    state = VacuumSpec(chart, "dirichlet_half_line",
+                       label="mirror_in_rindler_vacuum", ambient_chart=RIND,
+                       region_predicate=lambda u, v: v - u > 2.0)
+    m_u = vs._transition_map(chart, RIND, "u")
+    for c1 in (-0.4, 0.3, 1.1):
+        passes.clear()
+        expectation_stress(state, RIND, Point(c1, 2.5, "rindler"))
+        root = m_u(c1)
+        tangents = [x.value for x in passes if isinstance(x, Jet1)]
+        assert [x for x in tangents if x.__class__ is float
+                and x == root] == [root]
+        assert len([x for x in tangents if isinstance(x, Jet3)]) == 1
+
+
 # ---------- parity with per-component evaluation ----------
 
 def _reference_gov_components(gov, observe):
@@ -876,7 +929,8 @@ def _two_pass_compose_maps(outer, inner, label=None):
 
 
 def _install_reference(mp):
-    """Route the stress engine through the reference evaluation."""
+    """Route the stress engine through the reference evaluation, which
+    also holds a float coordinate as a constant Jet3."""
     def gov_components(gov, observe):
         closures = _reference_gov_components(gov, observe)
         return lambda c1, c2: tuple(f(c1, c2) for f in closures)
@@ -884,6 +938,7 @@ def _install_reference(mp):
     for module in (charts, vs):
         mp.setattr(module, "compose_maps", _two_pass_compose_maps)
     mp.setattr(vs, "_gov_components", gov_components)
+    mp.setattr(vs, "_held", constant)
 
 
 _EDGE = math.log(0.5)  # sector boundary u = -2 of the a = 1 mirror

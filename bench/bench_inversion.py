@@ -9,8 +9,9 @@ that every transition into it inverts numerically and differentiates
 through ``ChartMap._auto_dfn``.  The layers, from the bottom: one numeric
 ``invert``, ``_auto_dfn`` on a float, an order-3 seed and a nested
 first-order seed, ``expectation_stress`` on a sequence of distinct points,
-and one 10 x 10 ``check_conservation`` (whose rows of ten points share a
-c1 value); then ``ConformalChart.factor`` of the derived chart on nested
+a 40 x 40 ``expectation_stress_grid`` on a sequence of distinct windows
+(one inversion per c1 entry), and one 10 x 10 ``check_conservation``
+(whose rows of ten points share a c1 value); then ``ConformalChart.factor`` of the derived chart on nested
 first-order seeds, and a 10 x 10 ``check_conservation`` of each built-in
 scenario on its invariant-suite region.  Two point cases invert nothing
 numerically: ``expectation_stress`` of the built-in a = 1 mirror state on
@@ -21,6 +22,7 @@ commits by running this file against each commit's source.
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mirrorstress.charts import (
@@ -37,6 +39,7 @@ from mirrorstress.vacuum_stress import (
     VacuumSpec,
     check_conservation,
     expectation_stress,
+    expectation_stress_grid,
     theta_components,
 )
 
@@ -95,6 +98,18 @@ def _distinct_points():
     return itertools.cycle(
         Point(LOG_HALF + 0.05 + 0.04 * k, 1.0 + 0.02 * k, "rindler")
         for k in range(97))
+
+
+def test_expectation_stress_grid(benchmark):
+    # consecutive windows differ in every c1 entry, so every call inverts
+    # its own column, as a point inverts its own target
+    state = derived_state()
+    lo1, hi1, lo2, hi2 = REGION
+    windows = itertools.cycle(
+        (np.linspace(lo1 + 0.001 * k, hi1, 40), np.linspace(lo2, hi2, 40))
+        for k in range(97))
+    expectation_stress_grid(state, RIND, *next(windows))
+    benchmark(lambda: expectation_stress_grid(state, RIND, *next(windows)))
 
 
 def test_expectation_stress_closed_form(benchmark):

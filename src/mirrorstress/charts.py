@@ -93,6 +93,13 @@ def _try_float(fn, x):
         return None
 
 
+def _root_or_nan(m, target):
+    try:
+        return m.invert(target)
+    except NoRootError:
+        return math.nan
+
+
 def _probe_limit(fn, interval: Interval, end: float, from_inside: float,
                  trend: int):
     """Limiting value of fn approaching ``end`` from inside the interval,
@@ -325,14 +332,16 @@ class ChartMap:
         core of its argument and inverts that float once: the map keeps
         the last (target, root) pair, so repeated evaluations at one
         target, jet or float, share one root bit for bit.  An array is
-        inverted element by element."""
+        inverted element by element and kept as a float is; an entry with
+        no root in the domain is NaN, as out-of-domain array entries are
+        everywhere (callers mask them), where a float or jet raises."""
         if self.inverse_fn is not None:
             inv_fn = self.inverse_fn
         else:
             # the (target, root) cell, shared by inv_fn and inv_dfn: a
             # stress point evaluates a transition and its derivative at
-            # one float.  It is replaced by a single tuple
-            # assignment, so a thread reads a consistent pair or misses.
+            # one float, a grid at one array.  Replaced by a single tuple
+            # assignment, a thread reads a consistent pair or misses.
             cell = [(None, None)]
 
             def inv_fn(y, _self=self):
@@ -348,17 +357,20 @@ class ChartMap:
                     x0 = inv_fn(y.value)
                     return Jet1(x0, y.d1 / _self.dfn(x0))
                 if y.__class__ is float:
-                    target, root = cell[0]
-                    if target == y:
-                        return root
-                    root = _self.invert(y)
-                    cell[0] = (y, root)
-                    return root
-                if y.__class__ is np.ndarray:
-                    return np.array([_self.invert(t)
-                                     for t in y.ravel().tolist()],
-                                    dtype=float).reshape(y.shape)
-                return _self.invert(y)
+                    key = y
+                elif y.__class__ is np.ndarray:
+                    # keyed by value: a grid passes an axis through a
+                    # transition and its derivative as two equal arrays
+                    key = (y.shape, y.tobytes())
+                else:
+                    return _self.invert(y)
+                target, root = cell[0]
+                if target != key:
+                    root = _self.invert(y) if key is y else np.array(
+                        [_root_or_nan(_self, t) for t in y.ravel().tolist()]
+                    ).reshape(y.shape)
+                    cell[0] = (key, root)
+                return root
 
         def inv_dfn(y, _self=self, _inv=inv_fn):
             return 1.0 / _self.dfn(_inv(y))
@@ -615,8 +627,8 @@ def synthetic_curved_chart() -> ConformalChart:
 # ---------- registry ----------
 
 # Names resolve while something holds the chart: the built-ins below, or
-# the scenario a mirror-adapted chart was built for.  Holding entries
-# weakly keeps one chart per scenario ever built from accumulating.
+# the scenario a mirror-adapted chart was built for, whose state holds its
+# own transitions.  Weak entries keep dropped scenarios' charts out.
 _REGISTRY = weakref.WeakValueDictionary()
 
 

@@ -46,6 +46,7 @@ from .charts import (
     ConformalChart,
     CoverageError,
     Interval,
+    NoRootError,
     Point,
     compose_maps,
     convert_point,
@@ -129,7 +130,13 @@ class VacuumSpec:
     ``reflected_u_range`` if one is declared; for a full-line state it is
     the only one.  A mirror state then has the ambient chart over each
     non-empty piece of its u range outside that interval.  The intervals
-    are open and disjoint, so the rays between them lie in none.
+    are open and disjoint, so the rays between them lie in none.  Every
+    component, T_22 too, comes from the chart of the sector holding a
+    point's base u: left-movers keep their labels, so both charts of a
+    mirror state give the same T_22, and every evaluation stays inside
+    chart coverage.  ``transitions(gov, observe, side)``, the map from
+    observe to ``gov`` coordinates, is built once per state and lives as
+    long as the state does.
     """
 
     chart: ConformalChart
@@ -162,6 +169,10 @@ class VacuumSpec:
             table += [(amb, Interval(rng.lo, min(rng.hi, own.lo))),
                       (amb, Interval(max(rng.lo, own.hi), rng.hi))]
         return [(gov, rng) for gov, rng in table if not rng.empty]
+
+    @functools.cached_property
+    def transitions(self):
+        return functools.cache(_transition_map)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,7 +301,6 @@ def _mixed_log_derivative(chart: ConformalChart, cu, cv):
     return jlog(chart.factor(a1, a2)).d1.d1
 
 
-@functools.lru_cache(maxsize=64)
 def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
                     side: str) -> ChartMap:
     """State-chart null coordinate as a function of the observe one."""
@@ -302,13 +312,14 @@ def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
                         label=f"{state_chart.name}.{side}({observe.name})")
 
 
-def _gov_components(gov: ConformalChart, observe: ConformalChart):
+def _gov_components(state: VacuumSpec, gov: ConformalChart,
+                    observe: ConformalChart):
     """(t11, t22, t12) of the ``gov``-chart vacuum, expressed in observe
     coordinates, as one jet-generic function of (c1, c2) returning all
-    three.  It evaluates the transitions into ``gov`` coordinates and
-    their Jacobians once for the three components."""
-    m_u = _transition_map(gov, observe, "u")
-    m_v = _transition_map(gov, observe, "v")
+    three.  It evaluates the state's transitions into ``gov`` coordinates
+    and their Jacobians once for the three components."""
+    m_u = state.transitions(gov, observe, "u")
+    m_v = state.transitions(gov, observe, "v")
 
     def evaluate(c1, c2):
         xi, eta, ju, jv = m_u(c1), m_v(c2), m_u.dfn(c1), m_v.dfn(c2)
@@ -319,36 +330,10 @@ def _gov_components(gov: ConformalChart, observe: ConformalChart):
     return evaluate
 
 
-# ---------- mirror sectors ----------
-
-def _sectors(state: VacuumSpec, u):
-    """(governing chart, selector) pairs for base u, one per entry of
-    ``state.sectors``.
-
-    A selector is a bool for a float u, or a bool array for an array u,
-    and is true exactly where its sector holds u.  Every component, T_22
-    too, comes from the u-sector's chart: left-movers keep their labels,
-    so both charts of a mirror state give the same T_22, and this keeps
-    every evaluation inside chart coverage.
-    """
-    return [(gov, rng.contains(u)) for gov, rng in state.sectors]
-
-
 # ---------- per-point status ----------
 
 def _finite(x):
     return abs(x) < math.inf  # False for inf and NaN alike
-
-
-def _transitions_ok(gov: ConformalChart, observe: ConformalChart,
-                    c1, c2, u, v):
-    """Points inside the domains of the maps from observe to ``gov``
-    coordinates and of ``gov``'s factor."""
-    ok = (_transition_map(gov, observe, "u").domain.contains(c1)
-          & _transition_map(gov, observe, "v").domain.contains(c2))
-    if gov.base_domain is not None:
-        ok = ok & gov.base_domain(u, v)
-    return ok
 
 
 def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
@@ -373,9 +358,16 @@ def _point_checks(state: VacuumSpec, observe: ConformalChart, c1, c2):
     for _, rng in state.sectors:
         if rng.lo in ends:
             yield SECTOR_RAY, u != rng.lo
+    # inside a sector, the domains of the transitions into its chart and
+    # the domain of that chart's factor
     ok = False
-    for gov, sel in _sectors(state, u):
-        ok = ok | (sel & _transitions_ok(gov, observe, c1, c2, u, v))
+    for gov, rng in state.sectors:
+        ok_u = state.transitions(gov, observe, "u").domain.contains(c1)
+        ok_v = state.transitions(gov, observe, "v").domain.contains(c2)
+        sel = rng.contains(u) & ok_u & ok_v
+        if gov.base_domain is not None:
+            sel = sel & gov.base_domain(u, v)
+        ok = ok | sel
     yield COVERAGE, ok
     return u
 
@@ -425,15 +417,17 @@ def _point_values(state: VacuumSpec, observe: ConformalChart, q: Point,
                 status = code
     except StopIteration as passed:
         # every check passed, so one sector holds the base u they return
-        gov = next(gov for gov, sel in _sectors(state, passed.value) if sel)
+        gov = next(gov for gov, rng in state.sectors
+                   if rng.contains(passed.value))
     except (ArithmeticError, JetDomainError):
         status = FLOAT_RANGE
     if status == OK:
         try:
             out = [lead_value(t) for t in values(gov)]
-        except (ArithmeticError, JetDomainError, CoverageError):
-            # inside the checked coverage, a factor that underflows to 0
-            # or a map value that overflows is a float-range failure
+        except (ArithmeticError, JetDomainError, CoverageError, NoRootError):
+            # inside the checked coverage, a factor that underflows to 0,
+            # a map value that overflows or a root that rounds onto the
+            # end of its domain is a float-range failure
             out = [math.nan]
         if not all(map(_finite, out)):
             status = FLOAT_RANGE
@@ -483,7 +477,7 @@ def expectation_stress(state: VacuumSpec, observe_chart, p: Point
     q = p if p.chart == observe.name else convert_point(p, observe)
     t11, t22, t12 = _point_values(
         state, observe, q,
-        lambda gov: _gov_components(gov, observe)(q.c1, q.c2))
+        lambda gov: _gov_components(state, gov, observe)(q.c1, q.c2))
     return StressSample(t11, t22, t12, observe.name, state.label, q)
 
 
@@ -496,8 +490,7 @@ def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
     row of c2 values, so work on a single coordinate is done once per
     grid line, once per mirror sector (a sector is a set of c1 rows).
     Points that :func:`expectation_stress` rejects get their status code
-    instead of an error.  The transition maps between observe and state
-    charts must have closed-form inverses.
+    instead of an error.  A numeric inverse inverts each axis entry once.
     """
     observe = get_chart(observe_chart)
     c1 = np.asarray(c1, dtype=float)
@@ -505,19 +498,13 @@ def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
     col, row = c1[:, None], c2[None, :]
     with np.errstate(all="ignore"):
         # the governing chart of a point depends on its c1 alone
-        sectors = _sectors(state, observe.u_map.fn(c1))
-        for gov, _ in sectors:
-            if gov.name != observe.name and (
-                    gov.u_map.inverse_fn is None
-                    or gov.v_map.inverse_fn is None):
-                raise StateError(
-                    f"grid evaluation needs closed-form inverse maps; "
-                    f"chart '{gov.name}' inverts numerically")
+        u = observe.u_map.fn(c1)
         status = _grid_status(state, observe, c1, c2)
         values = np.full((3, len(c1), len(c2)), np.nan)
-        for gov, rows in sectors:
+        for gov, rng in state.sectors:
+            rows = rng.contains(u)
             if rows.any():
-                comps = _gov_components(gov, observe)(col[rows], row)
+                comps = _gov_components(state, gov, observe)(col[rows], row)
                 for k, t in enumerate(comps):
                     values[k, rows] = t
         status[(status == OK) & ~_finite(values).all(axis=0)] = FLOAT_RANGE
@@ -649,16 +636,16 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
     with np.errstate(all="ignore"):
         status = _grid_status(state, observe, np.array(xs), np.array(ys))
         # the governing chart of a point depends on its c1 alone
-        sectors = _sectors(state, observe.u_map.fn(np.array(xs)))
+        u = observe.u_map.fn(np.array(xs))
     bad = np.flatnonzero(status)
     if bad.size:
         i, j = divmod(int(bad[0]), n)
         raise _point_error(int(status[i, j]), state.label, observe,
                            Point(xs[i], ys[j], observe.name))
     max_u = max_v = 0.0
-    for gov, rows in sectors:
-        components = _gov_components(gov, observe)
-        for i in np.flatnonzero(rows).tolist():
+    for gov, rng in state.sectors:
+        components = _gov_components(state, gov, observe)
+        for i in np.flatnonzero(rng.contains(u)).tolist():
             a1 = Jet1(Jet1(xs[i], 1.0), 0.0)   # inner jet in c1
             for y in ys:
                 a2 = Jet1(Jet1(y, 0.0), 1.0)   # outer jet in c2

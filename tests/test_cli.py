@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -219,7 +220,9 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    cli._make_parser.cache_clear()
+    # a fresh memo, so that the first run below builds the parser
+    monkeypatch.setattr(cli, "_make_parser",
+                        functools.cache(cli._make_parser.__wrapped__))
 
     def run(out):
         return run_cli("run", "--scenario", "rindler_vacuum",

@@ -1,10 +1,16 @@
 """Named scenarios against their registered closed forms."""
 
+import gc
 import math
 
 import pytest
 
-from mirrorstress.charts import Point, convert_point, get_chart
+from mirrorstress.charts import (
+    Point,
+    convert_point,
+    get_chart,
+    registered_charts,
+)
 from mirrorstress.scenarios import (
     SCENARIO_NAMES,
     OracleUnavailableError,
@@ -71,6 +77,21 @@ def test_hatted_charts_of_close_parameters_stay_distinct(name):
     after = convert_point(p, MINK)
     assert abs(after.c1 - before.c1) < 1e-10
     assert abs(after.c2 - before.c2) < 1e-10
+
+
+def test_hatted_chart_of_a_dropped_scenario_stops_resolving():
+    # the transitions an evaluation builds live on its state, so they do
+    # not keep the scenario's mirror-adapted chart registered
+    sc = build_scenario("mirror_in_rindler_vacuum", {"a": 3.7})
+    name = sc.state.chart.name
+    expectation_stress(sc.state, get_chart("rindler"),
+                       Point(1.0, 2.0, "rindler"))
+    assert name in registered_charts()
+    del sc
+    gc.collect()
+    assert name not in registered_charts()
+    with pytest.raises(ValueError, match="unknown chart"):
+        get_chart(name)
 
 
 def test_unknown_name():

@@ -32,6 +32,8 @@ from mirrorstress.vacuum_stress import (
     to_orthonormal_frame,
 )
 
+from test_vacuum_stress import _derived_mirror_state
+
 _EDGE = math.log(0.5)  # sector boundary u = -2 of the a = 1 mirror
 
 # (scenario, a, chart, c1 window, c2 window, has singular points)
@@ -119,6 +121,39 @@ def test_grid_matches_point_evaluation(scenario, a, chart_name, w1, w2,
     flagged = _assert_grid_matches_points(
         sc.state, chart, np.linspace(*w1, 9), np.linspace(*w2, 8), frame)
     assert (flagged > 0) == singular
+
+
+# windows of the a = 1 mirror state on the derived chart, which inverts
+# numerically: (observe chart, c1 window, c2 window), "own" being that
+# chart.  Each reaches the mirror, the sector ray or a coverage edge
+DERIVED_WINDOWS = [
+    ("rindler", (_EDGE - 1.0, _EDGE + 3.0), (-1.0, 3.0)),
+    ("minkowski", (-3.0, -1.0), (0.0, 7.0)),
+    ("minkowski", (-4.0, 2.0), (1.0, 6.0)),
+    ("own", (-1.0, 1.0), (-0.5, 3.0)),
+]
+
+# FOUND (CHANGES.md, charts as values): a sample on an unregistered chart
+# names a chart the registry cannot resolve, so its orthonormal frame
+# raises a bare ValueError
+_UNREGISTERED = pytest.mark.xfail(
+    strict=True, raises=ValueError,
+    reason="FOUND: to_orthonormal_frame looks up an unregistered chart "
+           "by name")
+
+
+@pytest.mark.parametrize("chart_name,w1,w2,frame", [
+    *((*w, frame) for w in DERIVED_WINDOWS[:3]
+      for frame in ("null", "orthonormal")),
+    (*DERIVED_WINDOWS[3], "null"),
+    pytest.param(*DERIVED_WINDOWS[3], "orthonormal", marks=_UNREGISTERED),
+])
+def test_grid_of_numerically_inverted_chart_matches_points(
+        chart_name, w1, w2, frame):
+    state = _derived_mirror_state()
+    chart = state.chart if chart_name == "own" else get_chart(chart_name)
+    assert _assert_grid_matches_points(
+        state, chart, np.linspace(*w1, 9), np.linspace(*w2, 8), frame) > 0
 
 
 def test_grid_on_curved_chart_matches_points():

@@ -478,7 +478,8 @@ def test_component_functions_accept_jets():
     # of the governing chart
     sc = build_scenario("mirror_in_rindler_vacuum", {"a": 1.0})
     u, v = -1.2, 2.5
-    components = vs._gov_components(governing_chart(sc.state, MINK, u), MINK)
+    components = vs._gov_components(
+        sc.state, governing_chart(sc.state, MINK, u), MINK)
     t11, _, _ = components(Jet1(Jet1(u, 1.0), 0.0), Jet1(Jet1(v, 0.0), 1.0))
     # value matches the closed form; du derivative matches its analytic
     # derivative; dv derivative vanishes (outgoing sector)
@@ -806,7 +807,7 @@ def test_derived_chart_component_jets_match_hatted_state():
     lo = math.log(0.5)
     for c1, c2 in ((lo + 0.05, 1.0), (lo + 1.3, 2.2), (lo + 3.9, 3.0)):
         a1, a2 = Jet1(Jet1(c1, 1.0), 0.0), Jet1(Jet1(c2, 0.0), 1.0)
-        pairs = zip(*(vs._gov_components(governing_chart(st, RIND, c1),
+        pairs = zip(*(vs._gov_components(st, governing_chart(st, RIND, c1),
                                          RIND)(a1, a2)
                       for st in (derived, hatted)))
         for got, want in pairs:
@@ -859,6 +860,39 @@ def test_point_evaluation_inverts_each_target_once(monkeypatch):
     assert targets == [-math.exp(-0.3), -math.exp(-1.1)]
 
 
+def test_grid_evaluation_inverts_each_axis_entry_once(monkeypatch):
+    # a grid of the derived state inverts its c1 column once, shared by
+    # the u transition's value and derivative, not once per point
+    state = _derived_mirror_state()
+    c1 = np.linspace(_EDGE + 0.1, _EDGE + 3.0, 5)
+    c2 = np.linspace(1.0, 3.0, 4)
+    expectation_stress_grid(state, RIND, c1[:1], c2[:1])  # builds the maps
+    targets = []
+    invert = ChartMap.invert
+
+    def counting(m, target):
+        if m.inverse_fn is None:
+            targets.append(target)
+        return invert(m, target)
+
+    monkeypatch.setattr(ChartMap, "invert", counting)
+    grid = expectation_stress_grid(state, RIND, c1, c2)
+    assert (grid.status == 0).all()
+    assert targets == (-np.exp(-c1)).tolist()
+
+
+def test_root_on_the_domain_end_is_a_float_range_failure():
+    # base u = -1e-17 lies inside the derived chart's u range (-2, 0), but
+    # its root log(2 - 1e-17) rounds onto the domain end log 2, so no
+    # double inside the domain inverts it: the point raises the
+    # float-range error, not NoRootError, and the grid flags float range
+    state = _derived_mirror_state()
+    with pytest.raises(CoverageError, match="double-precision range"):
+        expectation_stress(state, MINK, Point(-1e-17, 5.0, "minkowski"))
+    grid = expectation_stress_grid(state, MINK, [-1e-17, -0.5], [5.0])
+    assert grid.status.tolist() == [[vs.FLOAT_RANGE], [vs.OK]]
+
+
 def test_point_evaluation_differentiates_the_derived_map_once_per_kind():
     # at the root xi of the u transition: one pass on the float, shared by
     # the transition's Jacobian and the factor of T_22 at xi held
@@ -878,7 +912,7 @@ def test_point_evaluation_differentiates_the_derived_map_once_per_kind():
     state = VacuumSpec(chart, "dirichlet_half_line",
                        label="mirror_in_rindler_vacuum", ambient_chart=RIND,
                        region_predicate=lambda u, v: v - u > 2.0)
-    m_u = vs._transition_map(chart, RIND, "u")
+    m_u = state.transitions(chart, RIND, "u")
     for c1 in (-0.4, 0.3, 1.1):
         passes.clear()
         expectation_stress(state, RIND, Point(c1, 2.5, "rindler"))
@@ -891,12 +925,12 @@ def test_point_evaluation_differentiates_the_derived_map_once_per_kind():
 
 # ---------- parity with per-component evaluation ----------
 
-def _reference_gov_components(gov, observe):
+def _reference_gov_components(state, gov, observe):
     """(t11, t22, t12) as three closures, each evaluating its own
     transitions and Jacobians: the evaluation the single evaluator
     replaced, kept as its reference."""
-    m_u = vs._transition_map(gov, observe, "u")
-    m_v = vs._transition_map(gov, observe, "v")
+    m_u = state.transitions(gov, observe, "u")
+    m_v = state.transitions(gov, observe, "v")
 
     def t11(c1, c2):
         xi, eta, jac = m_u(c1), m_v(c2), m_u.dfn(c1)
@@ -931,8 +965,8 @@ def _two_pass_compose_maps(outer, inner, label=None):
 def _install_reference(mp):
     """Route the stress engine through the reference evaluation, which
     also holds a float coordinate as a constant Jet3."""
-    def gov_components(gov, observe):
-        closures = _reference_gov_components(gov, observe)
+    def gov_components(state, gov, observe):
+        closures = _reference_gov_components(state, gov, observe)
         return lambda c1, c2: tuple(f(c1, c2) for f in closures)
 
     for module in (charts, vs):
@@ -1003,8 +1037,8 @@ def _parity_outputs(name, chart_name, box):
         out.append(g)
     out.append(_outcome(check_conservation, state, chart, box, 4))
     for x, y in ((lo1, lo2), (0.5 * (lo1 + hi1), hi2)):
-        components = vs._gov_components(governing_chart(state, chart, x),
-                                        chart)
+        components = vs._gov_components(
+            state, governing_chart(state, chart, x), chart)
         for args in ((x, y), (Jet1(Jet1(x, 1.0), 0.0),
                               Jet1(Jet1(y, 0.0), 1.0))):
             out += [leaves(t) for t in components(*args)]
@@ -1014,15 +1048,12 @@ def _parity_outputs(name, chart_name, box):
 @pytest.mark.parametrize("name,chart_name,box", PARITY_CASES)
 def test_single_pass_evaluation_matches_reference_bit_for_bit(
         monkeypatch, name, chart_name, box):
-    # the transition maps are cached per chart pair: each side builds its
-    # own, the reference's with two-pass composite derivatives
-    vs._transition_map.cache_clear()
+    # the transition maps are cached per state: each side builds fresh
+    # states, so the reference's have two-pass composite derivatives
     got = _parity_outputs(name, chart_name, box)
     with monkeypatch.context() as mp:
         _install_reference(mp)
-        vs._transition_map.cache_clear()
         want = _parity_outputs(name, chart_name, box)
-    vs._transition_map.cache_clear()
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w

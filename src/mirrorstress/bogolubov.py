@@ -774,6 +774,15 @@ def _pair_row(stack, stack_geometry, g, t, tol):
     return values, errors, truncs, n_evals
 
 
+def _check_surface(t: float, tol: float):
+    """ValueError unless the surface time t is finite and the tolerance
+    tol finite and positive: an infinite or NaN t empties every window,
+    and a NaN tol stops every refinement at once."""
+    if not (abs(t) < math.inf and 0.0 < tol < math.inf):
+        raise ValueError(f"need a finite surface time t and a finite "
+                         f"positive tol, got t={t!r}, tol={tol!r}")
+
+
 def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
                      full_output: bool = False):
     """i Int (m1* d_t m2 - d_t m1* m2) dx over a t = const base surface.
@@ -785,8 +794,10 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
     and its conjugate are paired with mode2 on one adaptive grid, so the
     value is bit for bit that of the matrix entry, and a conjugate packet
     ``_Conjugate(f)`` reproduces its beta entry (up to sign).
-    ValueError where a Dirichlet mode's surface t misses its chart.
+    ValueError unless t is finite and tol finite and positive, or where a
+    Dirichlet mode's surface t misses its chart.
     """
+    _check_surface(t, tol)
     values, errors, truncs, n_evals = _pair_row(
         mode1, mode1.geometry(t), mode2, t, tol)
     report = QuadReport(complex(values[0, 0]), float(errors[0, 0]),
@@ -842,8 +853,10 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
     its own window and adaptive grid, on which f_k and f_k* are paired
     together, and each refinement wave evaluates the row packet g_i and
     the stack of all columns once for the new nodes of every open entry,
-    in blocks of bounded size.  ValueError where the surface t misses the
-    chart of a Dirichlet basis."""
+    in blocks of bounded size.  ValueError unless t is finite and tol
+    finite and positive, or where the surface t misses the chart of a
+    Dirichlet basis."""
+    _check_surface(t, tol)
     stack = basis_a._packet(basis_a.frequencies)
     geometry = stack.geometry(t)
     packets_b = basis_b.packets()

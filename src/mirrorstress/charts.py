@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .jets import Jet1, Jet3, compose, constant, jexp, jlog, lead_value, seed
+from .jets import (Jet1, Jet3, JetDomainError, compose, constant, jexp, jlog,
+                   lead_value, seed)
 
 __all__ = [
     "Interval",
@@ -96,7 +97,7 @@ def _try_float(fn, x):
 def _root_or_nan(m, target):
     try:
         return m.invert(target)
-    except NoRootError:
+    except (NoRootError, CoverageError):
         return math.nan
 
 
@@ -229,13 +230,25 @@ class ChartMap:
         while an end value is infinite or an end is kept a third time.
         Where fn is so steep that no double meets the bound, the bracket
         closes on two neighbouring doubles, and of those the one nearer
-        the target in value is the root."""
+        the target in value is the root.  NoRootError for a target outside
+        the range; CoverageError where the root leaves the double-precision
+        range: a closed form's on the way or in its value, or a root past
+        the last double before a domain end."""
         rng = self.range
         if not rng.contains(target):
             raise NoRootError(
                 f"{self.label}: target {target} outside range {rng}")
         if self.inverse_fn is not None:
-            return lead_value(self.inverse_fn(target))
+            # a closed form can overflow where its argument is in range,
+            # in its value or on the way to it
+            try:
+                x = lead_value(self.inverse_fn(target))
+            except (ArithmeticError, JetDomainError):
+                x = math.nan
+            if not abs(x) < math.inf:
+                raise CoverageError(f"{self.label}: root of {target} "
+                                    f"leaves the double-precision range")
+            return x
         x0 = self._interior_point()
         a, fa, b, fb = self._bracket(target, x0)
         # an end that is the root is checked too, as the float next to a
@@ -285,7 +298,8 @@ class ChartMap:
         """(a, fa, b, fb): a bracket grown from x0, and fn - target there.
         The growth keeps a gap of up to 1e-12 to a finite domain end; once
         an end stops there, the float next to that domain end is tried,
-        for a root inside the gap."""
+        for a root inside the gap, and CoverageError where fn approaches
+        the target past it, between the last double and the domain end."""
         lo, hi = self.domain.lo, self.domain.hi
         step = 1.0
 
@@ -300,6 +314,13 @@ class ChartMap:
         fa = fb = self._value(x0, x0) - target
         a_stopped = b_stopped = False
         message = f"{self.label}: bracketing failed for {target}"
+
+        def past(end):
+            return CoverageError(
+                f"{self.label}: root of {target} lies past the last double "
+                f"before the domain end {end}, outside the double-precision "
+                f"range")
+
         for _ in range(300):
             if fa == 0.0 or fb == 0.0 or fa * fb < 0.0:
                 return a, fa, b, fb
@@ -312,6 +333,8 @@ class ChartMap:
                 fx = self._value(x, x0) - target
                 if x < a and (fx == 0.0 or fx * fa < 0.0):
                     return x, fx, a, fa
+                if fx * fa > 0.0 and abs(fx) < abs(fa):
+                    raise past(lo)
             if nb > b:
                 b, fb = nb, self._value(nb, x0) - target
             elif not b_stopped:
@@ -320,6 +343,8 @@ class ChartMap:
                 fx = self._value(x, x0) - target
                 if x > b and (fx == 0.0 or fx * fb < 0.0):
                     return b, fb, x, fx
+                if fx * fb > 0.0 and abs(fx) < abs(fb):
+                    raise past(hi)
             step *= 2.0
             if a_stopped and b_stopped and fa * fb > 0.0:
                 message = f"{self.label}: could not bracket target {target}"
@@ -562,6 +587,24 @@ class ConformalChart:
                     f"(horizon at the boundary)")
         return self.u_map.invert(u), self.v_map.invert(v)
 
+    def convert(self, c1: float, c2: float, to: "ConformalChart") -> Point:
+        """The point (c1, c2) of this chart in chart ``to``, passing
+        through base coordinates.  CoverageError where the point lies
+        outside either chart's coverage or its coordinates leave the
+        double-precision range on the way; a point kept in its own chart
+        must lie in that chart's domain."""
+        if self.name == to.name:
+            self.u_map._check_domain(c1)
+            self.v_map._check_domain(c2)
+            return Point(c1, c2, to.name)
+        try:
+            return Point(*to.from_base(*self.to_base(c1, c2)), to.name)
+        except ArithmeticError:
+            raise CoverageError(
+                f"point ({c1}, {c2}) of chart '{self.name}' leaves the "
+                f"double-precision range on the way to chart '{to.name}'"
+            ) from None
+
     def __repr__(self):
         return f"ConformalChart({self.name!r})"
 
@@ -638,9 +681,8 @@ def register_chart(chart: ConformalChart) -> ConformalChart:
     return chart
 
 
-def get_chart(name) -> ConformalChart:
-    if isinstance(name, ConformalChart):
-        return name
+def get_chart(name: str) -> ConformalChart:
+    """The registered chart of this name; ValueError if there is none."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -658,25 +700,5 @@ _BUILTINS = tuple(register_chart(c) for c in (
 
 
 def convert_point(p: Point, to: ConformalChart) -> Point:
-    """Express a point in another chart, passing through base coordinates.
-    CoverageError where the point lies outside either chart's coverage or
-    its coordinates leave the double-precision range on the way; a point
-    kept in its own chart must lie in that chart's domain."""
-    to = get_chart(to)
-    src = get_chart(p.chart)
-    if src.name == to.name:
-        src.u_map._check_domain(p.c1)
-        src.v_map._check_domain(p.c2)
-        return Point(p.c1, p.c2, to.name)
-    try:
-        u, v = src.to_base(p.c1, p.c2)
-        c1, c2 = to.from_base(u, v)
-        # a closed-form inverse can overflow where its argument is in range
-        finite = abs(c1) < math.inf and abs(c2) < math.inf
-    except ArithmeticError:
-        finite = False
-    if not finite:
-        raise CoverageError(
-            f"point ({p.c1}, {p.c2}) of chart '{src.name}' leaves the "
-            f"double-precision range on the way to chart '{to.name}'")
-    return Point(c1, c2, to.name)
+    """``convert`` of p from the registered chart that ``p.chart`` names."""
+    return get_chart(p.chart).convert(p.c1, p.c2, to)

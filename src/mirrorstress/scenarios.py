@@ -228,4 +228,4 @@ def closed_form_reference(s: Scenario, p: Point) -> StressSample:
         raise OracleUnavailableError(
             f"scenario '{s.name}' has no closed form in chart '{p.chart}'")
     t11, t22, t12 = form(p.c1, p.c2)
-    return StressSample(t11, t22, t12, p.chart, s.state.label, p)
+    return StressSample(t11, t22, t12, get_chart(p.chart), s.state.label, p)

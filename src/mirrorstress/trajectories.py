@@ -22,9 +22,9 @@ from .charts import (
     Interval,
     MonotonicityError,
     compose_maps,
-    get_chart,
+    minkowski_chart,
 )
-from .jets import jasinh, jcosh, jexp, lead_value
+from .jets import JetDomainError, jasinh, jcosh, jexp, lead_value
 
 __all__ = [
     "Trajectory",
@@ -42,22 +42,28 @@ __all__ = [
 class Trajectory:
     """Worldline as monotone null-coordinate functions of a parameter.
 
-    ``U`` and ``V`` give the chart's null coordinates along the worldline;
-    ``chart`` names the chart they are expressed in.
+    ``U`` and ``V`` give the null coordinates along the worldline of
+    ``chart``, the chart they are expressed in.
     """
 
     U: ChartMap
     V: ChartMap
     domain: Interval
     label: str
-    chart: str = "minkowski"
+    chart: ConformalChart
 
     def position(self, lam: float):
-        """(U, V) at parameter value lam."""
+        """(U, V) at parameter value lam, as finite floats; CoverageError
+        outside the domain or where a map leaves the double-precision
+        range, an intermediate value included."""
         if not self.domain.contains(lam):
             raise CoverageError(
                 f"{self.label}: parameter {lam} outside domain {self.domain}")
-        return lead_value(self.U(lam)), lead_value(self.V(lam))
+        try:
+            return lead_value(self.U(lam)), lead_value(self.V(lam))
+        except (ArithmeticError, JetDomainError):
+            raise CoverageError(f"{self.label}: position at {lam} leaves "
+                                f"the double-precision range") from None
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,7 @@ def stationary_mirror(z0: float) -> Trajectory:
                    label="V", range_hint=full),
         domain=Interval(),
         label=f"stationary:z0={z0:g}",
+        chart=minkowski_chart(),
     )
 
 
@@ -135,26 +142,24 @@ def uniformly_accelerated_mirror(a: float) -> Trajectory:
                    range_hint=Interval(0.0, math.inf)),
         domain=Interval(),
         label=f"hyperbola:a={a:g}",
+        chart=minkowski_chart(),
     )
 
 
 # ---------- chart conversion ----------
 
 def to_chart(traj: Trajectory, chart: ConformalChart) -> Trajectory:
-    """Express the worldline in another chart, clipping the parameter
-    domain to the stretch the chart covers."""
-    chart = get_chart(chart)
-    src = get_chart(traj.chart)
-    if src.name == chart.name:
+    """Express the worldline in ``chart``, clipping the parameter domain
+    to the stretch the chart covers."""
+    if traj.chart.name == chart.name:
         return traj
 
     def through_base(m_src: ChartMap, m_dst: ChartMap, comp: ChartMap):
-        base = comp if src.name == "minkowski" else compose_maps(m_src, comp)
-        return compose_maps(m_dst.inverse_map(), base)
+        return compose_maps(m_dst.inverse_map(), compose_maps(m_src, comp))
 
     try:
-        new_u = through_base(src.u_map, chart.u_map, traj.U)
-        new_v = through_base(src.v_map, chart.v_map, traj.V)
+        new_u = through_base(traj.chart.u_map, chart.u_map, traj.U)
+        new_v = through_base(traj.chart.v_map, chart.v_map, traj.V)
     except CoverageError:
         raise CoverageError(
             f"{traj.label}: never enters coverage of chart '{chart.name}'")
@@ -163,7 +168,7 @@ def to_chart(traj: Trajectory, chart: ConformalChart) -> Trajectory:
         raise CoverageError(
             f"{traj.label}: never enters coverage of chart '{chart.name}'")
     return Trajectory(U=new_u, V=new_v, domain=domain, label=traj.label,
-                      chart=chart.name)
+                      chart=chart)
 
 
 # ---------- asymptotes ----------
@@ -197,7 +202,7 @@ def reflection_map(traj: Trajectory) -> ReflectionMap:
     _check_increasing(traj.U, traj.domain)
     return ReflectionMap(p=compose_maps(
         traj.V, traj.U.inverse_map(),
-        label=f"reflection[{traj.label}]@{traj.chart}"))
+        label=f"reflection[{traj.label}]@{traj.chart.name}"))
 
 
 def _check_increasing(m: ChartMap, domain: Interval):

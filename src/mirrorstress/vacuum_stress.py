@@ -50,7 +50,6 @@ from .charts import (
     Point,
     compose_maps,
     convert_point,
-    get_chart,
     identity_map,
 )
 from .jets import Jet1, Jet3, JetDomainError, constant, jlog, lead_value, seed
@@ -177,12 +176,14 @@ class VacuumSpec:
 
 @dataclass(frozen=True, slots=True)
 class StressSample:
-    """Null stress components at a point, in a chart, for a state."""
+    """Null stress components at a point, in a chart, for a state; the
+    chart object is held, so a sample of an unregistered chart converts
+    and transforms like any other."""
 
     t_uu: float
     t_vv: float
     t_uv: float
-    chart: str
+    chart: ConformalChart
     state: str
     point: Point
 
@@ -446,15 +447,14 @@ def theta_components(state: VacuumSpec, p: Point) -> StressSample:
                               state.chart, p)
 
 
-def transform_stress(s: StressSample, to_chart) -> StressSample:
-    """Rank-2 tensor transformation of the null components.  Raises
-    CoverageError where the point is outside the target chart's coverage
-    or the components leave the double-precision range."""
-    target = get_chart(to_chart)
-    if target.name == s.chart:
+def transform_stress(s: StressSample, target: ConformalChart) -> StressSample:
+    """Rank-2 tensor transformation of the null components from the
+    sample's chart to ``target``; CoverageError where the point is outside
+    its coverage or the components leave the double-precision range."""
+    src = s.chart
+    if target.name == src.name:
         return s
-    src = get_chart(s.chart)
-    q = convert_point(s.point, target)
+    q = src.convert(s.point.c1, s.point.c2, target)
     try:
         du_s = src.u_map.deriv(s.point.c1)
         dv_s = src.v_map.deriv(s.point.c2)
@@ -466,23 +466,22 @@ def transform_stress(s: StressSample, to_chart) -> StressSample:
         t = (math.nan,)
     if not all(map(_finite, t)):
         raise _point_error(FLOAT_RANGE, s.state, target, q)
-    return StressSample(*t, target.name, s.state, q)
+    return StressSample(*t, target, s.state, q)
 
 
-def expectation_stress(state: VacuumSpec, observe_chart, p: Point
+def expectation_stress(state: VacuumSpec, observe: ConformalChart, p: Point
                        ) -> StressSample:
     """Renormalized stress of the state, expressed in the observation
     chart, with mirror-sector stitching where applicable."""
-    observe = get_chart(observe_chart)
     q = p if p.chart == observe.name else convert_point(p, observe)
     t11, t22, t12 = _point_values(
         state, observe, q,
         lambda gov: _gov_components(state, gov, observe)(q.c1, q.c2))
-    return StressSample(t11, t22, t12, observe.name, state.label, q)
+    return StressSample(t11, t22, t12, observe, state.label, q)
 
 
-def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
-                            ) -> StressGrid:
+def expectation_stress_grid(state: VacuumSpec, observe: ConformalChart,
+                            c1, c2) -> StressGrid:
     """:func:`expectation_stress` on every point of the grid c1 x c2.
 
     ``c1`` and ``c2`` are 1-d arrays of observe-chart coordinates.  The
@@ -492,7 +491,6 @@ def expectation_stress_grid(state: VacuumSpec, observe_chart, c1, c2
     Points that :func:`expectation_stress` rejects get their status code
     instead of an error.  A numeric inverse inverts each axis entry once.
     """
-    observe = get_chart(observe_chart)
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     col, row = c1[:, None], c2[None, :]
@@ -524,14 +522,13 @@ def to_orthonormal_frame(s: StressSample) -> OrthonormalStress:
     """Mixed components in the frame aligned with the sample's chart:
     energy density T^t_t, pressure T^x_x, flux T^t_x.  Raises
     CoverageError where they leave the double-precision range."""
-    chart = get_chart(s.chart)
     try:
-        c = chart.conformal_factor(s.point.c1, s.point.c2)
+        c = s.chart.conformal_factor(s.point.c1, s.point.c2)
     except ArithmeticError:
         c = math.nan  # the factor overflows: no component is finite
     o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
     if not (_finite(o[0]) and _finite(o[1]) and _finite(o[2])):
-        raise _point_error(FLOAT_RANGE, s.state, chart, s.point)
+        raise _point_error(FLOAT_RANGE, s.state, s.chart, s.point)
     return OrthonormalStress(*o)
 
 
@@ -597,7 +594,7 @@ def _axes(state: VacuumSpec, observe: ConformalChart):
     return axes
 
 
-def check_conservation(state: VacuumSpec, observe_chart, region,
+def check_conservation(state: VacuumSpec, observe: ConformalChart, region,
                        n: int) -> ConservationReport:
     """Max residual of the null conservation equations on an n-by-n grid.
 
@@ -614,7 +611,6 @@ def check_conservation(state: VacuumSpec, observe_chart, region,
       SingularRayError or CoverageError), for the first such point in
       row-major order.
     """
-    observe = get_chart(observe_chart)
     c1_lo, c1_hi, c2_lo, c2_hi = region
     if not (n >= 1 and -math.inf < c1_lo < c1_hi < math.inf
             and -math.inf < c2_lo < c2_hi < math.inf):

@@ -1,9 +1,14 @@
 """The scalar stress entry points return finite values or raise one of the
-documented errors, on every scenario x chart pair.
+documented errors, on every scenario x chart pair and on a mirror state
+whose chart is in no registry.
 
 The entry points are ``expectation_stress``, ``theta_components``,
 ``anomaly_check``, ``to_orthonormal_frame``, ``transform_stress`` and
-``convert_point``.  Coordinates are drawn from O(1) values, from
+``convert_point``.  So do ``Trajectory.position``, of both built-in
+mirrors and of each carried into a chart by ``to_chart``, and
+``ChartMap.invert`` on a float, which raises NoRootError outside the
+map's range; the maps inverted are the mirrors' reflection maps and a
+map that inverts numerically.  Coordinates are drawn from O(1) values, from
 log-uniform magnitudes up to 1e+-300 of either sign, and from edge values
 (signed zeros, subnormals, the largest double, infinities and NaN).  An
 oracle ties the scalar path to the grid path: ``expectation_stress`` and
@@ -19,17 +24,25 @@ longer run of this module.
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mirrorstress.charts import (
     CoverageError,
+    NoRootError,
     Point,
     convert_point,
     get_chart,
 )
 from mirrorstress import vacuum_stress
 from mirrorstress.scenarios import SCENARIO_NAMES, build_scenario
+from mirrorstress.trajectories import (
+    reflection_map,
+    stationary_mirror,
+    to_chart,
+    uniformly_accelerated_mirror,
+)
 from mirrorstress.vacuum_stress import (
     COVERAGE,
     FLOAT_RANGE,
@@ -74,17 +87,24 @@ def _finite(*xs):
     return all(math.isfinite(x) for x in xs)
 
 
-def _scenario(name, a):
-    """The scenario at a, or a rejected draw where a is out of the range
-    its trajectory allows (a ValueError the builder documents)."""
+# the a = 1 mirror state on a chart given forward only, and in no registry
+DERIVED = _derived_mirror_state()
+
+
+def _state(name, a):
+    """The scenario's state at a, or a rejected draw where a is out of the
+    range its trajectory allows (a ValueError the builder documents);
+    "derived" is ``DERIVED``, whatever a."""
+    if name == "derived":
+        return DERIVED
     try:
-        return build_scenario(name, {"a": a})
+        return build_scenario(name, {"a": a}).state
     except ValueError:
         assume(False)
 
 
-def _chart(scenario, name):
-    return scenario.state.chart if name == "own" else get_chart(name)
+def _chart(state, name):
+    return state.chart if name == "own" else get_chart(name)
 
 
 def _outcome(f, *args):
@@ -100,26 +120,29 @@ def _sample_is_finite(s):
     return _finite(s.t_uu, s.t_vv, s.t_uv, s.point.c1, s.point.c2)
 
 
-@given(name=st.sampled_from(SCENARIO_NAMES), a=accelerations,
+@given(name=st.sampled_from(SCENARIO_NAMES + ("derived",)), a=accelerations,
        where=st.sampled_from(CHARTS), observe=st.sampled_from(CHARTS),
        to=st.sampled_from(CHARTS), c1=coordinates, c2=coordinates)
 def test_stress_entry_points_give_finite_values_or_documented_errors(
         name, a, where, observe, to, c1, c2):
-    scenario = _scenario(name, a)
-    state = scenario.state
-    p = Point(c1, c2, _chart(scenario, where).name)
+    # a Point names its chart, so points of the derived state are drawn in
+    # registered charts; samples hold their chart, so they are observed
+    # and transformed in its own chart too
+    assume(name != "derived" or where != "own")
+    state = _state(name, a)
+    p = Point(c1, c2, _chart(state, where).name)
 
-    q = _outcome(convert_point, p, _chart(scenario, observe))
+    q = _outcome(convert_point, p, _chart(state, observe))
     if isinstance(q, Point):
         assert _finite(q.c1, q.c2)
 
-    s = _outcome(expectation_stress, state, _chart(scenario, observe), p)
+    s = _outcome(expectation_stress, state, _chart(state, observe), p)
     if not isinstance(s, Exception):
         assert _sample_is_finite(s)
         o = _outcome(to_orthonormal_frame, s)
         if not isinstance(o, Exception):
             assert _finite(o.energy_density, o.pressure, o.flux)
-        t = _outcome(transform_stress, s, _chart(scenario, to))
+        t = _outcome(transform_stress, s, _chart(state, to))
         if not isinstance(t, Exception):
             assert _sample_is_finite(t)
 
@@ -153,13 +176,8 @@ def _nudged(x, k):
 @given(name=st.sampled_from(SCENARIO_NAMES), a=accelerations,
        observe=st.sampled_from(CHARTS), c1=coordinates, c2=coordinates)
 def test_point_and_one_point_grid_agree(name, a, observe, c1, c2):
-    scenario = _scenario(name, a)
-    _assert_point_and_grid_agree(scenario.state, _chart(scenario, observe),
-                                 c1, c2)
-
-
-# the a = 1 mirror state on a chart given forward only
-DERIVED = _derived_mirror_state()
+    state = _state(name, a)
+    _assert_point_and_grid_agree(state, _chart(state, observe), c1, c2)
 
 
 @given(observe=st.sampled_from(CHARTS[:3]), c1=coordinates, c2=coordinates)
@@ -225,3 +243,38 @@ def _term_scale(state, chart, c1, c2):
                      Point(c1, c2, chart.name))
     return (math.inf, math.inf) if isinstance(s, Exception) \
         else (s.t_uu, s.t_vv)
+
+
+def _inverts_to_a_finite_root_or_raises(m, target):
+    """m.invert(target): for a target inside m's range a finite root or
+    the documented CoverageError, outside it NoRootError."""
+    if not m.range.contains(target):
+        with pytest.raises(NoRootError):
+            m.invert(target)
+        return
+    x = _outcome(m.invert, target)
+    if not isinstance(x, Exception):
+        assert _finite(x)
+
+
+@given(mirror=st.sampled_from((stationary_mirror,
+                               uniformly_accelerated_mirror)),
+       a=accelerations, chart=st.sampled_from(CHARTS[:3]),
+       lam=coordinates, target=coordinates)
+def test_trajectory_entry_points_give_finite_values_or_documented_errors(
+        mirror, a, chart, lam, target):
+    # a is the hyperbola's acceleration, or the stationary mirror's
+    # distance; either builder refuses the values its docstring names
+    try:
+        traj = mirror(a)
+    except ValueError:
+        assume(False)
+    for path in (traj, _outcome(to_chart, traj, get_chart(chart))):
+        if isinstance(path, Exception):
+            continue
+        x = _outcome(path.position, lam)
+        if not isinstance(x, Exception):
+            assert _finite(*x)
+        _inverts_to_a_finite_root_or_raises(reflection_map(path).p, target)
+    # a map that inverts numerically
+    _inverts_to_a_finite_root_or_raises(DERIVED.chart.u_map, target)

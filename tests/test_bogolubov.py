@@ -217,6 +217,24 @@ def test_single_sector_pairings_do_not_depend_on_the_surface(make_bases, t):
     assert (np.abs(late.beta - ref.beta) <= scale).all()
 
 
+@pytest.mark.parametrize("t,tol", [
+    (math.inf, 1e-8), (-math.inf, 1e-8), (math.nan, 1e-8),
+    (0.0, math.nan), (0.0, math.inf), (0.0, 0.0), (0.0, -1.0),
+])
+def test_surface_time_and_tolerance_must_be_finite(t, tol):
+    # an infinite or NaN t emptied every window: alpha = beta = 0 with no
+    # evaluations and no warning.  A NaN tol stopped every refinement:
+    # max |beta| read 0.060 against 0.0089, with no warning
+    basis_a = ModeBasis(MINK, frequencies=np.array([1.0, 2.0]),
+                        packet_width=0.1)
+    basis_b = ModeBasis(RIND, frequencies=np.array([1.0, 2.0]),
+                        packet_width=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        compute_coefficients(basis_a, basis_b, t=t, tol=tol)
+    with pytest.raises(ValueError, match="finite"):
+        kg_inner_product(basis_a.packet(0), basis_b.packet(0), t=t, tol=tol)
+
+
 def test_dirichlet_matrix_matches_separate_pairings():
     pair = assert_matches_single_pairings(*dirichlet_bases(), t=2.0,
                                           tol=1e-10)

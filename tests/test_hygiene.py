@@ -1,6 +1,8 @@
 """Every name a module imports is used: an AST scan of the package, the
 tests, the demos and the per-layer benchmark harnesses.  A name listed in the
-module's ``__all__`` counts as used (a re-export)."""
+module's ``__all__`` counts as used (a re-export).  Charts are resolved by
+name only where a name enters the package: a second scan finds calls of
+``get_chart`` elsewhere in it."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,26 @@ def test_scan_finds_unused_and_keeps_used_names():
               "def f():\n"
               "    return os.path.join('a', str(m.pi))\n")
     assert unused_imports(source) == [(4, "loads")]
+
+
+# a chart name enters the package in a Point (resolved by convert_point),
+# in a scenario builder's built-in charts or on the command line; every
+# other module takes charts as values
+NAME_RESOLVERS = {"charts.py", "cli.py", "scenarios.py"}
+
+
+def get_chart_calls(source: str):
+    """Lines of each call of ``get_chart``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and "get_chart" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)))
+
+
+def test_charts_are_resolved_by_name_only_where_a_name_enters():
+    calls = {path.name: get_chart_calls(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src").rglob("*.py")}
+    # the scan sees the command line's and the builders' own calls
+    assert calls["cli.py"] and calls["scenarios.py"]
+    assert {name: lines for name, lines in calls.items()
+            if lines and name not in NAME_RESOLVERS} == {}

@@ -133,20 +133,8 @@ DERIVED_WINDOWS = [
     ("own", (-1.0, 1.0), (-0.5, 3.0)),
 ]
 
-# FOUND (CHANGES.md, charts as values): a sample on an unregistered chart
-# names a chart the registry cannot resolve, so its orthonormal frame
-# raises a bare ValueError
-_UNREGISTERED = pytest.mark.xfail(
-    strict=True, raises=ValueError,
-    reason="FOUND: to_orthonormal_frame looks up an unregistered chart "
-           "by name")
-
-
 @pytest.mark.parametrize("chart_name,w1,w2,frame", [
-    *((*w, frame) for w in DERIVED_WINDOWS[:3]
-      for frame in ("null", "orthonormal")),
-    (*DERIVED_WINDOWS[3], "null"),
-    pytest.param(*DERIVED_WINDOWS[3], "orthonormal", marks=_UNREGISTERED),
+    (*w, frame) for w in DERIVED_WINDOWS for frame in ("null", "orthonormal")
 ])
 def test_grid_of_numerically_inverted_chart_matches_points(
         chart_name, w1, w2, frame):

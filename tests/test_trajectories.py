@@ -216,7 +216,7 @@ def reflections_of_stationary_in_rindler(a):
                          monotone_sign=1, label="U-forward",
                          range_hint=bar.U.range)
     numeric_traj = Trajectory(U=forward_u, V=bar.V, domain=bar.domain,
-                              label="numeric-inverse", chart="rindler")
+                              label="numeric-inverse", chart=RIND)
     return reflection_map(bar).p, reflection_map(numeric_traj).p
 
 
@@ -298,10 +298,46 @@ def test_reflection_value_past_the_float_range_is_coverage_error():
         assert p(np.array([-1e-300]))[0] == math.inf
 
 
+@pytest.mark.parametrize("traj,target", [
+    # the closed-form inverse -c/v with c = 2.3e201 overflows at a target
+    # inside p's range (0, inf): invert returned -inf
+    (uniformly_accelerated_mirror(6.63006e-102), 4.1291585762141187e-112),
+    # in the wedge chart p is the identity, but its closed-form inverse
+    # passes through base coordinates: e^1000 overflowed (OverflowError),
+    # and e^-1000 underflowed to 0, which c/v divided by
+    # (ZeroDivisionError)
+    (to_chart(uniformly_accelerated_mirror(1.0), RIND), 1e3),
+    (to_chart(uniformly_accelerated_mirror(1.0), RIND), -1e3),
+])
+def test_reflection_root_past_the_float_range_is_coverage_error(traj,
+                                                                target):
+    p = reflection_map(traj).p
+    assert p.range.contains(target)
+    with pytest.raises(CoverageError, match=rf"root of {target!r} leaves "
+                       r"the double-precision range"):
+        p.invert(target)
+
+
+@pytest.mark.parametrize("traj,lam", [
+    # V = e^w/a overflows: a bare OverflowError
+    (uniformly_accelerated_mirror(1.0), 1.7976931348623157e308),
+    (to_chart(uniformly_accelerated_mirror(1.0), RIND),
+     1.7976931348623157e308),
+    # U underflows to -0.0, whose Rindler inverse takes log(0):
+    # JetDomainError
+    (to_chart(uniformly_accelerated_mirror(3.11653e117), RIND),
+     3.467446590763756e109),
+])
+def test_position_past_the_float_range_is_coverage_error(traj, lam):
+    with pytest.raises(CoverageError, match=r"leaves the double-precision "
+                       r"range"):
+        traj.position(lam)
+
+
 def test_reflection_requires_monotone_u():
     wiggly = Trajectory(
         U=ChartMapWiggle(), V=stationary_mirror(1.0).V,
-        domain=stationary_mirror(1.0).domain, label="wiggle")
+        domain=stationary_mirror(1.0).domain, label="wiggle", chart=MINK)
     with pytest.raises(MonotonicityError):
         reflection_map(wiggly)
 

@@ -238,6 +238,20 @@ def test_transform_functorial():
         assert close(a_val, b_val, 1e-11)
 
 
+def test_sample_of_an_unregistered_chart_transforms_like_any_other():
+    # the derived chart is in no registry: the sample holds the chart, so
+    # its transform to the wedge chart needs no lookup by name
+    state = _derived_mirror_state()
+    s = expectation_stress(state, state.chart,
+                           Point(0.2, 1.5, state.chart.name))
+    got = transform_stress(s, RIND)
+    want = expectation_stress(state, RIND, got.point)
+    assert got.chart is RIND and got.point == want.point
+    for g, w in zip((got.t_uu, got.t_vv, got.t_uv),
+                    (want.t_uu, want.t_vv, want.t_uv)):
+        assert abs(g - w) <= 1e-13 * abs(w)
+
+
 # ---------- expectation values with sector stitching ----------
 
 def test_mirror_state_in_rindler_chart():
@@ -395,7 +409,7 @@ def test_orthonormal_mirror_state_has_flux():
 def test_orthonormal_frame_out_of_float_range_is_coverage_error():
     # the curved chart's factor (u + v)^2 overflows at u = 1e300
     st = build_scenario("minkowski_vacuum_rindler_observer").state
-    s = expectation_stress(st, "curved-test",
+    s = expectation_stress(st, get_chart("curved-test"),
                            Point(1e300, 1286258.064567808, "curved-test"))
     with pytest.raises(CoverageError, match=r"point \(1e\+300, 1286258\."
                        r"064567808\) of chart 'curved-test'.*double-precision"):
@@ -893,6 +907,18 @@ def test_root_on_the_domain_end_is_a_float_range_failure():
     assert grid.status.tolist() == [[vs.FLOAT_RANGE], [vs.OK]]
 
 
+def test_root_past_the_last_double_is_a_coverage_error():
+    # the same root, asked of the map and of convert_point: invert raised
+    # NoRootError for a target inside the range, and convert_point passed
+    # it on
+    chart = _derived_mirror_state().chart
+    assert chart.u_map.range.contains(-1e-17)
+    with pytest.raises(CoverageError, match="double-precision range"):
+        chart.u_map.invert(-1e-17)
+    with pytest.raises(CoverageError, match="double-precision range"):
+        charts.convert_point(Point(-1e-17, 5.0, "minkowski"), chart)
+
+
 def test_point_evaluation_differentiates_the_derived_map_once_per_kind():
     # at the root xi of the u transition: one pass on the float, shared by
     # the transition's Jacobian and the factor of T_22 at xi held
@@ -1007,6 +1033,14 @@ def _array_key(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def _sample_key(s):
+    """A stress sample's chart by name, with every other field: each side
+    builds its own states, so a hatted chart is a different object."""
+    if not isinstance(s, vs.StressSample):
+        return s
+    return s.chart.name, s.t_uu, s.t_vv, s.t_uv, s.state, s.point
+
+
 def _parity_outputs(name, chart_name, box):
     """Every output of the stress engine for one case, in a form that
     compares exactly: point and grid evaluation over the box widened past
@@ -1025,7 +1059,7 @@ def _parity_outputs(name, chart_name, box):
         for y in c2[::2].tolist():
             s = _outcome(expectation_stress, state, chart,
                          Point(x, y, chart.name))
-            out += [s, _outcome(to_orthonormal_frame, s)
+            out += [_sample_key(s), _outcome(to_orthonormal_frame, s)
                     if isinstance(s, vs.StressSample) else None]
     g = _outcome(expectation_stress_grid, state, chart, c1, c2)
     if isinstance(g, vs.StressGrid):

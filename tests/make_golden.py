@@ -16,8 +16,8 @@ compares it with the stored outputs:
 - each invariant of ``mirrorstress check``: its name, tolerance, status
   and residual;
 - the standard output of each demo, run with RuntimeWarnings as errors,
-  and the help texts of ``mirrorstress`` and ``mirrorstress run`` at 80
-  columns.
+  the help texts of ``mirrorstress`` and ``mirrorstress run`` at 80
+  columns, and the scenario listing, as text and as JSON.
 
 A change that moves an output on purpose regenerates the file with
 
@@ -49,7 +49,8 @@ from test_vacuum_stress import PARITY_CASES, _derived_mirror_state
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 ROOT = GOLDEN.parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-HELP_COMMANDS = (["--help"], ["run", "--help"])
+HELP_COMMANDS = (["--help"], ["run", "--help"], ["list-scenarios"],
+                 ["list-scenarios", "--json"])
 ACCELERATIONS = (0.5, 1.0, 2.0)
 FRAMES = ("null", "orthonormal")
 

@@ -2,13 +2,13 @@
 the golden file ``golden.json``: ``run`` values and singular flags,
 conservation reports, alpha and beta with their evaluation counts and
 truncation warnings, the invariants of ``check``, the demos' standard
-output and the help texts (see ``make_golden.py``, which writes the
-file).  Stress values agree within 1e-13 relative of max(|v|, 1/(48 pi)),
-alpha and beta within 1e-13 of their row's largest |alpha|, and ``check``
-residuals within 1e-13 absolute (the smallest tolerance is 1e-12); exit
-codes, flags, error classes, counts, warnings, invariant names,
-tolerances and statuses agree exactly, and the demos' output and the
-help texts byte for byte."""
+output, the help texts and the scenario listing (see ``make_golden.py``,
+which writes the file).  Stress values agree within 1e-13 relative of
+max(|v|, 1/(48 pi)), alpha and beta within 1e-13 of their row's largest
+|alpha|, and ``check`` residuals within 1e-13 absolute (the smallest
+tolerance is 1e-12); exit codes, flags, error classes, counts, warnings,
+invariant names, tolerances and statuses agree exactly, and the demos'
+output, the help texts and the scenario listing byte for byte."""
 
 import json
 

@@ -26,7 +26,7 @@ from mirrorstress import (
 rind = get_chart("rindler")
 mink = get_chart("minkowski")
 
-print("conservation residuals, d1 T_22 + d2 T_12 + (d2 C / C) T_12 and")
+print("conservation residuals, d1 T_22 + d2 T_12 - (d2 C / C) T_12 and")
 print("its mirror image, maximized over 30 x 30 grids:")
 for name, chart, region in [
     ("rindler_vacuum", rind, (-2.0, 2.0, -2.0, 2.0)),
@@ -39,7 +39,7 @@ for name, chart, region in [
     rep = check_conservation(sc.state, chart, region, 30)
     print(f"  {name:32s} in {chart.name:10s}: {rep.max_residual:.2e}")
 
-print("\ntrace identity |(4/C) T_uv + R/(24 pi)| (state independent):")
+print("\ntrace identity |(4/C) T_uv - R/(24 pi)| (state independent):")
 for chart, pt in [(rind, (0.5, -0.5)), (mink, (2.0, 1.0))]:
     st = VacuumSpec(chart, "full_line", label="demo")
     print(f"  {chart.name:12s}: {anomaly_check(st, Point(*pt, chart.name)):.2e}"

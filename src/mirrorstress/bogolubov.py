@@ -56,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import ChartMap, ConformalChart, Interval
+from .charts import RANGE_ERRORS, ChartMap, ConformalChart, Interval
 
 __all__ = [
     "ModeBasis",
@@ -322,7 +322,7 @@ def _unit_layout(sigma):
     try:
         radius = _SUPPORT_PAD * max(root / sigma,
                                     math.exp(2.0 * sigma * root))
-    except OverflowError:
+    except RANGE_ERRORS:
         radius = math.inf
     if radius == math.inf:
         raise ValueError(f"packet_width {sigma!r} out of range: its support "

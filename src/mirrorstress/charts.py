@@ -87,11 +87,19 @@ class Interval:
 FULL_LINE = Interval()
 
 
-def _try_float(fn, x):
+# what an elementary function raises where its value, or one on the way to
+# it, leaves the double-precision range (say, a log of an underflowed 0)
+RANGE_ERRORS = (ArithmeticError, JetDomainError)
+
+
+def _try_float(fn, *args):
+    """fn(*args) as a finite float, or None where fn raises one of the
+    RANGE_ERRORS or gives a value that is not finite."""
     try:
-        return lead_value(fn(x))
-    except OverflowError:
+        y = lead_value(fn(*args))
+    except RANGE_ERRORS:
         return None
+    return y if abs(y) < math.inf else None
 
 
 def _root_or_nan(m, target):
@@ -117,10 +125,10 @@ def _probe_limit(fn, interval: Interval, end: float, from_inside: float,
     vals = []
     for x in xs:
         v = _try_float(fn, x)
-        if (v is None or math.isinf(v)) and vals:
-            return math.copysign(math.inf, trend)
-        if v is not None and math.isfinite(v):
+        if v is not None:
             vals.append(v)
+        elif vals:
+            return math.copysign(math.inf, trend)
     if not vals:
         return math.copysign(math.inf, trend)
     last, prev = vals[-1], vals[-2] if len(vals) > 1 else vals[-1]
@@ -179,7 +187,12 @@ class ChartMap:
         CoverageError; array arguments are not checked (grid evaluation
         masks points outside the domain itself)."""
         self._check_domain(x)
-        y = self.fn(x)
+        try:  # _try_float inline on a float: the scalar points' hot path
+            y = self.fn(x)
+        except RANGE_ERRORS:
+            if not isinstance(x, float):
+                raise
+            y = math.nan
         if isinstance(x, float) and not abs(y) < math.inf:
             raise CoverageError(f"{self.label}: value at {x} leaves the "
                                 f"double-precision range")
@@ -192,7 +205,13 @@ class ChartMap:
                 f"{self.label}: argument {v} outside domain {self.domain}")
 
     def deriv(self, x: float) -> float:
-        return lead_value(self.dfn(x))
+        """fn' at a float, finite; CoverageError where it leaves the
+        double-precision range."""
+        d = _try_float(self.dfn, x)
+        if d is None:
+            raise CoverageError(f"{self.label}: derivative at {x} leaves "
+                                f"the double-precision range")
+        return d
 
     @property
     def range(self) -> Interval:
@@ -239,13 +258,9 @@ class ChartMap:
             raise NoRootError(
                 f"{self.label}: target {target} outside range {rng}")
         if self.inverse_fn is not None:
-            # a closed form can overflow where its argument is in range,
-            # in its value or on the way to it
-            try:
-                x = lead_value(self.inverse_fn(target))
-            except (ArithmeticError, JetDomainError):
-                x = math.nan
-            if not abs(x) < math.inf:
+            # a closed form can overflow where its argument is in range
+            x = _try_float(self.inverse_fn, target)
+            if x is None:
                 raise CoverageError(f"{self.label}: root of {target} "
                                     f"leaves the double-precision range")
             return x
@@ -274,8 +289,8 @@ class ChartMap:
             if abs(fx) <= tol:
                 # one Newton step takes the root from the tolerance to
                 # rounding, kept in the bracket if still within tolerance
-                d = lead_value(self.dfn(x))
-                xn = x - fx / d if d != 0.0 else x
+                d = _try_float(self.dfn, x)
+                xn = x - fx / d if d else x
                 if xn != x and a <= xn <= b \
                         and abs(self._value(xn, x0) - target) <= tol:
                     return xn
@@ -288,7 +303,8 @@ class ChartMap:
             fb *= 0.5 if kept == -2 else 1.0
 
     def _value(self, x: float, x0: float) -> float:
-        """fn(x) as a float, an overflow as fn's infinity on x's side."""
+        """fn(x) as a float, one outside the double-precision range as fn's
+        infinity on x's side."""
         v = _try_float(self.fn, x)
         if v is None:
             v = math.inf * self.monotone_sign * math.copysign(1.0, x - x0)
@@ -559,19 +575,31 @@ class ConformalChart:
         return c
 
     def conformal_factor(self, c1: float, c2: float) -> float:
-        return lead_value(self.factor(c1, c2))
+        """The factor at a float point, finite and positive; CoverageError
+        outside the chart's domain or the double-precision range."""
+        return self._float(self.factor, c1, c2, "conformal factor")
 
     def factor_jet_u(self, c1: float, c2) -> Jet3:
         """Factor as a jet in the first null direction."""
         return self.factor(seed(c1), c2)
 
     def ricci_scalar(self, c1: float, c2: float) -> float:
-        """R = -(4/C) d^2(ln C)/dc1 dc2, via one jet nested in the other."""
-        ju = Jet3(seed(c1), 0.0, 0.0, 0.0)
-        jv = Jet3(constant(c2), 1.0, 0.0, 0.0)
-        c = self.factor(ju, jv)
-        mixed = jlog(c).d1.d1
-        return -4.0 * mixed / lead_value(c)
+        """R = -(4/C) d^2(ln C)/dc1 dc2 at a float point, finite, via one
+        jet nested in the other; CoverageError outside the chart's domain
+        or the double-precision range."""
+        return self._float(self._ricci, c1, c2, "Ricci scalar")
+
+    def _ricci(self, c1: float, c2: float):
+        c = self.factor(Jet3(seed(c1), 0.0, 0.0, 0.0),
+                        Jet3(constant(c2), 1.0, 0.0, 0.0))
+        return -4.0 * jlog(c).d1.d1 / lead_value(c)
+
+    def _float(self, fn, c1: float, c2: float, what: str) -> float:
+        y = _try_float(fn, c1, c2)
+        if y is None:
+            raise CoverageError(f"chart '{self.name}': {what} at ({c1}, "
+                                f"{c2}) leaves the double-precision range")
+        return y
 
     # -- coordinate conversion --
 
@@ -597,13 +625,7 @@ class ConformalChart:
             self.u_map._check_domain(c1)
             self.v_map._check_domain(c2)
             return Point(c1, c2, to.name)
-        try:
-            return Point(*to.from_base(*self.to_base(c1, c2)), to.name)
-        except ArithmeticError:
-            raise CoverageError(
-                f"point ({c1}, {c2}) of chart '{self.name}' leaves the "
-                f"double-precision range on the way to chart '{to.name}'"
-            ) from None
+        return Point(*to.from_base(*self.to_base(c1, c2)), to.name)
 
     def __repr__(self):
         return f"ConformalChart({self.name!r})"

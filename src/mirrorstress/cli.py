@@ -142,11 +142,6 @@ def _build_run_config(args) -> RunConfig:
             raise ConfigError(f"field '{f.name}': cannot parse {raw!r} as "
                               f"{f.type.__name__}") from None
     cfg = RunConfig(**parsed)
-    if cfg.scenario not in SCENARIO_NAMES:
-        raise ConfigError(f"field 'scenario': unknown scenario "
-                          f"{cfg.scenario!r}")
-    if cfg.a <= 0.0:
-        raise ConfigError("field 'a': must be positive")
     if cfg.chart not in ("minkowski", "rindler", "hatted"):
         raise ConfigError(f"field 'chart': must be minkowski, rindler or "
                           f"hatted, got {cfg.chart!r}")

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .charts import (
+    RANGE_ERRORS,
     ChartMap,
     ConformalChart,
     Interval,
@@ -47,13 +48,6 @@ __all__ = [
     "hatted_chart_for_accelerated_mirror",
 ]
 
-SCENARIO_NAMES = (
-    "rindler_vacuum",
-    "mirror_in_rindler_vacuum",
-    "accelerated_mirror_minkowski",
-    "minkowski_vacuum_rindler_observer",
-)
-
 
 class OracleUnavailableError(LookupError):
     """No closed form is registered for this scenario and chart."""
@@ -64,18 +58,6 @@ class Scenario:
     name: str
     state: VacuumSpec
     forms: dict = field(repr=False)
-
-
-def scenario_parameter_schema() -> dict:
-    """Parameter schema per scenario, for the CLI listing."""
-    a_doc = {"a": "positive acceleration scale (mirror at z = 1/a); default 1"}
-    return {
-        "rindler_vacuum": {},
-        "mirror_in_rindler_vacuum": a_doc,
-        "accelerated_mirror_minkowski":
-            {"a": "positive proper acceleration of the mirror; default 1"},
-        "minkowski_vacuum_rindler_observer": {},
-    }
 
 
 # ---------- mirror-adapted charts ----------
@@ -123,18 +105,6 @@ def hatted_chart_for_accelerated_mirror(a: float) -> ConformalChart:
 
 # ---------- scenario builders ----------
 
-def _require_positive_a(params: Optional[dict]) -> float:
-    params = dict(params or {})
-    a = params.pop("a", 1.0)
-    if params:
-        raise ValueError(f"unknown scenario parameters: {sorted(params)}")
-    a = float(a)
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"parameter a must be positive and finite, "
-                         f"got {a}")
-    return a
-
-
 def _mirror_region(trajectory: Trajectory):
     """The mirror's side of the reflection map p = V o U^-1, as a region
     predicate on base (u, v), floats or arrays: u in p's domain and
@@ -149,76 +119,103 @@ def _mirror_region(trajectory: Trajectory):
             return ok & (v > p.fn(np.where(ok, u, np.nan)))
         try:
             return inside(u) and v > p.fn(u)
-        except OverflowError:
+        except RANGE_ERRORS:
             return False
 
     return region
 
 
+def _mirror_state(label: str, hatted: ConformalChart, trajectory: Trajectory,
+                  ambient_chart: Optional[ConformalChart] = None):
+    """The Dirichlet state of a mirror on its hatted chart, registered
+    while the state holds it, on the mirror's side of the trajectory."""
+    return VacuumSpec(register_chart(hatted), "dirichlet_half_line",
+                      label=label, ambient_chart=ambient_chart,
+                      region_predicate=_mirror_region(trajectory))
+
+
+def _zero(c1, c2):
+    return 0.0, 0.0, 0.0
+
+
+def _rindler_vacuum(a: float):
+    return VacuumSpec(get_chart("rindler"), label="rindler_vacuum"), {
+        "rindler": lambda c1, c2: (-INV_48PI, -INV_48PI, 0.0),
+        "minkowski": lambda u, v: (-INV_48PI / (u * u),
+                                   -INV_48PI / (v * v), 0.0),
+    }
+
+
+def _minkowski_vacuum(a: float):
+    return (VacuumSpec(get_chart("minkowski"), label="minkowski_vacuum"),
+            {"rindler": _zero, "minkowski": _zero})
+
+
+def _mirror_in_rindler_vacuum(a: float):
+    state = _mirror_state("mirror_in_rindler_vacuum",
+                          hatted_chart_for_stationary_mirror(a),
+                          stationary_mirror(1.0 / a), get_chart("rindler"))
+    shift = 2.0 / a
+    log_edge = math.log(a / 2.0)
+
+    def t11_rindler(c1, c2):
+        if c1 > log_edge:
+            w = a * math.exp(-c1)
+            return -INV_48PI * w * w / (2.0 - w) ** 2
+        return -INV_48PI
+
+    def t11_minkowski(u, v):
+        if u > -shift:
+            return -INV_48PI * a * a / (2.0 + a * u) ** 2
+        return -INV_48PI / (u * u)
+
+    return state, {
+        "rindler": lambda c1, c2: (t11_rindler(c1, c2), -INV_48PI, 0.0),
+        "minkowski": lambda u, v: (t11_minkowski(u, v),
+                                   -INV_48PI / (v * v), 0.0),
+    }
+
+
+def _accelerated_mirror_minkowski(a: float):
+    return _mirror_state("accelerated_mirror_minkowski",
+                         hatted_chart_for_accelerated_mirror(a),
+                         uniformly_accelerated_mirror(a)), {"minkowski": _zero}
+
+
+# every scenario once, in listing order: the builder of its state and
+# closed forms from the validated a, and its documented parameters
+_SCENARIOS = {
+    "rindler_vacuum": (_rindler_vacuum, {}),
+    "mirror_in_rindler_vacuum": (_mirror_in_rindler_vacuum, {
+        "a": "positive acceleration scale (mirror at z = 1/a); default 1"}),
+    "accelerated_mirror_minkowski": (_accelerated_mirror_minkowski, {
+        "a": "positive proper acceleration of the mirror; default 1"}),
+    "minkowski_vacuum_rindler_observer": (_minkowski_vacuum, {}),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
+def scenario_parameter_schema() -> dict:
+    """Parameter schema per scenario, for the CLI listing."""
+    return {name: dict(doc) for name, (_, doc) in _SCENARIOS.items()}
+
+
 def build_scenario(name: str, params: Optional[dict] = None) -> Scenario:
-    if name == "rindler_vacuum":
-        _require_positive_a(params if params else None)
-        rind = get_chart("rindler")
-        state = VacuumSpec(rind, "full_line", label="rindler_vacuum")
-        forms = {
-            "rindler": lambda c1, c2: (-INV_48PI, -INV_48PI, 0.0),
-            "minkowski": lambda u, v: (-INV_48PI / (u * u),
-                                       -INV_48PI / (v * v), 0.0),
-        }
-        return Scenario(name, state, forms)
-
-    if name == "minkowski_vacuum_rindler_observer":
-        _require_positive_a(params if params else None)
-        state = VacuumSpec(get_chart("minkowski"), "full_line",
-                           label="minkowski_vacuum")
-        zero = lambda c1, c2: (0.0, 0.0, 0.0)
-        forms = {"rindler": zero, "minkowski": zero}
-        return Scenario(name, state, forms)
-
-    if name == "mirror_in_rindler_vacuum":
-        a = _require_positive_a(params)
-        rind = get_chart("rindler")
-        hatted = register_chart(hatted_chart_for_stationary_mirror(a))
-        shift = 2.0 / a
-        state = VacuumSpec(
-            hatted, "dirichlet_half_line",
-            label="mirror_in_rindler_vacuum",
-            ambient_chart=rind,
-            region_predicate=_mirror_region(stationary_mirror(1.0 / a)),
-        )
-        log_edge = math.log(a / 2.0)
-
-        def t11_rindler(c1, c2):
-            if c1 > log_edge:
-                w = a * math.exp(-c1)
-                return -INV_48PI * w * w / (2.0 - w) ** 2
-            return -INV_48PI
-
-        def t11_minkowski(u, v):
-            if u > -shift:
-                return -INV_48PI * a * a / (2.0 + a * u) ** 2
-            return -INV_48PI / (u * u)
-
-        forms = {
-            "rindler": lambda c1, c2: (t11_rindler(c1, c2), -INV_48PI, 0.0),
-            "minkowski": lambda u, v: (t11_minkowski(u, v),
-                                       -INV_48PI / (v * v), 0.0),
-        }
-        return Scenario(name, state, forms)
-
-    if name == "accelerated_mirror_minkowski":
-        a = _require_positive_a(params)
-        hatted = register_chart(hatted_chart_for_accelerated_mirror(a))
-        state = VacuumSpec(
-            hatted, "dirichlet_half_line",
-            label="accelerated_mirror_minkowski",
-            region_predicate=_mirror_region(uniformly_accelerated_mirror(a)),
-        )
-        zero = lambda c1, c2: (0.0, 0.0, 0.0)
-        return Scenario(name, state, {"minkowski": zero})
-
-    raise ValueError(
-        f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}")
+    """The named scenario; ValueError for an unknown name, an unknown
+    parameter, or an a that is not positive and finite."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; available: "
+                         f"{', '.join(SCENARIO_NAMES)}")
+    params = dict(params or {})
+    a = params.pop("a", 1.0)
+    if params:
+        raise ValueError(f"unknown scenario parameters: {sorted(params)}")
+    a = float(a)
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"parameter a must be positive and finite, "
+                         f"got {a}")
+    state, forms = _SCENARIOS[name][0](a)
+    return Scenario(name, state, forms)
 
 
 def closed_form_reference(s: Scenario, p: Point) -> StressSample:

@@ -24,7 +24,7 @@ from .charts import (
     compose_maps,
     minkowski_chart,
 )
-from .jets import JetDomainError, jasinh, jcosh, jexp, lead_value
+from .jets import jasinh, jcosh, jexp, lead_value
 
 __all__ = [
     "Trajectory",
@@ -59,11 +59,7 @@ class Trajectory:
         if not self.domain.contains(lam):
             raise CoverageError(
                 f"{self.label}: parameter {lam} outside domain {self.domain}")
-        try:
-            return lead_value(self.U(lam)), lead_value(self.V(lam))
-        except (ArithmeticError, JetDomainError):
-            raise CoverageError(f"{self.label}: position at {lam} leaves "
-                                f"the double-precision range") from None
+        return lead_value(self.U(lam)), lead_value(self.V(lam))
 
 
 @dataclass(frozen=True)

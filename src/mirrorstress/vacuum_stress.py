@@ -4,16 +4,19 @@ For the vacuum built on a conformally flat chart with factor C, the null
 components are
 
     T_11 = (1/24 pi) F_1(C),   T_22 = (1/24 pi) F_2(C),
-    T_12 = -(1/48 pi) R g_12 = (1/24 pi) d2(ln C)/dc1 dc2,
+    T_12 = (1/48 pi) R g_12 = -(1/24 pi) d2(ln C)/dc1 dc2,
 
 with F_x(f) = f''/f - (3/2)(f'/f)^2, all derivatives taken along one null
-direction at a time.  On a chart without a base factor, C = u'(c1) v'(c2),
-so ln C splits into a c1 part and a c2 part and T_12 is exactly 0 there,
-in every chart it is seen from; only a chart with a base factor takes
-the mixed derivative through nested jets.  Everything is evaluated
-through jets, and every evaluator accepts jet-valued coordinates, which
-is how the conservation residuals differentiate straight through the
-full pipeline (including chart transforms and numeric inversions).
+direction at a time, g_12 = C/2 and R = -(4/C) d2(ln C)/dc1 dc2, the
+scalar curvature with the sign of Misner, Thorne and Wheeler; so the
+trace is T^mu_mu = (4/C) T_12 = R/(24 pi).  On a chart without a base
+factor, C = u'(c1) v'(c2), so ln C splits into a c1 part and a c2 part
+and T_12 is exactly 0 there, in every chart it is seen from; only a
+chart with a base factor takes the mixed derivative through nested
+jets.  Everything is evaluated through jets, and every evaluator accepts
+jet-valued coordinates, which is how the conservation residuals
+differentiate straight through the full pipeline (including chart
+transforms and numeric inversions).
 Along one null direction the other coordinate is held constant: at a
 float point it enters the factor as a plain float, which the jet in the
 active direction multiplies into each of its coefficients, so that map's
@@ -42,17 +45,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .charts import (
+    RANGE_ERRORS,
     ChartMap,
     ConformalChart,
     CoverageError,
     Interval,
     NoRootError,
     Point,
+    _try_float,
     compose_maps,
     convert_point,
     identity_map,
 )
-from .jets import Jet1, Jet3, JetDomainError, constant, jlog, lead_value, seed
+from .jets import Jet1, Jet3, constant, jlog, lead_value, seed
 
 __all__ = [
     "INV_24PI",
@@ -243,14 +248,23 @@ def F_functional(f, x: float) -> float:
 
 
 def schwarzian_derivative(m, x: float) -> float:
-    """F applied to the derivative of m: m'''/m' - (3/2)(m''/m')^2.
+    """F applied to the derivative of m: m'''/m' - (3/2)(m''/m')^2, a
+    finite float; CoverageError where it leaves the double-precision
+    range.
 
     Vanishes identically for Moebius maps.
     """
-    j = m(seed(x))
-    if lead_value(j.d1) == 0.0:
-        raise SingularRayError(f"schwarzian: m'({x}) = 0")
-    return _schwarzian_of_jet(j)
+    def value(x):
+        j = m(seed(x))
+        if lead_value(j.d1) == 0.0:
+            raise SingularRayError(f"schwarzian: m'({x}) = 0")
+        return _schwarzian_of_jet(j)
+
+    s = _try_float(value, x)
+    if s is None:
+        raise CoverageError(f"schwarzian: value at {x} leaves the "
+                            f"double-precision range")
+    return s
 
 
 def _schwarzian_of_jet(j: Jet3) -> float:
@@ -292,14 +306,14 @@ def _theta_F(chart: ConformalChart, cu, cv, direction: str):
 
 
 def _mixed_log_derivative(chart: ConformalChart, cu, cv):
-    """d2(ln C)/dc1 dc2 with two nested first-order seeds; exactly 0.0 on
-    a chart without a base factor, whose ln C = ln u'(c1) + ln v'(c2)
-    splits into a c1 part and a c2 part."""
+    """-d2(ln C)/dc1 dc2, which is 24 pi T_12, with two nested first-order
+    seeds; exactly 0.0 on a chart without a base factor, whose
+    ln C = ln u'(c1) + ln v'(c2) splits into a c1 part and a c2 part."""
     if chart.base_factor is None:
         return 0.0
     a1 = Jet1(Jet1(cu, 1.0), 0.0)
     a2 = Jet1(Jet1(cv, 0.0), 1.0)
-    return jlog(chart.factor(a1, a2)).d1.d1
+    return -jlog(chart.factor(a1, a2)).d1.d1
 
 
 def _transition_map(state_chart: ConformalChart, observe: ConformalChart,
@@ -420,12 +434,12 @@ def _point_values(state: VacuumSpec, observe: ConformalChart, q: Point,
         # every check passed, so one sector holds the base u they return
         gov = next(gov for gov, rng in state.sectors
                    if rng.contains(passed.value))
-    except (ArithmeticError, JetDomainError):
+    except RANGE_ERRORS:
         status = FLOAT_RANGE
     if status == OK:
         try:
             out = [lead_value(t) for t in values(gov)]
-        except (ArithmeticError, JetDomainError, CoverageError, NoRootError):
+        except RANGE_ERRORS + (CoverageError, NoRootError):
             # inside the checked coverage, a factor that underflows to 0,
             # a map value that overflows or a root that rounds onto the
             # end of its domain is a float-range failure
@@ -462,8 +476,8 @@ def transform_stress(s: StressSample, target: ConformalChart) -> StressSample:
         dv_t = target.v_map.deriv(q.c2)
         ru, rv = du_t / du_s, dv_t / dv_s
         t = (s.t_uu * ru * ru, s.t_vv * rv * rv, s.t_uv * ru * rv)
-    except ArithmeticError:
-        t = (math.nan,)
+    except RANGE_ERRORS + (CoverageError,):
+        t = (math.nan,)  # a derivative leaves the double-precision range
     if not all(map(_finite, t)):
         raise _point_error(FLOAT_RANGE, s.state, target, q)
     return StressSample(*t, target, s.state, q)
@@ -521,11 +535,9 @@ def _orthonormal(t_uu, t_vv, t_uv, c):
 def to_orthonormal_frame(s: StressSample) -> OrthonormalStress:
     """Mixed components in the frame aligned with the sample's chart:
     energy density T^t_t, pressure T^x_x, flux T^t_x.  Raises
-    CoverageError where they leave the double-precision range."""
-    try:
-        c = s.chart.conformal_factor(s.point.c1, s.point.c2)
-    except ArithmeticError:
-        c = math.nan  # the factor overflows: no component is finite
+    CoverageError where they, or the chart's conformal factor, leave the
+    double-precision range."""
+    c = s.chart.conformal_factor(s.point.c1, s.point.c2)
     o = _orthonormal(s.t_uu, s.t_vv, s.t_uv, c)
     if not (_finite(o[0]) and _finite(o[1]) and _finite(o[2])):
         raise _point_error(FLOAT_RANGE, s.state, s.chart, s.point)
@@ -554,7 +566,7 @@ def orthonormal_grid(g: StressGrid):
 
 
 def anomaly_check(state: VacuumSpec, p: Point) -> float:
-    """|(4/C) T_12 + R/(24 pi)| at a point of the state's chart, with the
+    """|(4/C) T_12 - R/(24 pi)| at a point of the state's chart, with the
     point checks and documented errors of :func:`theta_components`."""
     chart = state.chart
     q = p if p.chart == chart.name else convert_point(p, chart)
@@ -563,7 +575,7 @@ def anomaly_check(state: VacuumSpec, p: Point) -> float:
         t12 = INV_24PI * _mixed_log_derivative(gov, q.c1, q.c2)
         c = gov.conformal_factor(q.c1, q.c2)
         r = gov.ricci_scalar(q.c1, q.c2)
-        return [abs(4.0 / c * t12 + r / (24.0 * _PI))]
+        return [abs(4.0 / c * t12 - r / (24.0 * _PI))]
 
     own = VacuumSpec(chart, label=state.label)
     return _point_values(own, chart, q, anomaly)[0]
@@ -598,11 +610,12 @@ def check_conservation(state: VacuumSpec, observe: ConformalChart, region,
                        n: int) -> ConservationReport:
     """Max residual of the null conservation equations on an n-by-n grid.
 
-    Residuals are |d1 T_22 + d2 T_12 + (d2 C / C) T_12| and the mirror
-    image with 1 <-> 2, every derivative taken by nesting jets through the
-    full evaluation pipeline.  ``region`` is (c1_lo, c1_hi, c2_lo, c2_hi)
-    and n >= 1 (n = 1 takes the centre point).  Errors, in the order they
-    are checked:
+    Residuals are |d1 T_22 + d2 T_12 - (d2 C / C) T_12| and the mirror
+    image with 1 <-> 2, the last term's factor being the Christoffel
+    symbol Gamma^2_22 = d2 ln C, every derivative taken by nesting jets
+    through the full evaluation pipeline.  ``region`` is (c1_lo, c1_hi,
+    c2_lo, c2_hi) and n >= 1 (n = 1 takes the centre point).  Errors, in
+    the order they are checked:
 
     - ValueError unless n >= 1 and each axis has finite lo < hi;
     - MarginError for a region within ``MARGIN`` of a singular ray;
@@ -650,9 +663,9 @@ def check_conservation(state: VacuumSpec, observe: ConformalChart, region,
                 c00 = c.value.value
                 t12_00 = t12.value.value
                 res_v = abs(t22.value.d1 + t12.d1.value
-                            + c.d1.value / c00 * t12_00)
+                            - c.d1.value / c00 * t12_00)
                 res_u = abs(t11.d1.value + t12.value.d1
-                            + c.value.d1 / c00 * t12_00)
+                            - c.value.d1 / c00 * t12_00)
                 max_v = max(max_v, res_v)
                 max_u = max(max_u, res_u)
     return ConservationReport(max(max_u, max_v), max_u, max_v, n, tuple(region))

@@ -8,7 +8,11 @@ The entry points are ``expectation_stress``, ``theta_components``,
 mirrors and of each carried into a chart by ``to_chart``, and
 ``ChartMap.invert`` on a float, which raises NoRootError outside the
 map's range; the maps inverted are the mirrors' reflection maps and a
-map that inverts numerically.  Coordinates are drawn from O(1) values, from
+map that inverts numerically.  So does the chart layer on floats:
+``ChartMap.__call__``, ``deriv`` and ``invert`` of each null map, and
+``conformal_factor`` (positive too) and ``ricci_scalar``, of the
+registered charts, both mirrors' hatted charts and the mirror state's
+chart that no registry holds.  Coordinates are drawn from O(1) values, from
 log-uniform magnitudes up to 1e+-300 of either sign, and from edge values
 (signed zeros, subnormals, the largest double, infinities and NaN).  An
 oracle ties the scalar path to the grid path: ``expectation_stress`` and
@@ -36,7 +40,12 @@ from mirrorstress.charts import (
     get_chart,
 )
 from mirrorstress import vacuum_stress
-from mirrorstress.scenarios import SCENARIO_NAMES, build_scenario
+from mirrorstress.scenarios import (
+    SCENARIO_NAMES,
+    build_scenario,
+    hatted_chart_for_accelerated_mirror,
+    hatted_chart_for_stationary_mirror,
+)
 from mirrorstress.trajectories import (
     reflection_map,
     stationary_mirror,
@@ -278,3 +287,42 @@ def test_trajectory_entry_points_give_finite_values_or_documented_errors(
         _inverts_to_a_finite_root_or_raises(reflection_map(path).p, target)
     # a map that inverts numerically
     _inverts_to_a_finite_root_or_raises(DERIVED.chart.u_map, target)
+
+
+# the charts of the chart-layer property: the registered ones, the two
+# mirrors' hatted charts at a, and the derived state's chart
+LAYER_CHARTS = ("minkowski", "rindler", "curved-test", "hatted-stationary",
+                "hatted-hyperbola", "derived")
+
+
+def _layer_chart(name, a):
+    if name == "derived":
+        return DERIVED.chart
+    if name.startswith("hatted-"):
+        build = hatted_chart_for_stationary_mirror \
+            if name == "hatted-stationary" else \
+            hatted_chart_for_accelerated_mirror
+        try:
+            return build(a)
+        except ValueError:
+            assume(False)  # a out of the hyperbola's range, as documented
+    return get_chart(name)
+
+
+@given(name=st.sampled_from(LAYER_CHARTS), a=accelerations,
+       c1=coordinates, c2=coordinates)
+def test_chart_layer_gives_finite_floats_or_documented_errors(
+        name, a, c1, c2):
+    chart = _layer_chart(name, a)
+    for m, x in ((chart.u_map, c1), (chart.v_map, c2)):
+        for f in (m, m.deriv):
+            y = _outcome(f, x)
+            if not isinstance(y, Exception):
+                assert _finite(y), (m.label, f, x, y)
+        _inverts_to_a_finite_root_or_raises(m, x)
+    c = _outcome(chart.conformal_factor, c1, c2)
+    if not isinstance(c, Exception):
+        assert _finite(c) and c > 0.0, c
+    r = _outcome(chart.ricci_scalar, c1, c2)
+    if not isinstance(r, Exception):
+        assert _finite(r), r

@@ -39,6 +39,7 @@ from mirrorstress.jets import (
     seed,
 )
 from mirrorstress.scenarios import hatted_chart_for_accelerated_mirror
+from mirrorstress.trajectories import uniformly_accelerated_mirror
 
 from jet_leaves import leaves
 
@@ -184,9 +185,9 @@ def test_convert_outside_wedge_is_coverage_error():
 
 
 def test_convert_out_of_float_range_is_coverage_error():
-    # the wedge chart's v map, exp, overflows at 800
-    with pytest.raises(CoverageError, match=r"point \(0\.0, 800\.0\) of chart "
-                       r"'rindler' leaves the double-precision range"):
+    # the wedge chart's v map, exp, overflows at 800; the map says so
+    with pytest.raises(CoverageError, match=r"rindler-v: value at 800\.0 "
+                       r"leaves the double-precision range"):
         convert_point(Point(0.0, 800.0, "rindler"), MINK)
 
 
@@ -203,6 +204,39 @@ def test_convert_out_of_float_range_is_coverage_error():
 def test_convert_gives_a_finite_point_or_coverage_error(p, to, message):
     with pytest.raises(CoverageError, match=message):
         convert_point(p, to)
+
+
+HYPER = hatted_chart_for_accelerated_mirror(1.0)
+
+
+@pytest.mark.parametrize("evaluate,where", [
+    # exp overflows in a map's value, which raised a bare OverflowError
+    (lambda: RIND.v_map(800.0), r"rindler-v: value at 800\.0"),
+    (lambda: RIND.u_map(-800.0), r"rindler-u: value at -800\.0"),
+    (lambda: uniformly_accelerated_mirror(1.0).V(1.7976931348623157e308),
+     r"V: value at 1\.7976931348623157e\+308"),
+    # ... and in a derivative; c/x^2 divides by x^2, which underflows to 0
+    # (a bare ZeroDivisionError)
+    (lambda: RIND.u_map.deriv(-800.0), r"rindler-u: derivative at -800\.0"),
+    (lambda: HYPER.u_map.deriv(5e-324),
+     r"hatted-hyperbola-u\[a=1\.0\]: derivative at 5e-324"),
+    (lambda: RIND.conformal_factor(-800.0, 0.0),
+     r"chart 'rindler': conformal factor at \(-800\.0, 0\.0\)"),
+    # the curved factor (u + v)^2 overflows in a float power
+    (lambda: CURVED.conformal_factor(1e200, 1e200),
+     r"chart 'curved-test': conformal factor at \(1e\+200, 1e\+200\)"),
+    (lambda: HYPER.conformal_factor(5e-324, 1.0),
+     r"conformal factor at \(5e-324, 1\.0\)"),
+    (lambda: RIND.ricci_scalar(-800.0, 0.0),
+     r"chart 'rindler': Ricci scalar at \(-800\.0, 0\.0\)"),
+], ids=["v-value", "u-value", "trajectory-value", "u-derivative",
+        "hyperbola-derivative", "rindler-factor", "curved-factor",
+        "hyperbola-factor", "rindler-ricci"])
+def test_float_evaluation_past_the_double_range_is_coverage_error(
+        evaluate, where):
+    with pytest.raises(CoverageError, match=where + " leaves the "
+                       "double-precision range"):
+        evaluate()
 
 
 def test_convert_round_trip_on_grid():

@@ -12,6 +12,7 @@ from mirrorstress import charts
 from mirrorstress import vacuum_stress as vs
 from mirrorstress.charts import (
     ChartMap,
+    ConformalChart,
     CoverageError,
     Interval,
     Point,
@@ -25,8 +26,11 @@ from mirrorstress.jets import (
     Jet1,
     Jet3,
     constant,
+    jasinh,
+    jcosh,
     jexp,
     jlog,
+    jsinh,
     lead_value,
     seed,
 )
@@ -39,6 +43,7 @@ from mirrorstress.trajectories import (
     reflection_map,
     stationary_mirror,
     to_chart,
+    uniformly_accelerated_mirror,
 )
 from mirrorstress.vacuum_stress import (
     INV_24PI,
@@ -110,6 +115,15 @@ def test_F_of_moebius_derivative_vanishes():
 def test_F_zero_denominator():
     with pytest.raises(SingularRayError):
         F_functional(lambda j: j, 0.0)
+
+
+def test_schwarzian_past_the_double_range_is_coverage_error():
+    # p = -1/u has p' = 1/u^2 = inf at u = -1e-300, and the Schwarzian
+    # took inf/inf: it returned NaN
+    p = reflection_map(uniformly_accelerated_mirror(1.0)).p
+    with pytest.raises(CoverageError, match=r"schwarzian: value at -1e-300 "
+                       r"leaves the double-precision range"):
+        schwarzian_derivative(p, -1e-300)
 
 
 def test_schwarzian_random_maps_match_direct_formula():
@@ -407,12 +421,14 @@ def test_orthonormal_mirror_state_has_flux():
 
 
 def test_orthonormal_frame_out_of_float_range_is_coverage_error():
-    # the curved chart's factor (u + v)^2 overflows at u = 1e300
+    # the curved chart's factor (u + v)^2 overflows at u = 1e300; the
+    # chart says so
     st = build_scenario("minkowski_vacuum_rindler_observer").state
     s = expectation_stress(st, get_chart("curved-test"),
                            Point(1e300, 1286258.064567808, "curved-test"))
-    with pytest.raises(CoverageError, match=r"point \(1e\+300, 1286258\."
-                       r"064567808\) of chart 'curved-test'.*double-precision"):
+    with pytest.raises(CoverageError, match=r"chart 'curved-test': conformal "
+                       r"factor at \(1e\+300, 1286258\.064567808\) leaves "
+                       r"the double-precision range"):
         to_orthonormal_frame(s)
 
 
@@ -440,6 +456,33 @@ def test_conservation_mirror_state_rindler():
     eps = 1e-6
     w = lambda ub: -INV_48PI * math.exp(-2 * ub) / (2 - math.exp(-ub)) ** 2
     assert abs(w(1.0) - w(1.0)) == 0.0
+
+
+def _relabeled_curved_chart():
+    """The curved test chart relabeled by u = sinh(c1), v = c2/2 + 1/4."""
+    sinh = ChartMap(fn=jsinh, dfn=jcosh, inverse_fn=jasinh, monotone_sign=1,
+                    label="sinh", range_hint=Interval())
+    affine = ChartMap(fn=lambda x: 0.5 * x + 0.25,
+                      dfn=lambda x: 0.0 * x + 0.5,
+                      inverse_fn=lambda y: 2.0 * (y - 0.25), monotone_sign=1,
+                      label="affine", range_hint=Interval())
+    return compose_charts(synthetic_curved_chart(), sinh, affine,
+                          "curved-relabeled")
+
+
+@pytest.mark.parametrize("state_chart,observe", [
+    ("curved", "curved"), ("curved", "relabeled"), ("relabeled", "curved"),
+])
+def test_conservation_of_a_curved_vacuum(state_chart, observe):
+    # the only vacua whose T_12 is not 0, so conservation does not hold
+    # structurally: it read 0.106 while T_12 had the wrong sign and the
+    # Christoffel term was added.  Seen from the relabeled chart, every
+    # derivative passes through the transitions
+    charts_ = {"curved": synthetic_curved_chart(),
+               "relabeled": _relabeled_curved_chart()}
+    st = VacuumSpec(charts_[state_chart], "full_line", label="curved_vacuum")
+    rep = check_conservation(st, charts_[observe], (0.5, 2.0, 0.5, 2.0), 10)
+    assert rep.max_residual < 1e-12
 
 
 def test_conservation_margin_guard():
@@ -674,14 +717,74 @@ def test_anomaly_curved_chart_vs_symbolic():
         s = theta_components(st, p)
         c = curved.conformal_factor(u, v)
         r_symbolic = 8.0 / (u + v) ** 4
-        assert close(4.0 / c * s.t_uv, -r_symbolic / (24.0 * math.pi), 1e-10)
+        assert close(4.0 / c * s.t_uv, r_symbolic / (24.0 * math.pi), 1e-10)
         assert close(curved.ricci_scalar(u, v), r_symbolic, 1e-10)
+
+
+def _quartic_chart():
+    """Identity chart carrying the curved factor C = 1 + u^2 v^2."""
+    return ConformalChart(
+        "quartic-test", identity_map("u"), identity_map("v"),
+        base_factor=lambda ju, jv: 1.0 + (ju * ju) * (jv * jv))
+
+
+@pytest.mark.parametrize("factor", ["(u + v)^2", "1 + u^2 v^2"])
+def test_curved_vacuum_components_match_a_conserved_symbolic_tensor(factor):
+    # an oracle that shares no code with the engine: for ds^2 = C du dv,
+    # sympy takes T_uu = F_u(C)/24pi, T_vv = F_v(C)/24pi and
+    # T_uv = -d2(ln C)/du dv / 24pi, and from the metric's own Christoffel
+    # symbols and Riemann tensor (MTW's sign) it finds the divergence 0
+    # and the trace R/24pi.  The code's components and R match them
+    sp = pytest.importorskip("sympy")
+    u, v = xs = sp.symbols("u v", real=True)
+    C = (u + v) ** 2 if factor == "(u + v)^2" else 1 + u ** 2 * v ** 2
+    chart = synthetic_curved_chart() if factor == "(u + v)^2" \
+        else _quartic_chart()
+    g = sp.Matrix([[0, C / 2], [C / 2, 0]])
+    gi = g.inv()
+    n = range(2)
+    gamma = [[[sum(gi[a, d] * (sp.diff(g[d, b], xs[c])
+                               + sp.diff(g[d, c], xs[b])
+                               - sp.diff(g[b, c], xs[d])) for d in n) / 2
+               for c in n] for b in n] for a in n]
+
+    def riemann(a, b, c, d):  # R^a_bcd
+        return (sp.diff(gamma[a][d][b], xs[c]) - sp.diff(gamma[a][c][b], xs[d])
+                + sum(gamma[a][c][e] * gamma[e][d][b]
+                      - gamma[a][d][e] * gamma[e][c][b] for e in n))
+
+    ricci = sp.cancel(sum(gi[b, d] * riemann(a, b, a, d)
+                            for a in n for b in n for d in n))
+
+    def F(x):
+        r = sp.diff(C, x) / C
+        return sp.diff(C, x, 2) / C - sp.Rational(3, 2) * r ** 2
+
+    k = 1 / (24 * sp.pi)
+    t = sp.Matrix([[k * F(u), -k * sp.diff(sp.log(C), u, v)],
+                   [-k * sp.diff(sp.log(C), u, v), k * F(v)]])
+    for c in n:
+        divergence = sum(gi[a, b] * (sp.diff(t[b, c], xs[a])
+                                     - sum(gamma[e][a][b] * t[e, c]
+                                           + gamma[e][a][c] * t[b, e]
+                                           for e in n))
+                         for a in n for b in n)
+        assert sp.cancel(divergence) == 0
+    trace = sum(gi[a, b] * t[a, b] for a in n for b in n)
+    assert sp.cancel(trace - ricci / (24 * sp.pi)) == 0
+
+    want = sp.lambdify((u, v), (t[0, 0], t[1, 1], t[0, 1], ricci))
+    st = VacuumSpec(chart, "full_line", label="curved_vacuum")
+    for c1, c2 in [(0.5, 0.8), (2.0, 0.3), (-0.4, 1.1), (1.5, -0.5)]:
+        s = theta_components(st, Point(c1, c2, chart.name))
+        got = (s.t_uu, s.t_vv, s.t_uv, chart.ricci_scalar(c1, c2))
+        assert got == pytest.approx(want(c1, c2), rel=1e-12, abs=1e-15)
 
 
 def _nested_jet_mixed_log_derivative(chart, cu, cv):
     """d2(ln C)/dc1 dc2 through two nested first-order seeds on any chart:
-    the engine's route for charts with a base factor, and the oracle of
-    the exact zero it takes on the others."""
+    the engine's route for charts with a base factor (up to T_12's sign),
+    and the oracle of the exact zero it takes on the others."""
     a1 = Jet1(Jet1(cu, 1.0), 0.0)
     a2 = Jet1(Jet1(cv, 0.0), 1.0)
     return jlog(chart.factor(a1, a2)).d1.d1

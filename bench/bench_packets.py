@@ -103,7 +103,7 @@ def test_compute_coefficients_dirichlet(benchmark):
     """The 2 x 64 Dirichlet matrix: 64 standing-packet columns against
     two rows on the stationary mirror's hatted chart at t = 2, on the
     table kernel.  The mirror is found by one ``ChartMap.invert`` for the
-    column stack and one per row."""
+    column stack and one for the row stack."""
     hat = hatted_chart_for_stationary_mirror(1.0)
     basis_a = ModeBasis(hat, boundary="dirichlet_half_line",
                         frequencies=np.geomspace(0.5, 8.0, 64),

@@ -22,14 +22,15 @@ of one sector does not depend on the surface: at any t it takes the
 same evaluations and agrees with t = 0 to rounding.  Standing packets
 are read through x, as their mirror moves with t.
 A packet, or a stack of them, gives its supports and that substitution
-in one ``geometry`` call, so a row takes every entry's window at once.
-A matrix row is one lockstep quadrature: every entry keeps its own window
-and adaptive grid, on which alpha and beta are paired together, and each
-refinement wave evaluates the row packet once and all column packets
-together (as one stack) at the new nodes of every open entry.  A wave is
-evaluated in fixed blocks of at most 64 panels, so the memory of a wave
-does not grow with the number of columns.  A single pairing is a row of
-one.
+in one ``geometry`` call, so a matrix takes every entry's window at once.
+A whole matrix is one lockstep quadrature over its entries, row after
+row: every entry (i, k) keeps its own window and adaptive grid, on which
+alpha and beta are paired together, and each refinement wave evaluates
+the row stack once and the column stack once at the new nodes of every
+open entry, each node read by the two packets of its own entry.  A wave
+is evaluated in fixed blocks of at most 64 panels, so the memory of a
+wave does not grow with the number of entries.  A single pairing is a
+row of one: a matrix of one entry, through the same engine.
 
 A packet is a Gauss-Legendre sum over log-frequency nodes.  Every packet
 of width sigma is a dilation U(w_c c) of one unit packet, so all of them
@@ -128,7 +129,10 @@ def _adaptive_gk(f, a, b, tol: float, max_panels: int = 4096):
     exceeds ``tol`` the worst half of the panels over its budget, until
     no component is open, 60 waves have run or the entry has
     ``max_panels`` panels.  Entries run in lockstep groups of
-    ``_LOCKSTEP_ENTRIES``, which bounds the panel state held at once.
+    ``_LOCKSTEP_ENTRIES``, which bounds the panel state held at once; as
+    an entry refines alone, no output depends on the grouping.  A
+    Bogolubov matrix passes all its entries at once, row after row, so
+    one group holds entries of several rows.
     Each wave gathers the new panels of every open entry of the group and
     evaluates them in blocks of ``_BLOCK_PANELS`` panels, each reduced to
     its panel sums before the next, so the memory of a wave does not grow
@@ -301,9 +305,10 @@ _FILL_ELEMENTS = 1 << 16
 # block's 15-node panels stays within the same budget
 _BLOCK_PANELS = max(1, _FILL_ELEMENTS // (_CHEB_N * 4 * len(_K15_NODES)))
 _BLOCK_NODES = _BLOCK_PANELS * len(_K15_NODES)
-# entries refined in lockstep at a time: their panel state (up to about
-# 25 KB an entry) stays near a megabyte, and a wave still fills blocks
-_LOCKSTEP_ENTRIES = 32
+# entries refined in lockstep at a time: their panel state, up to about
+# 25 KB an entry, stays within a budget of about 6 MB, and one group
+# holds a 1 x 255 row or a 3 x 19 matrix whole, so its waves fill blocks
+_LOCKSTEP_ENTRIES = 256
 # cells of one unit-packet table, 71 MB of coefficients (sigma 0.5: 11,559)
 _MAX_CELLS = 1 << 17
 _LEGENDRE_64 = np.polynomial.legendre.leggauss(64)
@@ -542,16 +547,19 @@ class _Substitution:
         return self.map.inverse_fn(self.t - x if self.sector == "u"
                                    else self.t + x)
 
-    def window(self, x0, x1):
+    def window(self, x0, x1, owner):
         """The s-interval of the x-intervals [x0, x1] (arrays), clipped to
-        the s-window.  An end that maps to no finite s, at or past the
-        substitution's reachable limit, takes the s-window's end."""
+        the s-window of the packet ``owner`` indexes for each interval.
+        An end that maps to no finite s, at or past the substitution's
+        reachable limit, takes the s-window's end."""
         with np.errstate(all="ignore"):
             s0, s1 = self.s(x0), self.s(x1)
         if (self.map.monotone_sign > 0) != (self.sector == "v"):
             s0, s1 = s1, s0  # s runs against x
-        return (np.where(np.isfinite(s0), np.maximum(self.lo, s0), self.lo),
-                np.where(np.isfinite(s1), np.minimum(self.hi, s1), self.hi))
+        lo, hi = (np.take(end, owner)
+                  for end in np.broadcast_arrays(self.lo, self.hi))
+        return (np.where(np.isfinite(s0), np.maximum(lo, s0), lo),
+                np.where(np.isfinite(s1), np.minimum(hi, s1), hi))
 
 
 class _TravelingPacket:
@@ -705,54 +713,59 @@ class QuadReport:
     n_evaluations: int
 
 
-def _pair_row(stack, stack_geometry, g, t, tol):
-    """Pair the row mode ``g`` with m column modes f_k and with their
-    conjugates, all in one lockstep quadrature (``_adaptive_gk``).
+def _pair(rows, columns, t, tol):
+    """Pair every row packet g_i with every column packet f_k and with its
+    conjugate, all nb x na entries, row after row, in one lockstep
+    quadrature (``_adaptive_gk``).
 
-    ``stack.evaluate(t, xs, owner)`` evaluates f_k at the points owned
-    by column k, and ``stack_geometry`` is ``stack.geometry(t)``, whose
-    support arrays hold each f_k's.  Entry k is integrated over the
-    intersection of its support with g's, in the substitution of g, else
-    of the stack, else in x.
-    At every node g and the owning column are each evaluated once, and
-    both components, (f_k, g) and (f_k*, g), are formed from those values.
+    ``rows`` and ``columns`` are stacks of packets, or single packets (a
+    stack of one): ``evaluate(t, xs, owner)`` reads at each point the
+    packet ``owner`` indexes, and ``geometry(t)`` gives every packet's
+    support and the stack's substitution.  The substitution is chosen
+    once: the rows', else the columns', else none.  Entry (i, k) is
+    integrated over the intersection of the supports of g_i and f_k, in
+    s over the s-window of whichever of the two brings the substitution,
+    else in x.  At every node g_i and f_k of the owning entry are each
+    evaluated once, and both components, (f_k, g_i) and (f_k*, g_i), are
+    formed from those values.
 
     Returns (values, errors, truncations, n_evaluations): the first three
-    of shape (m, 2), component 0 the pairing with f_k and 1 with f_k*.
-    Entries with an empty window are 0, with no evaluations.
+    of shape (nb, na, 2), component 0 the pairing with f_k and 1 with
+    f_k*, the last (nb, na).  Entries with an empty window are 0, with no
+    evaluations.
     """
-    (lo1, hi1), stack_sub = stack_geometry
-    (lo2, hi2), g_sub = g.geometry(t)
-    sub, sub_side = (stack_sub, stack) if g_sub is None else (g_sub, g)
-    a = np.atleast_1d(np.maximum(lo1, lo2))  # floats for one packet
-    b = np.atleast_1d(np.minimum(hi1, hi2))
+    (lo_b, hi_b), sub_b = rows.geometry(t)
+    (lo_a, hi_a), sub_a = columns.geometry(t)
+    nb, na = np.size(lo_b), np.size(lo_a)
+    row, col = np.divmod(np.arange(nb * na), na)
+    a = np.maximum(np.take(lo_a, col), np.take(lo_b, row))
+    b = np.minimum(np.take(hi_a, col), np.take(hi_b, row))
+    sub, sub_side = (sub_a, columns) if sub_b is None else (sub_b, rows)
     live = a < b
     if sub is not None:
-        a, b = sub.window(a, b)
+        a, b = sub.window(a, b, row if sub_side is rows else col)
         live &= a < b
-    m = len(live)
 
-    values = np.zeros((m, 2), dtype=complex)
-    errors = np.zeros((m, 2))
-    truncs = np.zeros((m, 2))
-    n_evals = np.zeros(m, dtype=int)
-    cols = np.flatnonzero(live)
-    if len(cols) == 0:
-        return values, errors, truncs, n_evals
+    values = np.zeros((nb * na, 2), dtype=complex)
+    errors = np.zeros((nb * na, 2))
+    truncs = np.zeros((nb * na, 2))
+    n_evals = np.zeros(nb * na, dtype=int)
+    entries = np.flatnonzero(live)
+    row, col = row[entries], col[entries]
 
-    def side(mode, ss, col=None):
+    def side(mode, ss, owner):
         """(values, d/dt values times |dx/ds|) of ``mode`` at ss: the
         substitution's own side at s itself, the other at x(s)."""
         if sub is None:
-            return mode.evaluate(t, ss, col)
+            return mode.evaluate(t, ss, owner)
         if mode is sub_side:
-            return mode.along(sub, ss, col)
-        v, d = mode.evaluate(t, sub.x(ss), col)
+            return mode.along(sub, ss, owner)
+        v, d = mode.evaluate(t, sub.x(ss), owner)
         return v, d * sub.rate(ss)
 
     def integrand(ss, owner):
-        v2, d2 = side(g, ss)
-        v1, d1 = side(stack, ss, cols[owner])
+        v2, d2 = side(rows, ss, row[owner])
+        v1, d1 = side(columns, ss, col[owner])
         out = np.empty((2, len(ss)), dtype=complex)
         np.multiply(np.conj(v1), d2, out=out[0])
         out[0] -= np.conj(d1) * v2
@@ -761,17 +774,20 @@ def _pair_row(stack, stack_geometry, g, t, tol):
         out *= 1j
         return out
 
-    a, b = a[cols], b[cols]
-    values[cols], errors[cols], n_evals[cols] = _adaptive_gk(
-        integrand, a, b, tol)
-    ends = np.stack([a, b], axis=1).ravel()
-    owner = np.arange(len(ends)) // 2
-    edge = np.abs(np.concatenate([integrand(ends[s], owner[s]) for s in
-                                  _blocks(len(ends), _BLOCK_NODES)], axis=1))
-    edge = edge.reshape(2, len(cols), 2)
-    truncs[cols] = ((edge[:, :, 0] + edge[:, :, 1])
-                    * np.maximum(1.0, 0.05 * (b - a))).T
-    return values, errors, truncs, n_evals
+    if len(entries):
+        a, b = a[entries], b[entries]
+        values[entries], errors[entries], n_evals[entries] = _adaptive_gk(
+            integrand, a, b, tol)
+        ends = np.stack([a, b], axis=1).ravel()
+        owner = np.arange(len(ends)) // 2
+        edge = np.abs(np.concatenate(
+            [integrand(ends[s], owner[s])
+             for s in _blocks(len(ends), _BLOCK_NODES)], axis=1))
+        edge = edge.reshape(2, len(entries), 2)
+        truncs[entries] = ((edge[:, :, 0] + edge[:, :, 1])
+                           * np.maximum(1.0, 0.05 * (b - a))).T
+    return tuple(x.reshape((nb, na) + x.shape[1:])
+                 for x in (values, errors, truncs, n_evals))
 
 
 def _check_surface(t: float, tol: float):
@@ -790,19 +806,19 @@ def kg_inner_product(mode1, mode2, t: float = 0.0, tol: float = 1e-8,
     The window is the intersection of the packet supports; the
     substitution is whichever mode prefers a non-linear one.
 
-    This is a row of one in the engine of ``compute_coefficients``: mode1
-    and its conjugate are paired with mode2 on one adaptive grid, so the
-    value is bit for bit that of the matrix entry, and a conjugate packet
+    This is a row of one in the engine of ``compute_coefficients``: the
+    1 x 1 matrix of row mode2 and column mode1, whose entry pairs mode1
+    and its conjugate with mode2 on one adaptive grid, so the value is bit
+    for bit that of the matrix entry, and a conjugate packet
     ``_Conjugate(f)`` reproduces its beta entry (up to sign).
     ValueError unless t is finite and tol finite and positive, or where a
     Dirichlet mode's surface t misses its chart.
     """
     _check_surface(t, tol)
-    values, errors, truncs, n_evals = _pair_row(
-        mode1, mode1.geometry(t), mode2, t, tol)
-    report = QuadReport(complex(values[0, 0]), float(errors[0, 0]),
-                        float(truncs[0, 0]), bool(truncs[0, 0] > tol),
-                        int(n_evals[0]))
+    values, errors, truncs, n_evals = _pair(mode2, mode1, t, tol)
+    value, error, trunc = values[0, 0, 0], errors[0, 0, 0], truncs[0, 0, 0]
+    report = QuadReport(complex(value), float(error), float(trunc),
+                        bool(trunc > tol), int(n_evals[0, 0]))
     return report if full_output else report.value
 
 
@@ -849,34 +865,23 @@ def compute_coefficients(basis_a: ModeBasis, basis_b: ModeBasis,
                          t: float = 0.0, tol: float = 1e-8) -> BogolubovPair:
     """alpha[i, k] = (f_k, g_i),  beta[i, k] = -(f_k*, g_i).
 
-    Each row is one lockstep quadrature (``_pair_row``): every entry keeps
-    its own window and adaptive grid, on which f_k and f_k* are paired
-    together, and each refinement wave evaluates the row packet g_i and
-    the stack of all columns once for the new nodes of every open entry,
-    in blocks of bounded size.  ValueError unless t is finite and tol
-    finite and positive, or where the surface t misses the chart of a
-    Dirichlet basis."""
+    The whole matrix is one lockstep quadrature (``_pair``) over its
+    entries, row after row: every entry keeps its own window and adaptive
+    grid, on which f_k and f_k* are paired together, and each refinement
+    wave evaluates the row stack (all g_i) and the column stack (all f_k)
+    once each at the new nodes of every open entry, in blocks of bounded
+    size.  The substitution is chosen once for the matrix, and a
+    Dirichlet stack solves its mirror once.  ValueError unless t is
+    finite and tol finite and positive, or where the surface t misses the
+    chart of a Dirichlet basis."""
     _check_surface(t, tol)
-    stack = basis_a._packet(basis_a.frequencies)
-    geometry = stack.geometry(t)
-    packets_b = basis_b.packets()
-    nb, na = len(packets_b), len(basis_a)
-    alpha = np.zeros((nb, na), dtype=complex)
-    beta = np.zeros((nb, na), dtype=complex)
-    qerr = np.zeros((nb, na))
-    trunc = np.zeros((nb, na))
-    n_evals = np.zeros((nb, na), dtype=int)
-    warned = np.zeros((nb, na), dtype=bool)
-    for i, g in enumerate(packets_b):
-        values, errors, truncs, n_evals[i] = _pair_row(stack, geometry, g,
-                                                       t, tol)
-        alpha[i] = values[:, 0]
-        beta[i] = -values[:, 1]
-        qerr[i] = errors[:, 0] + errors[:, 1]
-        trunc[i] = truncs[:, 0] + truncs[:, 1]
-        warned[i] = (truncs > tol).any(axis=1)
-    return BogolubovPair(alpha, beta, qerr, trunc, basis_a, basis_b,
-                         n_evals, warned)
+    values, errors, truncs, n_evals = _pair(
+        basis_b._packet(basis_b.frequencies),
+        basis_a._packet(basis_a.frequencies), t, tol)
+    return BogolubovPair(values[..., 0].copy(), -values[..., 1],
+                         errors[..., 0] + errors[..., 1],
+                         truncs[..., 0] + truncs[..., 1], basis_a, basis_b,
+                         n_evals, (truncs > tol).any(axis=-1))
 
 
 def expected_number(pair: BogolubovPair, i: int) -> float:

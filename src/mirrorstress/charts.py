@@ -205,8 +205,9 @@ class ChartMap:
                 f"{self.label}: argument {v} outside domain {self.domain}")
 
     def deriv(self, x: float) -> float:
-        """fn' at a float, finite; CoverageError where it leaves the
-        double-precision range."""
+        """fn' at a float, finite; CoverageError outside the domain, as
+        for ``__call__``, or where it leaves the double-precision range."""
+        self._check_domain(x)
         d = _try_float(self.dfn, x)
         if d is None:
             raise CoverageError(f"{self.label}: derivative at {x} leaves "

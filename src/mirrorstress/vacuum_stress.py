@@ -240,11 +240,20 @@ def F_of_jet(j: Jet3):
 
 
 def F_functional(f, x: float) -> float:
-    """F_x(f) for a jet-evaluable function f."""
-    j = f(seed(x))
-    if lead_value(j.value) == 0.0:
-        raise SingularRayError(f"F functional: f({x}) = 0")
-    return lead_value(F_of_jet(j))
+    """F_x(f) for a jet-evaluable function f, a finite float;
+    SingularRayError where f(x) = 0, CoverageError where it leaves the
+    double-precision range."""
+    def value(x):
+        j = f(seed(x))
+        if lead_value(j.value) == 0.0:
+            raise SingularRayError(f"F functional: f({x}) = 0")
+        return F_of_jet(j)
+
+    F = _try_float(value, x)
+    if F is None:
+        raise CoverageError(f"F functional: value at {x} leaves the "
+                            f"double-precision range")
+    return F
 
 
 def schwarzian_derivative(m, x: float) -> float:
@@ -275,12 +284,21 @@ def _schwarzian_of_jet(j: Jet3) -> float:
 def F_composition(p_map: ChartMap, base_F: float, x_bar: float) -> float:
     """F in the relabeled chart from F in the original one:
     (1/p'(x)^2) [base_F - F_x(p')], the subtracted term being the
-    Schwarzian derivative of p."""
-    j = p_map(seed(x_bar))
-    pprime = lead_value(j.d1)
-    if pprime == 0.0:
-        raise SingularRayError(f"F composition: p'({x_bar}) = 0")
-    return (base_F - _schwarzian_of_jet(j)) / (pprime * pprime)
+    Schwarzian derivative of p.  A finite float; SingularRayError where
+    p'(x) = 0, CoverageError outside p's domain or where the value, or
+    p' on the way to it, leaves the double-precision range."""
+    def value(x):
+        j = p_map(seed(x))
+        pprime = lead_value(j.d1)
+        if pprime == 0.0:
+            raise SingularRayError(f"F composition: p'({x}) = 0")
+        return (base_F - _schwarzian_of_jet(j)) / (pprime * pprime)
+
+    F = _try_float(value, x_bar)
+    if F is None:
+        raise CoverageError(f"F composition: value at {x_bar} leaves the "
+                            f"double-precision range")
+    return F
 
 
 # ---------- stress of a chart vacuum, jet-generic ----------

@@ -9,7 +9,8 @@ mirrors and of each carried into a chart by ``to_chart``, and
 ``ChartMap.invert`` on a float, which raises NoRootError outside the
 map's range; the maps inverted are the mirrors' reflection maps and a
 map that inverts numerically.  So does the chart layer on floats:
-``ChartMap.__call__``, ``deriv`` and ``invert`` of each null map, and
+``ChartMap.__call__``, ``deriv`` and ``invert`` of each null map (the
+first two raise CoverageError at a float outside the map's domain), and
 ``conformal_factor`` (positive too) and ``ricci_scalar``, of the
 registered charts, both mirrors' hatted charts and the mirror state's
 chart that no registry holds.  Coordinates are drawn from O(1) values, from
@@ -315,9 +316,12 @@ def test_chart_layer_gives_finite_floats_or_documented_errors(
         name, a, c1, c2):
     chart = _layer_chart(name, a)
     for m, x in ((chart.u_map, c1), (chart.v_map, c2)):
+        outside = not m.domain.contains(x)
         for f in (m, m.deriv):
             y = _outcome(f, x)
-            if not isinstance(y, Exception):
+            if outside:  # deriv checks the domain as __call__ does
+                assert isinstance(y, CoverageError), (m.label, f, x, y)
+            elif not isinstance(y, Exception):
                 assert _finite(y), (m.label, f, x, y)
         _inverts_to_a_finite_root_or_raises(m, x)
     c = _outcome(chart.conformal_factor, c1, c2)

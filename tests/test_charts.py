@@ -239,6 +239,19 @@ def test_float_evaluation_past_the_double_range_is_coverage_error(
         evaluate()
 
 
+@pytest.mark.parametrize("m,x", [
+    (HYPER.u_map, -1.0), (HYPER.u_map, 0.0), (HYPER.u_map, math.nan),
+    (RIND.u_map, math.inf),
+], ids=["negative", "domain-end", "nan", "infinity"])
+def test_derivative_outside_the_domain_is_coverage_error(m, x):
+    # deriv skipped the domain check that __call__ makes: the hyperbola's
+    # u map, on (0, inf), gave u'(-1.0) = 1.0
+    for evaluate in (m, m.deriv):
+        with pytest.raises(CoverageError, match="outside domain"):
+            evaluate(x)
+
+
+
 def test_convert_round_trip_on_grid():
     for i in range(-4, 5):
         for j in range(-4, 5):

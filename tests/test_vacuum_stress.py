@@ -117,6 +117,13 @@ def test_F_zero_denominator():
         F_functional(lambda j: j, 0.0)
 
 
+def test_F_past_the_double_range_is_coverage_error():
+    # e^800 overflows in the jet: a bare OverflowError
+    with pytest.raises(CoverageError, match=r"F functional: value at "
+                       r"800\.0 leaves the double-precision range"):
+        F_functional(lambda j: jexp(j), 800.0)
+
+
 def test_schwarzian_past_the_double_range_is_coverage_error():
     # p = -1/u has p' = 1/u^2 = inf at u = -1e-300, and the Schwarzian
     # took inf/inf: it returned NaN
@@ -199,6 +206,17 @@ def test_F_composition_matches_direct_hatted_evaluation():
         direct = lead_value(c_jet.d2 / c_jet.value
                             - 1.5 * (c_jet.d1 / c_jet.value) ** 2)
         assert close(via_identity, direct, 1e-10)
+
+
+@pytest.mark.parametrize("u", [-1e-160, -1e-300])
+def test_F_composition_past_the_double_range_is_coverage_error(u):
+    # p(u) = -1/u: p' = 1/u^2 overflows, and the Schwarzian took inf/inf,
+    # so F read NaN
+    p_map = reflection_map(uniformly_accelerated_mirror(1.0)).p
+    with pytest.raises(CoverageError, match=f"F composition: value at {u!r} "
+                       "leaves the double-precision range"):
+        F_composition(p_map, -0.5, u)
+    assert F_composition(p_map, -0.5, -0.5) == -0.5 * 0.5 ** 4
 
 
 def test_F_composition_matches_composed_chart():

@@ -9,15 +9,21 @@ gives before and after on one machine.  The 1 x 255 and Dirichlet 2 x 64
 matrices, the 2 x 5 matrix on a late surface, the table read and the
 cold start run on the tables only;
 compare them across commits by running this file against each commit's
-source.  The file is named bench_* so the test suite does not collect
-it.
+source.  The wave and table reads each take three point sets of the
+sigma = 0.04 table: ``block``, the first whole evaluation block that the
+thermal matrix reads from it (as many points as that commit's
+``_BLOCK_NODES``, clustered by Kronrod panels); ``uniform``, 960 points
+drawn uniformly over the table; and ``one``, a lone point.  The file is
+named bench_* so the test suite does not collect it.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from mirrorstress import bogolubov
 from mirrorstress.bogolubov import (
     ModeBasis,
     _unit_packet,
@@ -30,6 +36,7 @@ from mirrorstress.charts import get_chart
 from mirrorstress.scenarios import hatted_chart_for_stationary_mirror
 
 KERNELS = ["table", "exact"]
+READS = ["block", "uniform", "one"]
 
 
 @pytest.fixture(params=KERNELS)
@@ -50,25 +57,44 @@ def thermal_bases():
     return basis_a, basis_b
 
 
-def test_wave(benchmark, kernel):
-    """One wedge-packet evaluation at 960 points, the median number of
-    points per table call in a ``mirrorbench`` bogolubov cycle (a wave of
-    64 panels of 15 Kronrod nodes); tables filled before timing."""
-    core = thermal_bases()[1].packet(1).core
+@pytest.fixture(scope="module")
+def reads():
+    """The three point sets of the sigma = 0.04 table, by name, with every
+    panel of the table filled."""
+    unit = _unit_packet(0.04)
+    unit.table(unit._mids)
+    blocks = []
+    table = _UnitPacket.table
+
+    def record(self, z):
+        if self is unit and len(z) == bogolubov._BLOCK_NODES:
+            blocks.append(z.copy())
+        return table(self, z)
+
+    with mock.patch.object(_UnitPacket, "table", record):
+        compute_coefficients(*thermal_bases(), tol=1e-9)
     rng = np.random.default_rng(0)
-    coord = rng.uniform(-core.radius, core.radius, 960)
+    return {"block": blocks[0],
+            "uniform": rng.uniform(-unit.radius, unit.radius, 960),
+            "one": np.array([0.3])}
+
+
+@pytest.mark.parametrize("read", READS)
+def test_wave(benchmark, kernel, reads, read):
+    """One evaluation of the thermal matrix's middle wedge packet, at
+    centre frequency 1, so its coordinates are the table's points."""
+    core = thermal_bases()[1].packet(1).core
+    assert core.omega_c == 1.0
+    coord = reads[read]
     core.wave(coord)
     benchmark(core.wave, coord)
 
 
-def test_table(benchmark):
-    """One 960-point read of the sigma = 0.04 table, every panel filled
-    before timing: the gather, recurrence and contraction alone."""
-    unit = _unit_packet(0.04)
-    unit.table(unit._mids)
-    rng = np.random.default_rng(0)
-    z = rng.uniform(-unit.radius, unit.radius, 960)
-    benchmark(unit.table, z)
+@pytest.mark.parametrize("read", READS)
+def test_table(benchmark, reads, read):
+    """One read of the sigma = 0.04 table, every panel filled before
+    timing: the sort, recurrence and contraction alone."""
+    benchmark(_unit_packet(0.04).table, reads[read])
 
 
 def test_cold_start(benchmark):

@@ -28,7 +28,7 @@ row: every entry (i, k) keeps its own window and adaptive grid, on which
 alpha and beta are paired together, and each refinement wave evaluates
 the row stack once and the column stack once at the new nodes of every
 open entry, each node read by the two packets of its own entry.  A wave
-is evaluated in fixed blocks of at most 64 panels, so the memory of a
+is evaluated in fixed blocks of at most 257 panels, so the memory of a
 wave does not grow with the number of entries.  A single pairing is a
 row of one: a matrix of one entry, through the same engine.
 
@@ -40,9 +40,11 @@ rounding level (a few 1e-15 of the peak).  Panels share their width, so a
 fill splits each phase by angle addition into a panel-midpoint factor and
 a factor common to every panel, and needs one cos/sin per node and panel,
 not per node and point; it takes the nodes in chunks whose shared factors
-stay in cache.  A read contracts each point's Chebyshev basis with its
-panel's coefficients by one stacked matrix product, whose sums do not
-depend on how many points are read together.
+stay in cache.  A read sorts its points by panel and pads each panel's
+run to whole chunks of 8 points; one stacked matrix product contracts
+every chunk's Chebyshev basis with its own panel's coefficients, so a
+point's sums do not depend on how many points are read together, nor on
+which of them share its chunk.
 
 This module is a verification companion: the stress pipeline never calls
 into it.
@@ -301,10 +303,18 @@ _CHEB_FROM_VALUES[0] *= 0.5
 # phase-matrix elements per filling chunk: bounds the transient memory of
 # a fill whatever the packet's node count
 _FILL_ELEMENTS = 1 << 16
-# panels per quadrature evaluation block: the (n, 17, 4) table gather of a
-# block's 15-node panels stays within the same budget
-_BLOCK_PANELS = max(1, _FILL_ELEMENTS // (_CHEB_N * 4 * len(_K15_NODES)))
+# panels per quadrature evaluation block: a table read takes 17 basis
+# doubles a point, so the basis of a block's 15-node panels, before
+# padding, stays within the same budget
+_BLOCK_PANELS = max(1, _FILL_ELEMENTS // (_CHEB_N * len(_K15_NODES)))
 _BLOCK_NODES = _BLOCK_PANELS * len(_K15_NODES)
+# rows of one matrix product of a table read: every chunk has this shape,
+# a whole 8-double SIMD tile, so BLAS sums each output element of every
+# chunk the same way, as one chain over the 17 terms
+_CHUNK = 8
+# widest padded read whose basis the shared buffer keeps: an evaluation
+# block's points, each alone in its panel
+_WORK_POINTS = _CHUNK * _BLOCK_NODES
 # entries refined in lockstep at a time: their panel state, up to about
 # 25 KB an entry, stays within a budget of about 6 MB, and one group
 # holds a 1 x 255 row or a 3 x 19 matrix whole, so its waves fill blocks
@@ -372,10 +382,19 @@ class _UnitPacket:
     panels, so a value never depends on the order panels were filled in.
     The fill takes cos/sin of Omega_n (m_p + h t_j) by angle addition from
     cos/sin(Omega_n m_p) per panel midpoint and cos/sin(Omega_n h t_j),
-    shared by all panels; a read is one stacked (1, 17) @ (17, 4) matrix
-    product per point.  Once every panel is filled, reads stop looking
-    for unfilled ones.
+    shared by all panels; a read is one stacked matrix product over
+    chunks of 8 points of one panel each, (8, 17) @ (17, 4) per chunk.
+    Once every panel is filled, reads stop looking for unfilled ones.
+    The basis of a read is built in one buffer that all tables share,
+    grown to the widest read of up to ``_WORK_POINTS`` padded points: as
+    a fresh array, a block's basis of about half a megabyte is mapped and
+    zero-filled afresh by the allocator on every read, which cost about
+    a third of the read, and a buffer per table would hold one such
+    basis for every width in use.
     """
+
+    # the basis buffer of every table's reads, which run one at a time
+    _work = np.empty(0)
 
     def __init__(self, sigma: float):
         (self.radius, offsets, weights, self.omegas, width,
@@ -444,18 +463,46 @@ class _UnitPacket:
         self._complete = bool(self._filled.all())
 
     def table(self, z):
-        """``exact`` from the Chebyshev tables: a panel gather, the
-        Chebyshev basis in the panel-local t by doubling steps and one
-        stacked matrix product per point, (1, 17) @ (17, 4), whose sums do
-        not depend on the batch size.  Panels not yet filled are filled
-        first.  ``z`` must lie within the radius, up to rounding."""
+        """``exact`` from the Chebyshev tables, panel by panel.  The points
+        are sorted by panel, stably, and each panel's run is padded to
+        whole chunks of ``_CHUNK`` points.  The Chebyshev basis in the
+        panel-local t is built by doubling steps on that padded layout,
+        and one stacked matrix product, (chunks, 8, 17) @ (chunks, 17, 4),
+        contracts every chunk with its own panel's coefficients; its
+        A operand is a view of the (17, padded) basis.  Each point's row
+        is gathered back.  Every chunk has one shape, a whole SIMD tile,
+        and BLAS sums each output element as one chain over the 17 terms,
+        so a point's value depends on its z and its panel alone: not on
+        the batch size, on which points share its chunk or on its row in
+        the chunk.  Panels not yet filled are filled first.  ``z`` must
+        lie within the radius, up to rounding."""
         cell = np.minimum((z * self._inv_width + self._offset).astype(np.intp),
                           len(self._mids) - 1)
         if not (self._complete or self._filled[cell].all()):
             self._fill(np.unique(cell[~self._filled[cell]] // self._block))
-        cheb = np.empty((_CHEB_N, len(z)))
+        n = len(z)
+        order = cell.argsort(kind="stable")
+        cell = cell[order]
+        # each panel's run of sorted points: its first point, its length
+        # and its chunks; ``slot`` is each sorted point's padded column
+        new = np.empty(n, bool)
+        new[:1] = True
+        np.not_equal(cell[1:], cell[:-1], out=new[1:])
+        first = new.nonzero()[0]
+        counts = np.concatenate((first[1:], [n])) - first
+        chunks = (counts + (_CHUNK - 1)) // _CHUNK
+        start = chunks.cumsum() - chunks
+        slot = (_CHUNK * start - first).repeat(counts) + np.arange(n)
+        width = _CHUNK * int(chunks.sum())
+        work = _UnitPacket._work
+        if len(work) < _CHEB_N * width:
+            work = np.empty(_CHEB_N * width)
+            if width <= _WORK_POINTS:
+                _UnitPacket._work = work
+        cheb = work[:_CHEB_N * width].reshape(_CHEB_N, width)
         cheb[0] = 1.0
-        cheb[1] = (z - self._mids[cell]) * (1.0 / self._half_width)
+        cheb[1] = 0.0  # t of the padding: any finite value
+        cheb[1, slot] = (z[order] - self._mids[cell]) * (1.0 / self._half_width)
         # T_{m+j} = 2 T_m T_j - T_{m-j}: rows m+1 .. 2m in one step; the
         # degree, 16, is a power of two, reached in four steps
         m = 1
@@ -464,10 +511,12 @@ class _UnitPacket:
             np.multiply(2.0 * cheb[m], cheb[1:m + 1], out=rows)
             rows -= cheb[m - 1::-1]
             m *= 2
-        # one layout whatever the batch size: each point's basis reaches
-        # BLAS with unit stride, for a lone point as for many
-        cheb = np.ascontiguousarray(cheb.T)[:, None, :]
-        return np.matmul(cheb, self._coef.take(cell, axis=0))[:, 0]
+        basis = cheb.reshape(_CHEB_N, -1, _CHUNK).transpose(1, 2, 0)
+        coef = self._coef.take(cell[first].repeat(chunks), axis=0)
+        values = np.matmul(basis, coef).reshape(-1, 4)
+        back = np.empty(n, np.intp)
+        back[order] = slot
+        return values.take(back, axis=0)
 
 
 @functools.lru_cache(maxsize=16)

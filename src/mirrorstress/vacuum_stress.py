@@ -239,14 +239,24 @@ def F_of_jet(j: Jet3):
     return j.d2 / j.value - 1.5 * (r1 * r1)
 
 
+def _finite_order(*later) -> bool:
+    """Whether a jet coefficient that reads 0.0 is a zero of finite order:
+    one of its ``later`` coefficients is finite and nonzero.  Where none
+    is, the 0.0 is an underflow of a value that does not vanish."""
+    return any(0.0 < abs(lead_value(c)) < math.inf for c in later)
+
+
 def F_functional(f, x: float) -> float:
     """F_x(f) for a jet-evaluable function f, a finite float;
-    SingularRayError where f(x) = 0, CoverageError where it leaves the
+    SingularRayError where f has a zero of finite order at x,
+    CoverageError where the value, or f(x) underflowing to 0, leaves the
     double-precision range."""
     def value(x):
         j = f(seed(x))
         if lead_value(j.value) == 0.0:
-            raise SingularRayError(f"F functional: f({x}) = 0")
+            if _finite_order(j.d1, j.d2, j.d3):
+                raise SingularRayError(f"F functional: f({x}) = 0")
+            return math.nan
         return F_of_jet(j)
 
     F = _try_float(value, x)
@@ -258,15 +268,18 @@ def F_functional(f, x: float) -> float:
 
 def schwarzian_derivative(m, x: float) -> float:
     """F applied to the derivative of m: m'''/m' - (3/2)(m''/m')^2, a
-    finite float; CoverageError where it leaves the double-precision
-    range.
+    finite float; SingularRayError where m' has a zero of finite order at
+    x, CoverageError where the value, or m'(x) underflowing to 0, leaves
+    the double-precision range.
 
     Vanishes identically for Moebius maps.
     """
     def value(x):
         j = m(seed(x))
         if lead_value(j.d1) == 0.0:
-            raise SingularRayError(f"schwarzian: m'({x}) = 0")
+            if _finite_order(j.d2, j.d3):
+                raise SingularRayError(f"schwarzian: m'({x}) = 0")
+            return math.nan
         return _schwarzian_of_jet(j)
 
     s = _try_float(value, x)
@@ -285,13 +298,16 @@ def F_composition(p_map: ChartMap, base_F: float, x_bar: float) -> float:
     """F in the relabeled chart from F in the original one:
     (1/p'(x)^2) [base_F - F_x(p')], the subtracted term being the
     Schwarzian derivative of p.  A finite float; SingularRayError where
-    p'(x) = 0, CoverageError outside p's domain or where the value, or
-    p' on the way to it, leaves the double-precision range."""
+    p' has a zero of finite order at x, CoverageError outside p's domain
+    or where the value, or p' on the way to it (overflowing, or
+    underflowing to 0), leaves the double-precision range."""
     def value(x):
         j = p_map(seed(x))
         pprime = lead_value(j.d1)
         if pprime == 0.0:
-            raise SingularRayError(f"F composition: p'({x}) = 0")
+            if _finite_order(j.d2, j.d3):
+                raise SingularRayError(f"F composition: p'({x}) = 0")
+            return math.nan
         return (base_F - _schwarzian_of_jet(j)) / (pprime * pprime)
 
     F = _try_float(value, x_bar)

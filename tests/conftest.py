@@ -10,8 +10,9 @@ from mirrorstress.bogolubov import compute_coefficients
 from bogolubov_bases import planck_bases, thermal_bases
 
 # ``--hypothesis-profile=long``: a longer run of the property tests that
-# set no example count of their own (``test_api_contract.py``); the suite
-# keeps hypothesis's default profile
+# set no example count of their own (``test_api_contract.py`` and the
+# table-read property of ``test_bogolubov.py``); the suite keeps
+# hypothesis's default profile
 settings.register_profile("long", max_examples=2000, deadline=None)
 
 

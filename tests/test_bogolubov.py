@@ -6,12 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorstress import bogolubov
 from mirrorstress.bogolubov import (
     _CHEB_FROM_VALUES,
     _CHEB_N,
     _CHEB_POINTS,
+    _CHUNK,
     _FILL_ELEMENTS,
     _G7_IDX,
     _G7_WEIGHTS,
@@ -283,8 +286,8 @@ def test_outputs_do_not_depend_on_the_lockstep_grouping(monkeypatch,
 
 def test_wide_row_transient_memory_stays_bounded():
     # the 1 x 255 row is one lockstep group; its panel state and the
-    # evaluation blocks of a wave peaked at 2.48 MiB (tracemalloc, numpy
-    # 2.4.6), against 1.18 MiB for the same row in groups of 32 entries
+    # evaluation blocks of a wave peaked at 2.65 MiB (tracemalloc, numpy
+    # 2.4.6; 2.48 MiB with blocks of 64 panels, read point by point)
     basis_a, basis_b = planck_bases()
     compute_coefficients(basis_a, basis_b, tol=1e-9)  # tables built, filled
     tracemalloc.start()
@@ -294,6 +297,33 @@ def test_wide_row_transient_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_sparse_table_read_stays_within_twice_its_padded_basis(monkeypatch):
+    # at width 0.5 the cells are sized by a top frequency node of weight
+    # about 2e-11, so nearly every point of a read is alone in its cell
+    # and pads a chunk of its own: a read of n such points builds a basis
+    # of _CHUNK x n x 17 doubles, and its chunks' coefficients and
+    # products add half and a quarter of that.  Measured 1.84 times the
+    # basis (n = 128; tracemalloc, numpy 2.4.6), a margin of 1.09 under
+    # the bound of 2; the worst read of an evaluation block, 3,855 points
+    # and a 4.0 MiB basis, the most the shared buffer keeps, thus stays
+    # under 8.0 MiB
+    unit = _unit_packet(0.5)
+    n = 128
+    cells = np.linspace(0, len(unit._mids) - 1, n).astype(int)
+    z = unit._mids[cells]
+    unit.table(z)  # its cells filled
+    monkeypatch.setattr(_UnitPacket, "_work", np.empty(0))
+    tracemalloc.start()
+    try:
+        unit.table(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    basis = _CHUNK * n * _CHEB_N * 8
+    assert _UnitPacket._work.nbytes == basis
+    assert peak < 2 * basis
 
 
 def test_row_evaluation_stays_within_block_budget(monkeypatch, planck_pair):
@@ -307,10 +337,10 @@ def test_row_evaluation_stays_within_block_budget(monkeypatch, planck_pair):
     monkeypatch.setattr(_UnitPacket, "table", recording_table)
     pair = compute_coefficients(planck_pair.basis_a, planck_pair.basis_b,
                                 tol=1e-9)
-    # the (n, 17, 4) table gather of one call stays within the budget
-    budget = _FILL_ELEMENTS // (_CHEB_N * 4)
-    assert max(sizes) <= budget
-    assert max(sizes) > budget // 2  # the blocks are filled
+    # the Chebyshev basis of one read, 17 doubles a point before padding,
+    # stays within the budget
+    assert _CHEB_N * max(sizes) <= _FILL_ELEMENTS
+    assert _CHEB_N * max(sizes) > _FILL_ELEMENTS // 2  # the blocks are filled
     assert np.array_equal(pair.alpha, planck_pair.alpha)
     assert np.array_equal(pair.n_evaluations, planck_pair.n_evaluations)
 
@@ -475,6 +505,53 @@ def test_table_rows_do_not_depend_on_batch_size(sigma):
         for start in (0, (len(wave) - n) // 2, len(wave) - n):
             batch = slice(start, start + n)
             assert np.array_equal(unit.table(z[points][batch]), wave[batch])
+
+
+def table_cells(unit):
+    """The cells a property read of ``unit`` draws from: all of them, or
+    for the 11,559 cells of sigma = 0.5 the first, middle and last 16,
+    so that the property fills few of them."""
+    n = len(unit._mids)
+    if n <= 200:
+        return np.arange(n)
+    return np.r_[:16, n // 2 - 8:n // 2 + 8, n - 16:n]
+
+
+@st.composite
+def table_reads(draw):
+    """A table of width 0.04, 0.06, 0.25 or 0.5 and a read of it: a lone
+    point, a crowd in one cell, one point in each of several cells and
+    repeats of some of them, in a drawn order."""
+    unit = _unit_packet(draw(st.sampled_from([0.04, 0.06, 0.25, 0.5])))
+    cells = table_cells(unit)
+    pick = st.integers(0, len(cells) - 1)
+    lone, crowd = draw(pick), draw(pick)
+    spread = draw(st.lists(pick, max_size=40, unique=True))
+    owners = cells[[lone] + [crowd] * draw(st.integers(0, 40)) + spread]
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(owners),
+                            max_size=len(owners)))
+    z = unit._mids[owners] + unit._half_width * np.array(offsets)
+    z = np.clip(z, -unit.radius, unit.radius)
+    repeats = draw(st.lists(st.integers(0, len(z) - 1), max_size=10))
+    z = np.concatenate([z, z[repeats]])
+    return unit, z[draw(st.permutations(range(len(z))))]
+
+
+# no deadline: the first reads of a table fill its cells
+@given(read=table_reads(), data=st.data())
+@settings(deadline=None)
+def test_table_reads_do_not_depend_on_grouping(read, data):
+    # a point's value depends on its z and its cell alone: every split of
+    # a read and every permutation of it read bit for bit what the whole
+    # read gives, whichever points share a chunk
+    unit, z = read
+    whole = unit.table(z)
+    cuts = data.draw(st.lists(st.integers(0, len(z)), max_size=6))
+    edges = [0] + sorted(cuts) + [len(z)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        assert np.array_equal(unit.table(z[lo:hi]), whole[lo:hi])
+    perm = np.array(data.draw(st.permutations(range(len(z)))), dtype=int)
+    assert np.array_equal(unit.table(z[perm]), whole[perm])
 
 
 def direct_fill(unit, cells):

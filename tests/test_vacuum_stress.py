@@ -129,26 +129,28 @@ def test_zeros_of_finite_order_are_singular_rays():
         F_composition(cube, -0.5, 0.0)
 
 
-@pytest.mark.parametrize("x", [800.0, -800.0])
-def test_F_past_the_double_range_is_coverage_error(x):
-    # e^800 overflows in the jet: a bare OverflowError; e^-800 underflows
-    # to a jet of zeros, which was taken for a zero of f
-    with pytest.raises(CoverageError, match=re.escape(
-            f"F functional: value at {x!r} leaves the double-precision "
-            "range")):
-        F_functional(lambda j: jexp(j), x)
+def test_F_past_the_double_range_is_coverage_error():
+    # e^800 overflows in the jet: a bare OverflowError
+    with pytest.raises(CoverageError, match=r"F functional: value at "
+                       r"800\.0 leaves the double-precision range"):
+        F_functional(lambda j: jexp(j), 800.0)
 
 
-@pytest.mark.parametrize("u", [-1e-300, -1e160])
-def test_schwarzian_past_the_double_range_is_coverage_error(u):
+def test_schwarzian_past_the_double_range_is_coverage_error():
     # p = -1/u has p' = 1/u^2 = inf at u = -1e-300, and the Schwarzian
-    # took inf/inf: it returned NaN; at -1e160 p' underflows to 0, which
-    # was taken for a zero of p'
+    # took inf/inf: it returned NaN
     p = reflection_map(uniformly_accelerated_mirror(1.0)).p
-    with pytest.raises(CoverageError, match=re.escape(
-            f"schwarzian: value at {u!r} leaves the double-precision "
-            "range")):
-        schwarzian_derivative(p, u)
+    with pytest.raises(CoverageError, match=r"schwarzian: value at -1e-300 "
+                       r"leaves the double-precision range"):
+        schwarzian_derivative(p, -1e-300)
+
+
+def test_F_underflow_to_zero_is_coverage_error():
+    # e^-800 underflows to a jet of zeros, which was taken for a zero of
+    # f: e^x never vanishes
+    with pytest.raises(CoverageError, match=r"F functional: value at "
+                       r"-800\.0 leaves the double-precision range"):
+        F_functional(lambda j: jexp(j), -800.0)
 
 
 def test_schwarzian_random_maps_match_direct_formula():
@@ -226,17 +228,31 @@ def test_F_composition_matches_direct_hatted_evaluation():
         assert close(via_identity, direct, 1e-10)
 
 
-@pytest.mark.parametrize("u", [-1e-160, -1e-300, -1e160, -1e300])
+@pytest.mark.parametrize("u", [-1e-160, -1e-300])
 def test_F_composition_past_the_double_range_is_coverage_error(u):
-    # p(u) = -1/u: near 0 p' = 1/u^2 overflows, and the Schwarzian took
-    # inf/inf, so F read NaN; far out p' underflows to 0, which was taken
-    # for a zero of p'
+    # p(u) = -1/u: p' = 1/u^2 overflows, and the Schwarzian took inf/inf,
+    # so F read NaN
+    p_map = reflection_map(uniformly_accelerated_mirror(1.0)).p
+    with pytest.raises(CoverageError, match=f"F composition: value at {u!r} "
+                       "leaves the double-precision range"):
+        F_composition(p_map, -0.5, u)
+    assert F_composition(p_map, -0.5, -0.5) == -0.5 * 0.5 ** 4
+
+
+@pytest.mark.parametrize("u", [-1e160, -1e300])
+def test_F_composition_underflow_to_zero_is_coverage_error(u):
+    # p(u) = -1/u: far out p' = 1/u^2 underflows to 0, and p'' and p'''
+    # to 0 or NaN, so the jet shows no zero of finite order; the 0 was
+    # taken for a zero of p', which never vanishes
     p_map = reflection_map(uniformly_accelerated_mirror(1.0)).p
     with pytest.raises(CoverageError, match=re.escape(
             f"F composition: value at {u!r} leaves the double-precision "
             "range")):
         F_composition(p_map, -0.5, u)
-    assert F_composition(p_map, -0.5, -0.5) == -0.5 * 0.5 ** 4
+    with pytest.raises(CoverageError, match=re.escape(
+            f"schwarzian: value at {u!r} leaves the double-precision "
+            "range")):
+        schwarzian_derivative(p_map, u)
 
 
 def test_F_composition_matches_composed_chart():

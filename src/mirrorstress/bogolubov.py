@@ -390,10 +390,12 @@ class _UnitPacket:
     a fresh array, a block's basis of about half a megabyte is mapped and
     zero-filled afresh by the allocator on every read, which cost about
     a third of the read, and a buffer per table would hold one such
-    basis for every width in use.
+    basis for every width in use.  Tables are read and filled from one
+    thread at a time: two fills of one block at once would add their
+    sums twice, and two reads at once would share the buffer.
     """
 
-    # the basis buffer of every table's reads, which run one at a time
+    # the basis buffer of every table's reads
     _work = np.empty(0)
 
     def __init__(self, sigma: float):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mirrorstress import bogolubov
 from mirrorstress.bogolubov import (
+    _BLOCK_NODES,
     _CHEB_FROM_VALUES,
     _CHEB_N,
     _CHEB_POINTS,
@@ -299,21 +300,21 @@ def test_wide_row_transient_memory_stays_bounded():
     assert peak < 4 * 2 ** 20
 
 
-def test_sparse_table_read_stays_within_twice_its_padded_basis(monkeypatch):
+def test_sparse_table_read_stays_within_twice_its_padded_basis(
+        monkeypatch):
     # at width 0.5 the cells are sized by a top frequency node of weight
     # about 2e-11, so nearly every point of a read is alone in its cell
-    # and pads a chunk of its own: a read of n such points builds a basis
-    # of _CHUNK x n x 17 doubles, and its chunks' coefficients and
-    # products add half and a quarter of that.  Measured 1.84 times the
-    # basis (n = 128; tracemalloc, numpy 2.4.6), a margin of 1.09 under
-    # the bound of 2; the worst read of an evaluation block, 3,855 points
-    # and a 4.0 MiB basis, the most the shared buffer keeps, thus stays
-    # under 8.0 MiB
-    unit = _unit_packet(0.5)
-    n = 128
-    cells = np.linspace(0, len(unit._mids) - 1, n).astype(int)
+    # and pads a chunk of its own.  The worst read is an evaluation block
+    # of such points: a basis of _CHUNK x _BLOCK_NODES x 17 doubles
+    # (4.0 MiB), the most the shared buffer keeps, to which its chunks'
+    # coefficients and products add about half and a quarter.  Measured
+    # 1.83 times the basis (tracemalloc, numpy 2.4.6), a margin of 1.09
+    # under the bound of 2.  A read's memory does not depend on the
+    # coefficients, so a fresh table is read unfilled, marked complete.
+    unit = _UnitPacket(0.5)
+    unit._complete = True
+    cells = np.linspace(0, len(unit._mids) - 1, _BLOCK_NODES).astype(int)
     z = unit._mids[cells]
-    unit.table(z)  # its cells filled
     monkeypatch.setattr(_UnitPacket, "_work", np.empty(0))
     tracemalloc.start()
     try:
@@ -321,7 +322,7 @@ def test_sparse_table_read_stays_within_twice_its_padded_basis(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    basis = _CHUNK * n * _CHEB_N * 8
+    basis = _CHUNK * _BLOCK_NODES * _CHEB_N * 8
     assert _UnitPacket._work.nbytes == basis
     assert peak < 2 * basis
 

@@ -288,7 +288,8 @@ def test_outputs_do_not_depend_on_the_lockstep_grouping(monkeypatch,
 def test_wide_row_transient_memory_stays_bounded():
     # the 1 x 255 row is one lockstep group; its panel state and the
     # evaluation blocks of a wave peaked at 2.65 MiB (tracemalloc, numpy
-    # 2.4.6; 2.48 MiB with blocks of 64 panels, read point by point)
+    # 2.4.6), or 3.17 MiB where the call grows the shared basis buffer;
+    # 2.48 MiB with blocks of 64 panels, read point by point
     basis_a, basis_b = planck_bases()
     compute_coefficients(basis_a, basis_b, tol=1e-9)  # tables built, filled
     tracemalloc.start()
